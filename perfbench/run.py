@@ -5,23 +5,29 @@
 Run from the root of a source checkout; the package is imported from
 `src/`.  Set-up imports h14cert afresh and writes the workload's pack
 files; it runs SETUP_FIRST times before the first round and SETUP_PER_ROUND
-times after each round, and `setup_s` is the median.
+times after each round.
 
 A round is, per valid pack, `witness check` (repeated: it is short),
 `cert build` and `cert verify` through `h14cert.cli.main` with the argv a
 user would type; then `witness check` and `cert build` of the packs that
-must be rejected; then one `cert verify` of a one-field tampered
-certificate.  Rounds are whole and run for S seconds: none starts that
-would, at the pace of the one before, end after S seconds.  Every output
-is checked (see checks.py); an operation whose output misses a check
-counts as failed.  A time metric is the sum over the workload's packs of
-the median of that operation's times in all rounds.
+must be rejected.  Rounds are whole and run for S seconds: none starts
+that would, at the pace of the one before, end after S seconds.  After the
+rounds, one `cert verify` of a one-field tampered certificate.  Every
+output is checked (see checks.py); an operation whose output misses a
+check counts as failed.
+
+A time metric is the sum over the workload's packs of the trimmed mean of
+that operation's wall times in all rounds (`setup_s`: of the set-ups),
+scaled to the reference speed of the host gauge (see gauge.py), which is
+sampled between operations throughout the run.  The unscaled times are
+printed on the line that starts with `wall:`.
 
 With --trace 1 rounds alternate between untraced and traced (see
-spans.py).  The per-layer metrics are medians over the traced rounds; the
-tracing overhead is the traced minus the untraced time of a round's
-operations (round 0, which pays first-call costs, left out).  The spans of
-the last traced round are written to perfbench/work/<workload>/trace.json.
+spans.py).  The per-layer metrics are medians over the traced rounds,
+times scaled as above; the tracing overhead is the traced minus the
+untraced time of a round's operations (round 0, which pays first-call
+costs, left out).  The spans of the last traced round are written to
+perfbench/work/<workload>/trace.json.
 
 The last line of standard output is one JSON object:
 {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}.
@@ -44,6 +50,7 @@ from pathlib import Path
 from time import perf_counter
 
 import checks
+import gauge
 import spans as tracing
 import workloads
 
@@ -61,7 +68,7 @@ def fresh_import():
 
 
 class Runner:
-    def __init__(self, workload, seed: int, workdir: Path):
+    def __init__(self, workload, seed: int, workdir: Path, host: gauge.Gauge):
         self.w = workload
         self.seed = seed
         self.workdir = workdir
@@ -69,6 +76,7 @@ class Runner:
         self.failed = 0
         self.digests: dict[str, str] = {}       # cert name -> sha256 of round 1
         self.cert_sizes: dict[str, int] = {}
+        self.host = host
 
     def call(self, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -84,6 +92,7 @@ class Runner:
         """Run one CLI operation; count it, and count it failed when it
         raises or its output misses `ok_if(rc, stdout, stderr)`."""
         self.attempted += 1
+        self.host.tick()
         try:
             rc, out, err, dt = self.call(argv)
             problem = ok_if(rc, out, err)
@@ -156,16 +165,16 @@ class Runner:
             check(split[2])
         return {"ops": ops, "cert_bytes": cert_bytes}
 
-    def tamper_check(self, r: int):
-        """`cert verify` of a certificate of this round with one field
-        changed; the certificate and the field rotate with the round."""
+    def tamper_check(self):
+        """`cert verify` of a certificate with one field changed, once per
+        run; the certificate and the field rotate with the seed."""
         kinds = workloads.TAMPER_KINDS
         names = sorted(self.digests)
         if not names:                   # no build succeeded; already counted
             return
-        name = names[r % len(names)]
+        name = names[self.seed % len(names)]
         cert = self.workdir / f"{name}.cert.json"
-        kind = kinds[(self.seed + r) % len(kinds)]
+        kind = kinds[self.seed // len(names) % len(kinds)]
         obj = json.loads(cert.read_text(encoding="utf-8"))
         workloads.tamper(obj, kind)
         bad = self.workdir / f"{name}.tampered.json"
@@ -188,9 +197,10 @@ class Runner:
                 self.failed += rounds
 
 
-def setup(workload, seed, workdir):
+def setup(workload, seed, workdir, host):
     """Import h14cert afresh and write the pack files; returns the packs
     and the seconds taken."""
+    host.tick()
     t0 = perf_counter()
     h14 = fresh_import()
     packs = workloads.write_packs(h14, workload, seed, workdir)
@@ -215,9 +225,10 @@ def main(argv=None) -> int:
     if workdir.exists():
         shutil.rmtree(workdir)
     workdir.mkdir(parents=True)
+    host = gauge.Gauge()
     setup_times = []
     for _ in range(SETUP_FIRST):
-        packs, dt = setup(workload, args.seed, workdir)
+        packs, dt = setup(workload, args.seed, workdir, host)
         setup_times.append(dt)
 
     tracer = tracing.Tracer() if args.trace else None
@@ -232,7 +243,7 @@ def main(argv=None) -> int:
                 tracer.uninstall()
             pack_layers.append(tracing.construction_metrics(tracer.spans))
 
-    runner = Runner(workload, args.seed, workdir)
+    runner = Runner(workload, args.seed, workdir, host)
     untraced, traced = [], []
     start = perf_counter()
     r = 0
@@ -247,9 +258,8 @@ def main(argv=None) -> int:
         finally:
             if on:
                 tracer.uninstall()
-        runner.tamper_check(r)
         for _ in range(SETUP_PER_ROUND):
-            packs, dt = setup(workload, args.seed, workdir)
+            packs, dt = setup(workload, args.seed, workdir, host)
             setup_times.append(dt)
         if on:
             times["layers"] = tracing.layer_metrics(tracer.spans, tracer.loose)
@@ -264,15 +274,18 @@ def main(argv=None) -> int:
         if (now - start) + (now - t_round) > args.seconds and enough:
             break
 
+    runner.tamper_check()
+    host.tick()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     runner.oracle(len(untraced) + len(traced))
     for name, digest in sorted(runner.digests.items()):
         print(f"certificate {name} sha256 {digest} bytes {runner.cert_sizes[name]}")
 
     def op_metric(rows, metric):
-        """Sum over packs of the median of the operation's times in all rounds."""
+        """Sum over packs of the trimmed mean of the operation's times in
+        all rounds."""
         keys = [k for k in rows[0]["ops"] if k[0] == metric]
-        return sum(statistics.median(t for row in rows for t in row["ops"][k])
+        return sum(gauge.trimmed_mean(t for row in rows for t in row["ops"][k])
                    for k in keys)
 
     if tracer:
@@ -298,12 +311,19 @@ def main(argv=None) -> int:
     else:
         values = {k: op_metric(untraced, k) for k in ("build_s", "verify_s", "check_s")}
         values["cert_bytes"] = statistics.median(row["cert_bytes"] for row in untraced)
-        values["setup_s"] = statistics.median(setup_times)
+        values["setup_s"] = gauge.trimmed_mean(setup_times)
         values["peak_rss_mb"] = peak_rss_mb
         wanted = "end_to_end"
 
+    # Times are reported in seconds at the gauge's reference speed (gauge.py).
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+    scale = host.scale()
+    timed = [m["name"] for m in spec[wanted] if m["unit"] == "s"]
+    print("wall: " + " ".join(f"{k}={values[k]:.4f}" for k in timed)
+          + f" gauge={gauge.trimmed_mean(host.samples):.5f} scale={scale:.4f}"
+          f" n={len(host.samples)}")
+    metrics = {m["name"]: {"value": values[m["name"]] * (scale if m["unit"] == "s" else 1),
+                           "unit": m["unit"]}
                for m in spec[wanted]}
 
     print(json.dumps({"correct": runner.failed == 0, "attempted": runner.attempted,

@@ -46,8 +46,7 @@ class Workload:
 
 
 WORKLOADS = {
-    "cycle3": Workload(("cycle3",), 8, False, 5),
-    "swap-deep": Workload(("swap2",), 24, False, 9),
+    "cycle3": Workload(("cycle3",), 8, False, 8),
     "witness-scan": Workload(
         ("swap2", "swap3", "swap4", "double-swap4", "swap-cycle5", "swap5"), 2, True, 2),
 }
