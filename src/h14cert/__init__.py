@@ -29,14 +29,11 @@ from .constructions import (
     Derivation,
     PermGroupSpec,
     apply_derivation,
-    check_involution,
     find_preslice,
     invariant_generators,
     invariant_witness_pack,
-    is_locally_nilpotent,
     orbit_sum,
     preslice_involution,
-    y_coords,
 )
 from .errors import (
     AlgebraError,
@@ -66,24 +63,11 @@ from .family import (
     verify_certificate,
     witness_poly,
 )
-from .maps import (
-    RingMap,
-    axis_map,
-    compose,
-    identity_map,
-    inversion_map,
-    inversion_map_inverse,
-    mul_map,
-    perm_action,
-    shear_map,
-    translation_map,
-)
+from .maps import RingMap, axis_map, inversion_map
 from .report import Check, Report, format_report
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
-    derivation_from_json,
-    derivation_to_json,
     dumps,
     fgpoly_from_json,
     fgpoly_to_json,
@@ -98,8 +82,6 @@ from .serialize import (
     poly_to_json,
     report_from_json,
     report_to_json,
-    ringmap_from_json,
-    ringmap_to_json,
     unipoly_from_json,
     unipoly_to_json,
     write_json_file,
@@ -115,8 +97,6 @@ from .witness import (
     choose_weights,
     clearing_exponent,
     is_normal,
-    jacobian_rank_at,
-    linear_part,
     realize_annihilator,
     resolve_pack_fields,
     semigroup_orders,

@@ -356,18 +356,9 @@ class LaurentPoly:
 
         def power(idx: int, k: int) -> LaurentPoly:
             got = cache.get((idx, k))
-            if got is not None:
-                return got
-            if k == 1:
-                p = images[self.vars.names[idx]]
-            elif k == -1:
-                p = images[self.vars.names[idx]].invert_term()
-            elif k > 1:
-                p = power(idx, k - 1) * power(idx, 1)
-            else:
-                p = power(idx, k + 1) * power(idx, -1)
-            cache[(idx, k)] = p
-            return p
+            if got is None:
+                got = cache[(idx, k)] = images[self.vars.names[idx]] ** k
+            return got
 
         acc: dict[Expo, Fraction] = {}
         for e, c in self.terms.items():
@@ -385,33 +376,6 @@ class LaurentPoly:
                 else:
                     acc[ee] = s
         return LaurentPoly(target, acc, _clean=False)
-
-    def subst_general(self, images: Mapping[str, "RatFunc | LaurentPoly"]) -> "RatFunc":
-        """Evaluate at rational-function images (the fully general form).
-
-        Slower than `subst`; negative exponents only need the image to be
-        a nonzero rational function.
-        """
-        coerced: dict[str, RatFunc] = {}
-        target = None
-        for name in self.vars.names:
-            if name not in images:
-                raise VariableMismatch(f"no image supplied for {name!r}")
-            img = images[name]
-            rf = img if isinstance(img, RatFunc) else RatFunc.from_poly(img)
-            coerced[name] = rf
-            if target is None:
-                target = rf.num.vars
-            elif rf.num.vars != target:
-                raise VariableMismatch("images live over different variable sets")
-        total = RatFunc.from_poly(LaurentPoly.zero(target))
-        for e, c in self.terms.items():
-            term = RatFunc.from_poly(LaurentPoly.const(target, c))
-            for name, k in zip(self.vars.names, e):
-                if k:
-                    term = term * coerced[name] ** k
-            total = total + term
-        return total
 
     # -- moving between variable sets ------------------------------------
 

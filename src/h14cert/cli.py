@@ -18,6 +18,7 @@ from .errors import (
     WitnessInvalid,
 )
 from .family import build_certificate, verify_certificate
+from .maps import inversion_map
 from .report import format_report
 from .serialize import (
     certificate_from_json,
@@ -59,13 +60,10 @@ def cmd_demo(args) -> int:
         print(f"witness rejected: {exc}", file=sys.stderr)
         return 2
 
-    resolved, _ = validate_pack(pack, weights_override=weights,
-                                semigroup_bound=args.bound,
-                                member_bound=args.member_bound)
-    twist = resolved.twist
+    twist = inversion_map(cert.pack.weights, cert.pack.h)
     pair = orbit_sum(group, (1, 1)).with_vars(twist.vars)
     print("generators of the twisted invariant algebra:")
-    print(f"  image of orbit(y1)    = {twist.apply(resolved.g_xz)}")
+    print(f"  image of orbit(y1)    = {twist.apply(pack.g.with_vars(twist.vars))}")
     print(f"  image of orbit(y1*y2) = {twist.apply(pair)}")
     print(f"  image of z            = {twist.image_of('z')}")
     print()

@@ -3,8 +3,8 @@
 Two families are provided: witness packs built from permutation-invariant
 rings (orbit sums of monomials under a subgroup of the symmetric group,
 expressed through a triangular coordinate change), and the small locally
-nilpotent derivation toolkit (apply, nilpotence scan, preslice search, the
-preslice inversion involution, and its fixed-ring checks).
+nilpotent derivation toolkit (apply, preslice search, and the preslice
+inversion involution).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 from .algebra import Expo, LaurentPoly, VarSet, x_vars
 from .errors import UnsupportedCase, VariableMismatch, WitnessInvalid
 from .maps import RingMap, axis_map
-from .report import Report
 from .witness import WitnessPack, axis_quotient
 
 
@@ -66,31 +65,20 @@ class PermGroupSpec:
         return seen
 
 
-def y_coords(n: int) -> RingMap:
-    """The triangular coordinate change y1 = x1, y2 = x2 - x1 + x1^2,
-    y_i = x_i (i >= 3), as the map sending each formal coordinate to its
-    expression in x; carries its (also triangular) inverse."""
-    if n < 2:
-        raise VariableMismatch("need at least two variables")
-    vars = x_vars(n)
-    x1 = LaurentPoly.variable(vars, "x1")
-    x2 = LaurentPoly.variable(vars, "x2")
-    fwd = [LaurentPoly.variable(vars, name) for name in vars.names]
-    fwd[1] = x2 - x1 + x1 ** 2
-    bwd = [LaurentPoly.variable(vars, name) for name in vars.names]
-    bwd[1] = x2 + x1 - x1 ** 2
-    return RingMap(vars, fwd, kind="generic", params={"role": "coords", "n": n},
-                   inv_images=bwd)
-
-
 def orbit_sum(group: PermGroupSpec, exps: Expo) -> LaurentPoly:
     """The sum over the orbit of a monomial in the y-coordinates, written
     out in x-coordinates."""
     if len(exps) != group.n or any(k < 0 for k in exps):
         raise VariableMismatch("monomial exponents must be nonnegative, length n")
+    if group.n < 2:
+        raise VariableMismatch("need at least two variables")
     vars = x_vars(group.n)
     formal = LaurentPoly(vars, {e: Fraction(1) for e in group.orbit(exps)})
-    return y_coords(group.n).apply(formal)
+    # the coordinate change y1 = x1, y2 = x2 - x1 + x1^2, y_i = x_i (i >= 3)
+    coords = {name: LaurentPoly.variable(vars, name) for name in vars.names}
+    x1 = coords["x1"]
+    coords["x2"] = coords["x2"] - x1 + x1 ** 2
+    return formal.subst(coords)
 
 
 def invariant_generators(group: PermGroupSpec, max_degree: int) -> list[LaurentPoly]:
@@ -144,10 +132,9 @@ def invariant_witness_pack(group: PermGroupSpec,
     f = g + pair
 
     vars = x_vars(n)
-    eps = axis_map(n)
     x1sq = LaurentPoly.monomial(vars, (2,) + (0,) * (n - 1))
     x1cb = LaurentPoly.monomial(vars, (3,) + (0,) * (n - 1))
-    if eps.apply(g) != x1sq or eps.apply(f) != x1cb:
+    if axis_map(g) != x1sq or axis_map(f) != x1cb:
         raise WitnessInvalid("axis images of the invariant pair are degenerate")
     if axis_quotient(f, g) != LaurentPoly.variable(vars, "x1"):
         raise WitnessInvalid("axis quotient of the invariant pair is not x1")
@@ -173,17 +160,16 @@ def invariant_witness_pack(group: PermGroupSpec,
 @dataclass(frozen=True)
 class Derivation:
     """A k-derivation of k[x1..xn], determined by the images of the
-    variables; optional kernel generators ride along for checks."""
+    variables."""
 
     n: int
     images: tuple[LaurentPoly, ...]
-    kernel_gens: tuple[LaurentPoly, ...] = ()
 
     def __post_init__(self):
         vars = x_vars(self.n)
         if len(self.images) != self.n:
             raise VariableMismatch("one image per variable required")
-        for p in tuple(self.images) + tuple(self.kernel_gens):
+        for p in self.images:
             if p.vars != vars:
                 raise VariableMismatch("derivation data over the wrong variables")
 
@@ -200,20 +186,6 @@ def apply_derivation(D: Derivation, p: LaurentPoly) -> LaurentPoly:
             continue
         out = out + image * p.deriv(name)
     return out
-
-
-def is_locally_nilpotent(D: Derivation, test_polys, max_iter: int = 64) -> bool:
-    """Scan: does some iterate of D kill every test polynomial?  A True
-    answer certifies nilpotence on the tested elements only."""
-    for p in test_polys:
-        q = p
-        for _ in range(max_iter + 1):
-            if q.is_zero():
-                break
-            q = apply_derivation(D, q)
-        else:
-            return False
-    return True
 
 
 def find_preslice(D: Derivation, candidates) -> LaurentPoly:
@@ -235,31 +207,8 @@ def preslice_involution(s: LaurentPoly) -> RingMap:
     if coeff != 1 or sum(exps) != 1 or max(exps) != 1:
         raise UnsupportedCase("preslice is not a coordinate")
     idx = exps.index(1)
-    vars = s.vars
-    lax = VarSet(vars.names,
-                 tuple(flag or (i == idx) for i, flag in enumerate(vars.laurent)))
-    images = [LaurentPoly.variable(lax, name) for name in lax.names]
-    inv_exps = [0] * len(lax)
-    inv_exps[idx] = -1
-    images[idx] = LaurentPoly.monomial(lax, inv_exps)
-    return RingMap(lax, images, kind="generic",
-                   params={"role": "preslice-involution", "coordinate": vars.names[idx]},
-                   inv_images=images)
-
-
-def check_involution(D: Derivation, s: LaurentPoly,
-                     kernel_gens=None) -> Report:
-    """The fixed-ring conditions: the involution squares to the identity,
-    fixes every kernel generator, and the kernel generators are killed by D."""
-    rep = Report()
-    gens = tuple(kernel_gens) if kernel_gens is not None else D.kernel_gens
-    iota = preslice_involution(s)
-    twice = RingMap(iota.vars, [iota.apply(img) for img in iota.images])
-    rep.add("involution-squares-to-identity", twice.is_identity())
-    fixed = all(iota.apply(p.with_vars(iota.vars)) == p.with_vars(iota.vars)
-                for p in gens)
-    rep.add("kernel-generators-fixed", fixed,
-            f"{len(gens)} generators checked")
-    killed = all(apply_derivation(D, p).is_zero() for p in gens)
-    rep.add("kernel-generators-killed", killed)
-    return rep
+    lax = VarSet(s.vars.names,
+                 tuple(flag or (i == idx) for i, flag in enumerate(s.vars.laurent)))
+    rows = [[int(i == j) for j in range(len(lax))] for i in range(len(lax))]
+    rows[idx][idx] = -1
+    return RingMap(lax, rows)

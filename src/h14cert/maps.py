@@ -1,260 +1,148 @@
-"""Ring endomorphisms of Laurent-polynomial algebras, given by images.
+"""The two ring maps the pipeline uses: the axis collapse and the twist.
 
-A RingMap stores one image per variable; applying it is substitution.
-Builders are provided for the structured families the pipeline uses:
-the axis substitution (kill every variable except the first), the
-x1-inversion twist, translations, the x1*x2 product map, the parabolic
-shear, and permutation actions transported through a coordinate change.
-Structured maps carry their inverses so composites can be inverted.
+The axis collapse eps fixes x1 (and z) and sends x2, ..., xn to zero; it
+is a term filter.  The twist theta is an automorphism of the form
+
+    x_i -> monomial (an invertible integer map on exponents),
+    z   -> z + shift   (shift a Laurent polynomial in x1),
+
+and a RingMap is exactly that.  Distinct monomials have distinct images,
+so applying one maps terms one by one and nothing cancels; only the
+z-part is multiplied out.  The inversion twist, its inverse and the
+preslice involution are the instances.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import (
+    Expo,
     LaurentPoly,
     RatFunc,
     VarSet,
     from_univar,
-    qq,
     to_univar,
-    x_vars,
     xz_vars,
 )
-from .errors import NotInvertible, UnsupportedCase, VariableMismatch
+from .errors import VariableMismatch, ZeroInput
 
 
 class RingMap:
-    """A substitution homomorphism: every variable of `vars` gets an image
-    over `vars` (or occasionally over a laxer VarSet, e.g. inverses that
-    need an extra Laurent flag).  Equality compares images only."""
+    """The automorphism sending each variable to the monomial with exponent
+    vector rows[i] (coefficient 1), and z additionally to z + shift.
 
-    __slots__ = ("vars", "images", "kind", "params", "inv_images")
+    The exponent map must be an involution, as for every instance here, so
+    the inverse has the same rows and the shift -apply(shift)."""
 
-    def __init__(self, vars: VarSet, images: Sequence[LaurentPoly],
-                 kind: str = "generic", params: Mapping | None = None,
-                 inv_images: Sequence[LaurentPoly] | None = None):
-        if len(images) != len(vars):
-            raise VariableMismatch("one image per variable required")
+    __slots__ = ("vars", "rows", "shift", "_cols", "_z")
+
+    def __init__(self, vars: VarSet, rows: Sequence[Expo],
+                 shift: LaurentPoly | None = None):
+        rows = tuple(tuple(int(k) for k in row) for row in rows)
+        width = len(vars)
+        if len(rows) != width or any(len(row) != width for row in rows):
+            raise VariableMismatch("one exponent row per variable required")
+        if any(sum(rows[i][j] * rows[j][k] for j in range(width)) != (i == k)
+               for i in range(width) for k in range(width)):
+            raise VariableMismatch("the exponent map is not an involution")
+        z = vars.index("z") if shift is not None else None
+        if z is not None and (shift.vars != vars or any(e[z] for e in shift.terms)):
+            raise VariableMismatch(
+                "the z-shift must be a z-free polynomial over the map's variables"
+            )
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "images", tuple(images))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", dict(params or {}))
-        object.__setattr__(self, "inv_images",
-                           tuple(inv_images) if inv_images is not None else None)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_z", z)
+        # per output position, the (input position, multiplier) pairs of the
+        # exponent map; with a translated z the map covers the x-part only and
+        # powers of z are expanded as powers of its image
+        object.__setattr__(self, "_cols", tuple(
+            tuple((i, row[j]) for i, row in enumerate(rows) if row[j] and i != z)
+            for j in range(width)
+        ))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("RingMap is immutable")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingMap):
-            return NotImplemented
-        return self.vars == other.vars and self.images == other.images
+    def _mono(self, e: Expo) -> Expo:
+        return tuple(sum(e[i] * m for i, m in col) for col in self._cols)
 
-    __hash__ = None
-
-    def image_of(self, name: str) -> LaurentPoly:
-        return self.images[self.vars.index(name)]
-
-    def as_images(self) -> dict[str, LaurentPoly]:
-        return dict(zip(self.vars.names, self.images))
-
-    def apply(self, p: LaurentPoly) -> LaurentPoly:
-        """Apply to a polynomial over the same variable names; the input's
-        Laurent flags must be a subset of the map's own."""
+    def _accept(self, p: LaurentPoly):
         if p.vars != self.vars and not self.vars.accepts(p.vars):
             raise VariableMismatch(
                 f"map over {self.vars.names} applied to {p.vars.names}"
             )
-        return p.subst(self.as_images())
+
+    def image_of(self, name: str) -> LaurentPoly:
+        img = LaurentPoly.monomial(self.vars, self.rows[self.vars.index(name)])
+        return img + self.shift if name == "z" and self.shift is not None else img
+
+    def apply(self, p: LaurentPoly) -> LaurentPoly:
+        """Apply to a polynomial over the same variable names; the input's
+        Laurent flags must be a subset of the map's own."""
+        self._accept(p)
+        mono, z = self._mono, self._z
+        by_z: dict[int, dict] = {}
+        for e, c in p.terms.items():
+            by_z.setdefault(e[z] if z is not None else 0, {})[mono(e)] = c
+        out = LaurentPoly(self.vars, by_z.pop(0, {}), _clean=False)
+        step = self.image_of("z") if by_z else None
+        power = LaurentPoly.one(self.vars)
+        for k in range(1, max(by_z, default=0) + 1):
+            power = power * step
+            if k in by_z:
+                out = out + LaurentPoly(self.vars, by_z[k], _clean=False) * power
+        return out
 
     def apply_rf(self, q: RatFunc) -> RatFunc:
         return RatFunc(self.apply(q.num), self.apply(q.den))
 
-    def is_identity(self) -> bool:
-        return all(img == LaurentPoly.variable(img.vars, name)
-                   for name, img in zip(self.vars.names, self.images))
+    def x1_order(self, p: LaurentPoly) -> int:
+        """The x1-order of the image of a nonzero z-free polynomial, read off
+        the exponents: min over terms of the image's x1-exponent."""
+        self._accept(p)
+        if not p.terms:
+            raise ZeroInput("order of the zero polynomial")
+        if self._z is not None and any(e[self._z] for e in p.terms):
+            raise VariableMismatch("x1_order needs a z-free polynomial")
+        col = self._cols[self.vars.index("x1")]
+        return min(sum(e[i] * m for i, m in col) for e in p.terms)
 
     def inverse(self) -> "RingMap":
-        if self.inv_images is not None:
-            target = self.inv_images[0].vars
-            return RingMap(target, self.inv_images, kind=self.kind,
-                           params=dict(self.params, inverted=True),
-                           inv_images=self.images)
-        if self.kind == "composite":
-            outer, inner = self.params["factors"]
-            return compose(inner.inverse(), outer.inverse())
-        raise UnsupportedCase(f"no inverse available for kind {self.kind!r}")
-
-    def __str__(self) -> str:
-        pairs = ", ".join(f"{n} -> {img}" for n, img in zip(self.vars.names, self.images))
-        return f"RingMap[{self.kind}]({pairs})"
-
-    __repr__ = __str__
+        if self.shift is None:
+            return self
+        return RingMap(self.vars, self.rows, -self.apply(self.shift))
 
 
-def identity_map(vars: VarSet) -> RingMap:
-    images = [LaurentPoly.variable(vars, n) for n in vars.names]
-    return RingMap(vars, images, inv_images=images)
+def axis_map(p: LaurentPoly) -> LaurentPoly:
+    """The axis collapse eps: x2, ..., xn -> 0, fixing x1 (and z), over
+    x1..xn or x1..xn, z.  A term filter: keeps the terms free of x2..xn."""
+    killed = [i for i, name in enumerate(p.vars.names) if name not in ("x1", "z")]
+    return LaurentPoly(
+        p.vars, {e: c for e, c in p.terms.items() if not any(e[i] for i in killed)},
+        _clean=False,
+    )
 
 
-def compose(outer: RingMap, inner: RingMap) -> RingMap:
-    """outer after inner: variable -> outer(inner(variable))."""
-    images = [outer.apply(img) for img in inner.images]
-    inv = None
-    if outer.inv_images is not None and inner.inv_images is not None:
-        # the inverse sends x -> inner^{-1}(outer^{-1}(x))
-        inv_inner = inner.inverse()
-        try:
-            inv = tuple(inv_inner.apply(img) for img in outer.inv_images)
-        except (UnsupportedCase, VariableMismatch, NotInvertible):
-            inv = None
-    return RingMap(inner.vars, images, kind="composite",
-                   params={"factors": (outer, inner)}, inv_images=inv)
-
-
-def axis_map(n: int, with_z: bool = False) -> RingMap:
-    """The substitution fixing x1 (and z) and sending x2,...,xn to zero."""
-    vars = xz_vars(n) if with_z else x_vars(n)
-    images = []
-    for name in vars.names:
-        if name in ("x1", "z"):
-            images.append(LaurentPoly.variable(vars, name))
-        else:
-            images.append(LaurentPoly.zero(vars))
-    return RingMap(vars, images, kind="epsilon", params={"n": n, "with_z": with_z})
-
-
-def _shift_coeffs(h: LaurentPoly) -> dict[int, Fraction]:
-    """Validate the z-shift polynomial: univariate in x1, no negative powers."""
-    coeffs = to_univar(h, "x1")
-    if any(k < 0 for k in coeffs):
-        raise VariableMismatch("shift polynomial must lie in k[x1]")
-    return coeffs
-
-
-def inversion_map(weights: Sequence[int], shift: LaurentPoly,
-                  with_z: bool = True) -> RingMap:
-    """The automorphism that inverts x1, rescales each further variable by a
-    weight power of x1, and translates z by the shift evaluated at 1/x1:
+def inversion_map(weights: Sequence[int], shift: LaurentPoly) -> RingMap:
+    """The twist over x1..xn, z that inverts x1, rescales each further
+    variable by a weight power of x1, and translates z by the shift
+    evaluated at 1/x1:
 
         x1 -> 1/x1,   xi -> x1^{w_i} * xi  (i >= 2),   z -> z + shift(1/x1).
 
     Its inverse (same weights) translates z by -shift(x1) instead.
     """
     n = len(weights) + 1
-    vars = xz_vars(n) if with_z else x_vars(n)
-    coeffs = _shift_coeffs(shift)
-    fwd = []
-    bwd = []
-    for i, name in enumerate(vars.names):
-        if name == "x1":
-            img = LaurentPoly.monomial(vars, (-1,) + (0,) * (len(vars) - 1))
-            fwd.append(img)
-            bwd.append(img)
-        elif name == "z":
-            z = LaurentPoly.variable(vars, "z")
-            at_inv = from_univar(vars, "x1", {-k: c for k, c in coeffs.items()})
-            at_x1 = from_univar(vars, "x1", coeffs)
-            fwd.append(z + at_inv)
-            bwd.append(z - at_x1)
-        else:
-            e = [0] * len(vars)
-            e[0] = weights[i - 1]
-            e[i] = 1
-            img = LaurentPoly.monomial(vars, e)
-            fwd.append(img)
-            bwd.append(img)
-    params = {"t": tuple(int(w) for w in weights), "h": shift, "with_z": with_z}
-    return RingMap(vars, fwd, kind="theta", params=params, inv_images=bwd)
-
-
-def inversion_map_inverse(weights: Sequence[int], shift: LaurentPoly,
-                          with_z: bool = True) -> RingMap:
-    return inversion_map(weights, shift, with_z).inverse()
-
-
-def translation_map(offsets: Sequence) -> RingMap:
-    """x_i -> x_i + a_i for rational offsets a."""
-    a = [qq(v) for v in offsets]
-    vars = x_vars(len(a))
-    fwd = [LaurentPoly.variable(vars, n) + c for n, c in zip(vars.names, a)]
-    bwd = [LaurentPoly.variable(vars, n) - c for n, c in zip(vars.names, a)]
-    return RingMap(vars, fwd, kind="translation", params={"a": tuple(a)},
-                   inv_images=bwd)
-
-
-def mul_map(n: int) -> RingMap:
-    """x1 -> x1*x2, all other variables fixed.
-
-    The inverse divides by x2, so it lives over a VarSet where x2 is
-    Laurent-flagged; it is still applicable to ordinary polynomials.
-    """
-    if n < 2:
-        raise VariableMismatch("need at least two variables")
-    vars = x_vars(n)
-    fwd = [LaurentPoly.variable(vars, name) for name in vars.names]
-    fwd[0] = LaurentPoly.variable(vars, "x1") * LaurentPoly.variable(vars, "x2")
-    lax = VarSet(vars.names, (True, True) + (False,) * (n - 2))
-    bwd = [LaurentPoly.variable(lax, name) for name in lax.names]
-    bwd[0] = LaurentPoly.monomial(lax, (1, -1) + (0,) * (n - 2))
-    return RingMap(vars, fwd, kind="rho", params={"n": n}, inv_images=bwd)
-
-
-def shear_map(alpha, beta, n: int = 2) -> RingMap:
-    """The polynomial automorphism with
-
-        x1 -> x1 + beta - alpha*(x2 + x1^2),   x2 -> x2 + x1^2,
-
-    fixing x3,...,xn.  It sends x1 + alpha*x2 to x1 + beta modulo the
-    shear of x2; alpha must be nonzero for invertibility of the family's
-    intended use, and the inverse is again polynomial:
-
-        x1 -> x1 + alpha*x2 - beta,   x2 -> x2 - (x1 + alpha*x2 - beta)^2.
-    """
-    a, b = qq(alpha), qq(beta)
-    if a == 0:
-        raise VariableMismatch("alpha must be nonzero")
-    if n < 2:
-        raise VariableMismatch("need at least two variables")
-    vars = x_vars(n)
-    xv1 = LaurentPoly.variable(vars, "x1")
-    xv2 = LaurentPoly.variable(vars, "x2")
-    fwd = [LaurentPoly.variable(vars, name) for name in vars.names]
-    fwd[0] = xv1 + b - a * (xv2 + xv1 ** 2)
-    fwd[1] = xv2 + xv1 ** 2
-    u = xv1 + a * xv2 - b
-    bwd = [LaurentPoly.variable(vars, name) for name in vars.names]
-    bwd[0] = u
-    bwd[1] = xv2 - u ** 2
-    return RingMap(vars, fwd, kind="psi",
-                   params={"alpha": a, "beta": b, "n": n}, inv_images=bwd)
-
-
-def perm_action(perm: Sequence[int], coords: RingMap) -> RingMap:
-    """The action of a coordinate permutation, transported through a
-    coordinate change T: the result is T o S_sigma o T^{-1}, where S_sigma
-    permutes the formal coordinates (v_i -> v_{sigma(i)}, one-line, 1-based).
-    """
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise VariableMismatch(f"not a permutation of 1..{n}: {perm}")
-    if len(coords.vars) != n:
-        raise VariableMismatch("permutation size does not match the coordinates")
-    vars = coords.vars
-    inv_coords = coords.inverse()
-
-    def transported(sigma: Sequence[int]) -> list[LaurentPoly]:
-        swap = [LaurentPoly.variable(vars, vars.names[sigma[i] - 1])
-                for i in range(n)]
-        s_map = RingMap(vars, swap)
-        return [coords.apply(s_map.apply(img)) for img in inv_coords.images]
-
-    inv_perm = [0] * n
-    for i, v in enumerate(perm):
-        inv_perm[v - 1] = i + 1
-    return RingMap(vars, transported(perm), kind="permutation",
-                   params={"perm": tuple(int(v) for v in perm)},
-                   inv_images=transported(inv_perm))
+    vars = xz_vars(n)
+    coeffs = to_univar(shift, "x1")
+    if any(k < 0 for k in coeffs):
+        raise VariableMismatch("shift polynomial must lie in k[x1]")
+    rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    rows[0][0] = -1
+    for i, w in enumerate(weights, start=1):
+        rows[i][0] = int(w)
+    at_inv = from_univar(vars, "x1", {-k: c for k, c in coeffs.items()})
+    return RingMap(vars, rows, at_inv)

@@ -14,18 +14,9 @@ from fractions import Fraction
 from typing import Any
 
 from .algebra import LaurentPoly, UniPoly, VarSet
-from .constructions import Derivation, PermGroupSpec
+from .constructions import PermGroupSpec
 from .errors import FormatError, VariableMismatch
 from .family import CertEntry, Certificate, FGPoly
-from .maps import (
-    RingMap,
-    axis_map,
-    inversion_map,
-    mul_map,
-    perm_action,
-    shear_map,
-    translation_map,
-)
 from .report import Check, Report
 from .witness import G_VARS, WitnessPack
 
@@ -142,79 +133,6 @@ def fgpoly_from_json(obj: Any, where: str = "fgpoly") -> FGPoly:
         return FGPoly(terms)
     except VariableMismatch as exc:
         raise FormatError(f"{where}: {exc}") from None
-
-
-# -- ring maps ---------------------------------------------------------------
-
-
-def ringmap_to_json(m: RingMap) -> dict:
-    out: dict[str, Any] = {"kind": m.kind}
-    if m.kind == "theta":
-        out["t"] = list(m.params["t"])
-        out["h"] = poly_to_json(m.params["h"])
-        out["with_z"] = bool(m.params["with_z"])
-    elif m.kind == "epsilon":
-        out["n"] = m.params["n"]
-        out["with_z"] = bool(m.params["with_z"])
-    elif m.kind == "translation":
-        out["a"] = [frac_to_str(c) for c in m.params["a"]]
-    elif m.kind == "rho":
-        out["n"] = m.params["n"]
-    elif m.kind == "psi":
-        out["alpha"] = frac_to_str(m.params["alpha"])
-        out["beta"] = frac_to_str(m.params["beta"])
-        out["n"] = m.params["n"]
-    elif m.kind == "permutation":
-        out["perm"] = list(m.params["perm"])
-    elif m.kind == "composite":
-        outer, inner = m.params["factors"]
-        out["factors"] = [ringmap_to_json(outer), ringmap_to_json(inner)]
-    out["images"] = [poly_to_json(img) for img in m.images]
-    return out
-
-
-def ringmap_from_json(obj: Any, where: str = "ringmap") -> RingMap:
-    kind = _get(obj, "kind", str, where)
-    if kind == "theta":
-        t = _get(obj, "t", list, where)
-        _require(_all_ints(t), f"{where}.t: integers required")
-        h = poly_from_json(_get(obj, "h", dict, where), f"{where}.h")
-        m = inversion_map(t, h, with_z=bool(obj.get("with_z", True)))
-    elif kind == "epsilon":
-        m = axis_map(_get(obj, "n", int, where), with_z=bool(obj.get("with_z", False)))
-    elif kind == "translation":
-        m = translation_map([frac_from_str(v) for v in _get(obj, "a", list, where)])
-    elif kind == "rho":
-        m = mul_map(_get(obj, "n", int, where))
-    elif kind == "psi":
-        m = shear_map(frac_from_str(_get(obj, "alpha", None, where)),
-                      frac_from_str(_get(obj, "beta", None, where)),
-                      _get(obj, "n", int, where))
-    elif kind == "permutation":
-        from .constructions import y_coords
-        perm = _get(obj, "perm", list, where)
-        m = perm_action(perm, y_coords(len(perm)))
-    elif kind == "composite":
-        factors = _get(obj, "factors", list, where)
-        _require(len(factors) == 2, f"{where}.factors: expected two maps")
-        from .maps import compose
-        m = compose(ringmap_from_json(factors[0], f"{where}.factors[0]"),
-                    ringmap_from_json(factors[1], f"{where}.factors[1]"))
-    elif kind == "generic":
-        images = [poly_from_json(p, f"{where}.images[{i}]")
-                  for i, p in enumerate(_get(obj, "images", list, where))]
-        _require(bool(images), f"{where}: generic map needs images")
-        m = RingMap(images[0].vars, images)
-        return m
-    else:
-        raise FormatError(f"{where}: unknown map kind {kind!r}")
-    stored = obj.get("images")
-    if stored is not None:
-        claimed = [poly_from_json(p, f"{where}.images[{i}]")
-                   for i, p in enumerate(stored)]
-        _require(list(m.images) == claimed,
-                 f"{where}: stored images disagree with the declared parameters")
-    return m
 
 
 # -- witness packs and certificates -------------------------------------------
@@ -349,25 +267,6 @@ def group_from_json(obj: Any, where: str = "group") -> PermGroupSpec:
         gens.append(tuple(g))
     try:
         return PermGroupSpec(n=n, generators=tuple(gens))
-    except VariableMismatch as exc:
-        raise FormatError(f"{where}: {exc}") from None
-
-
-def derivation_to_json(D: Derivation) -> dict:
-    out = {"n": D.n, "images": [poly_to_json(p) for p in D.images]}
-    if D.kernel_gens:
-        out["kernel_gens"] = [poly_to_json(p) for p in D.kernel_gens]
-    return out
-
-
-def derivation_from_json(obj: Any, where: str = "derivation") -> Derivation:
-    n = _get(obj, "n", int, where)
-    images = [poly_from_json(p, f"{where}.images[{i}]")
-              for i, p in enumerate(_get(obj, "images", list, where))]
-    kernel = [poly_from_json(p, f"{where}.kernel_gens[{i}]")
-              for i, p in enumerate(obj.get("kernel_gens", []))]
-    try:
-        return Derivation(n=n, images=tuple(images), kernel_gens=tuple(kernel))
     except VariableMismatch as exc:
         raise FormatError(f"{where}: {exc}") from None
 

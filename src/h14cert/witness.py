@@ -66,7 +66,6 @@ class Resolved:
     weights: tuple[int, ...]
     clearing: int
     twist: RingMap               # over x1..xn,z
-    axis: RingMap                # over x1..xn,z
     f_xz: LaurentPoly = field(init=False)
     g_xz: LaurentPoly = field(init=False)
     h_xz: LaurentPoly = field(init=False)
@@ -88,10 +87,8 @@ def axis_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """The unique h in k[x1] with eps(f) = eps(g) * h, where eps collapses
     every variable except x1.  Rejects the pair when eps(g) = 0 or the
     division leaves k[x1]."""
-    n = len(f.vars)
-    eps = axis_map(n)
-    ef = to_univar(eps.apply(f), "x1")
-    eg = to_univar(eps.apply(g), "x1")
+    ef = to_univar(axis_map(f), "x1")
+    eg = to_univar(axis_map(g), "x1")
     if not eg:
         raise WitnessInvalid("axis image of g is zero")
     quot: dict[int, Fraction] = {}
@@ -120,10 +117,8 @@ def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> UniPoly:
     """The monic polynomial Ann over k[G] of degree deg(eps(g)) with
     Ann(eps(f)) = 0 after G -> eps(g); computed as a resultant that
     eliminates x1.  Requires eps(g) to be nonconstant."""
-    n = len(f.vars)
-    eps = axis_map(n)
-    ef = to_univar(eps.apply(f), "x1")
-    eg = to_univar(eps.apply(g), "x1")
+    ef = to_univar(axis_map(f), "x1")
+    eg = to_univar(axis_map(g), "x1")
     if not eg or max(eg) < 1:
         raise WitnessInvalid("axis image of g is constant; no annihilator")
     zw = plain_vars("Z", "W")
@@ -382,11 +377,10 @@ def choose_weights(f: LaurentPoly, g: LaurentPoly, h: LaurentPoly,
     every twisted term into x1 * k[x].
     """
     n = len(f.vars)
-    eps = axis_map(n)
     fgh = f - g * h
-    if not eps.apply(fgh).is_zero():
+    if not axis_map(fgh).is_zero():
         raise WitnessInvalid("f - g*h does not vanish on the axis")
-    if rel.is_zero() or not eps.apply(rel).is_zero():
+    if rel.is_zero() or not axis_map(rel).is_zero():
         raise WitnessInvalid("relation element must be nonzero and vanish on the axis")
     dmax = rel.degree_in("x1")
     if not fgh.is_zero():
@@ -404,49 +398,16 @@ def clearing_exponent(twist: RingMap, rel: LaurentPoly, f: LaurentPoly, d: int) 
     for all 0 <= i < d; exists because the twisted relation is divisible
     by x1."""
     vz = twist.vars
-    tr = twist.apply(rel.with_vars(vz))
-    tf = twist.apply(f.with_vars(vz))
-    if tr.is_zero():
+    if rel.is_zero():
         raise WitnessInvalid("twisted relation element is zero")
-    op = tr.order_in("x1")
+    op = twist.x1_order(rel.with_vars(vz))
     if op < 1:
         raise WitnessInvalid("twisted relation element is not divisible by x1")
-    of = tf.order_in("x1") if not tf.is_zero() else 0
+    of = twist.x1_order(f.with_vars(vz)) if not f.is_zero() else 0
     e = 1
     while any(e * op + i * of < 0 for i in range(d)):
         e += 1
     return e
-
-
-# ---------------------------------------------------------------------------
-# small linear-algebra utilities used by the construction scans
-
-
-def linear_part(p: LaurentPoly) -> LaurentPoly:
-    """The total-degree-one part of a polynomial."""
-    if not p.is_polynomial():
-        raise VariableMismatch("linear part of a non-polynomial")
-    terms = {e: c for e, c in p.terms.items() if sum(e) == 1}
-    return LaurentPoly(p.vars, terms, _clean=False)
-
-
-def jacobian_rank_at(fs: Sequence[LaurentPoly], point: Sequence) -> int:
-    """Rank over Q of the Jacobian of the family at a rational point."""
-    if not fs:
-        return 0
-    vars = fs[0].vars
-    values = dict(zip(vars.names, point))
-    rows = []
-    for p in fs:
-        if p.vars != vars:
-            raise VariableMismatch("jacobian family over mixed variable sets")
-        rows.append([p.deriv(name).eval_at(values) for name in vars.names])
-    basis = _RowBasis(len(vars))
-    rank = 0
-    for row in rows:
-        if basis.insert(row) is not None:
-            rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +465,7 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
         if not expr_ok:
             return None, rep
 
-    eps = axis_map(pack.n)
-    eg = eps.apply(pack.g)
+    eg = axis_map(pack.g)
     eg_ok = not eg.is_zero() and not eg.is_constant()
     rep.add("axis-image-of-g", eg_ok, f"eps(g) = {eg}")
     if not eg_ok:
@@ -530,7 +490,7 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
                 raise WitnessInvalid("stored annihilator is not monic over k[G]")
             if d != eg.degree_in("x1"):
                 raise WitnessInvalid("stored annihilator degree differs from deg eps(g)")
-            ef = eps.apply(pack.f)
+            ef = axis_map(pack.f)
             if not ann.eval_poly(ef, coeff_images={"G": eg}).is_zero():
                 raise WitnessInvalid("stored annihilator does not annihilate eps(f)")
         else:
@@ -550,7 +510,7 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
     if not rel_ok:
         return None, rep
 
-    kernel_ok = eps.apply(pack.f - pack.g * h).is_zero() and eps.apply(rel).is_zero()
+    kernel_ok = axis_map(pack.f - pack.g * h).is_zero() and axis_map(rel).is_zero()
     rep.add("kernel-membership", kernel_ok,
             "f - g*h and the relation element vanish on the axis")
     if not kernel_ok:
@@ -565,7 +525,7 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
             weights = choose_weights(pack.f, pack.g, h, rel)
         if len(weights) != pack.n - 1:
             raise WitnessInvalid(f"weight vector must have length {pack.n - 1}")
-        twist = inversion_map(weights, h.with_vars(vars), with_z=True)
+        twist = inversion_map(weights, h)
         tw = check_twist(twist, pack.f, pack.g, h, rel)
         w_ok = tw.ok
         w_note = f"t = {list(weights)}" if tw.ok else tw.failing_term
@@ -594,7 +554,7 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
         return None, rep
 
     try:
-        table = semigroup_orders([eps.apply(gen) for gen in pack.gens], semigroup_bound)
+        table = semigroup_orders([axis_map(gen) for gen in pack.gens], semigroup_bound)
         nonnormal = not is_normal(table)
         sg_note = f"orders up to {table.bound}: {table.sorted_orders()}"
     except WitnessInvalid as exc:
@@ -603,7 +563,7 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
 
     try:
         outside = not subalgebra_member(
-            h, [eps.apply(gen) for gen in pack.gens], member_bound
+            h, [axis_map(gen) for gen in pack.gens], member_bound
         )
         mem_note = f"h not spanned by generator monomials up to degree {member_bound}"
         if not outside:
@@ -618,7 +578,6 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
     resolved = Resolved(
         n=pack.n, f=pack.f, g=pack.g, h=h, ann=ann, rel=rel, d=d,
         weights=weights, clearing=e, twist=twist,
-        axis=axis_map(pack.n, with_z=True),
     )
     return resolved, rep
 

@@ -9,7 +9,6 @@ from h14cert import (
     RatFunc,
     Resolved,
     WitnessInvalid,
-    axis_map,
     axis_quotient,
     build_annihilator,
     choose_weights,
@@ -131,10 +130,9 @@ def random_pipeline_data(rng, n=2, max_gdeg=2, max_hdeg=2):
             if rel.is_zero():
                 continue
             weights = choose_weights(f, g, h, rel)
-            twist = inversion_map(weights, h, with_z=True)
+            twist = inversion_map(weights, h)
             e = clearing_exponent(twist, rel, f, ann.degree)
         except WitnessInvalid:
             continue
         return Resolved(n=n, f=f, g=g, h=h, ann=ann, rel=rel, d=ann.degree,
-                        weights=weights, clearing=e, twist=twist,
-                        axis=axis_map(n, with_z=True))
+                        weights=weights, clearing=e, twist=twist)

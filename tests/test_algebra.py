@@ -196,14 +196,6 @@ def test_subst_identity_and_errors():
         p.subst({"x1": X1})  # missing image for x2
 
 
-def test_subst_general_reaches_quotients():
-    p = X1 ** -1 + X2
-    inv = RatFunc(LaurentPoly.one(V2), X1 + 1)
-    got = p.subst_general({"x1": X1 + 1, "x2": RatFunc.from_poly(X2)})
-    expect = inv + RatFunc.from_poly(X2)
-    assert got == expect
-
-
 def test_with_vars_rehoming():
     vz = xz_vars(2)
     p = X1 ** 2 + X2

@@ -2,9 +2,11 @@
 for every subcommand, driven in-process through main()."""
 
 import json
+import os
 import subprocess
 import sys
 
+import h14cert
 from h14cert import (
     PermGroupSpec,
     certificate_from_json,
@@ -85,6 +87,21 @@ def test_witness_check_fails_on_bad_stored_field(tmp_path, capsys):
     assert rc == 2
     assert "[FAIL] axis-quotient" in captured.out
     assert "result: FAIL" in captured.out
+
+
+def test_witness_check_large_expression_exponent(tmp_path, capsys):
+    """An f_expr power beyond the interpreter's recursion limit is evaluated
+    and fails its check; it does not end in a traceback."""
+    path = write_demo_pack(tmp_path / "pack.json")
+    obj = load_json_file(str(path))
+    exps = obj["f_expr"]["terms"][0]["e"]
+    exps[exps.index(1)] = 1100
+    write_json_file(str(path), obj)
+    rc = main(["witness", "check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "[FAIL] generator-expressions" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_cert_build_then_verify(tmp_path, capsys):
@@ -192,10 +209,13 @@ def test_invariants_bad_group_shape(capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cert.json"
+    # the child imports the same package as this process
+    src = os.path.dirname(os.path.dirname(h14cert.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "h14cert.cli", "demo", "--lmax", "0",
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "certificate written to" in proc.stdout

@@ -1,8 +1,8 @@
-"""Substitution homomorphisms: the axis collapse, the x1-inversion twist,
-translations, the product map, the shear, and permutation transport."""
+"""The two ring maps: the axis collapse (a term filter) and the x1-inversion
+twist (a monomial map plus a translation of z), with the preslice
+involution as a further instance of the twist's map class."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,47 +10,44 @@ from h14cert import (
     LaurentPoly,
     RatFunc,
     RingMap,
-    UnsupportedCase,
     VariableMismatch,
     axis_map,
-    compose,
-    identity_map,
     inversion_map,
-    inversion_map_inverse,
-    linear_part,
-    mul_map,
-    perm_action,
     plain_vars,
-    shear_map,
-    translation_map,
+    preslice_involution,
     x_vars,
     xz_vars,
 )
-from genutil import random_poly
+from genutil import random_poly, random_univar
 
 V2 = x_vars(2)
 VZ = xz_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
-X2 = LaurentPoly.variable(V2, "x2")
-
-
-def test_identity_map():
-    m = identity_map(V2)
-    assert m.is_identity()
-    p = X1 ** -2 + X1 * X2
-    assert m.apply(p) == p
-    assert m.image_of("x2") == X2
 
 
 def test_apply_is_a_homomorphism():
+    """Every map is a homomorphism and agrees with substituting its images;
+    for z-free inputs the x1-order read off the exponents is that of the
+    image."""
     rng = random.Random(40)
-    h = LaurentPoly.variable(VZ, "x1")
-    theta = inversion_map((5,), h)
-    for _ in range(40):
-        a = random_poly(rng, VZ)
-        b = random_poly(rng, VZ)
-        assert theta.apply(a * b) == theta.apply(a) * theta.apply(b)
-        assert theta.apply(a + b) == theta.apply(a) + theta.apply(b)
+    maps = [inversion_map((5,), LaurentPoly.variable(VZ, "x1"))]
+    for n in (2, 3):
+        vz = xz_vars(n)
+        theta = inversion_map(tuple(rng.randint(-6, 6) for _ in range(n - 1)),
+                              random_univar(rng, vz, rng.randint(0, 3)))
+        maps += [theta, theta.inverse(),
+                 preslice_involution(LaurentPoly.variable(vz, "x2"))]
+    for m in maps:
+        images = {name: m.image_of(name) for name in m.vars.names}
+        for _ in range(15):
+            a = random_poly(rng, m.vars, exp_lo=-2, exp_hi=4)
+            b = random_poly(rng, m.vars, exp_lo=-2, exp_hi=4)
+            assert m.apply(a * b) == m.apply(a) * m.apply(b)
+            assert m.apply(a + b) == m.apply(a) + m.apply(b)
+            assert m.apply(a) == a.subst(images)
+            flat = LaurentPoly(m.vars, {e: c for e, c in a.terms.items() if e[-1] == 0})
+            if flat:
+                assert m.x1_order(flat) == m.apply(flat).order_in("x1")
 
 
 def test_apply_accepts_subset_flags():
@@ -63,15 +60,37 @@ def test_apply_accepts_subset_flags():
         theta.apply(X1)  # different variable names entirely
 
 
+def test_ringmap_guards():
+    with pytest.raises(VariableMismatch):
+        RingMap(V2, [(1, 0)])  # one row short
+    with pytest.raises(VariableMismatch):
+        RingMap(V2, [(1, 1), (0, 1)])  # x1 -> x1*x2 is not an involution
+    z = LaurentPoly.variable(VZ, "z")
+    with pytest.raises(VariableMismatch):
+        RingMap(VZ, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], z)  # shift involves z
+    with pytest.raises(VariableMismatch):
+        inversion_map((2,), LaurentPoly.one(VZ)).x1_order(z)
+
+
 def test_axis_map_images():
-    eps = axis_map(3)
-    assert eps.image_of("x1") == LaurentPoly.variable(x_vars(3), "x1")
-    assert eps.image_of("x2").is_zero()
-    assert eps.image_of("x3").is_zero()
-    epz = axis_map(2, with_z=True)
-    assert epz.image_of("z") == LaurentPoly.variable(VZ, "z")
+    v3 = x_vars(3)
+    x1 = LaurentPoly.variable(v3, "x1")
+    x3 = LaurentPoly.variable(v3, "x3")
+    assert axis_map(x1 ** 3 - 2 * x3 + x1 * x3 + 5) == x1 ** 3 + 5
     p = LaurentPoly.variable(VZ, "x1") ** 3 + LaurentPoly.variable(VZ, "x2") * 7
-    assert epz.apply(p) == LaurentPoly.variable(VZ, "x1") ** 3
+    assert axis_map(p) == LaurentPoly.variable(VZ, "x1") ** 3
+    z = LaurentPoly.variable(VZ, "z")
+    assert axis_map(z * p) == z * LaurentPoly.variable(VZ, "x1") ** 3
+    # the filter is the substitution x2..xn -> 0
+    rng = random.Random(41)
+    for vars in (x_vars(2), x_vars(3), xz_vars(2), xz_vars(3)):
+        images = {name: LaurentPoly.variable(vars, name) for name in vars.names}
+        for name in vars.names:
+            if name not in ("x1", "z"):
+                images[name] = LaurentPoly.zero(vars)
+        for _ in range(10):
+            p = random_poly(rng, vars, exp_lo=-2, exp_hi=4)
+            assert axis_map(p) == p.subst(images)
 
 
 def test_inversion_map_frozen_images():
@@ -89,15 +108,18 @@ def test_inversion_map_frozen_images():
 
 
 def test_inversion_map_roundtrip():
-    h = from_x1 = LaurentPoly.variable(VZ, "x1") ** 2 + 3
+    h = LaurentPoly.variable(VZ, "x1") ** 2 + 3
     theta = inversion_map((4,), h)
-    anti = inversion_map_inverse((4,), from_x1)
-    assert compose(theta, anti).is_identity()
-    assert compose(anti, theta).is_identity()
+    anti = theta.inverse()
+    for name in VZ.names:
+        coord = LaurentPoly.variable(VZ, name)
+        assert anti.apply(theta.image_of(name)) == coord
+        assert theta.apply(anti.image_of(name)) == coord
     rng = random.Random(91)
     for _ in range(20):
         p = random_poly(rng, VZ)
         assert anti.apply(theta.apply(p)) == p
+        assert theta.apply(anti.apply(p)) == p
 
 
 def test_inversion_map_shift_must_be_plain_x1():
@@ -112,111 +134,13 @@ def test_axis_commutes_with_inversion():
     rescalings die with x2 and the x1, z images only involve x1 and z."""
     h = LaurentPoly.variable(VZ, "x1") ** 3 - 2 * LaurentPoly.variable(VZ, "x1")
     theta = inversion_map((7,), h)
-    eps = axis_map(2, with_z=True)
-    assert compose(eps, theta) == compose(theta, eps)
-
-
-def test_translation_map():
-    tau = translation_map([1, Fraction(-1, 2)])
-    assert tau.apply(X1) == X1 + 1
-    assert tau.apply(X2) == X2 - Fraction(1, 2)
-    assert compose(tau, tau.inverse()).is_identity()
-    rng = random.Random(17)
+    for name in VZ.names:
+        coord = LaurentPoly.variable(VZ, name)
+        assert axis_map(theta.apply(coord)) == theta.apply(axis_map(coord))
+    rng = random.Random(12)
     for _ in range(20):
-        p = random_poly(rng, V2, exp_lo=0)
-        a = (rng.randint(-3, 3), rng.randint(-3, 3))
-        tau = translation_map(a)
-        moved = tau.apply(p)
-        # first-order term of f(x + a) is the gradient at a
-        grad = sum(
-            (p.deriv(name).eval_at({"x1": a[0], "x2": a[1]})
-             * LaurentPoly.variable(V2, name) for name in V2.names),
-            LaurentPoly.zero(V2),
-        )
-        assert linear_part(moved) == grad
-
-
-def test_mul_map():
-    rho = mul_map(2)
-    assert rho.apply(X1) == X1 * X2
-    assert rho.apply(X2) == X2
-    back = rho.inverse()
-    assert back.image_of("x1").order_in("x2") == -1
-    rng = random.Random(5)
-    for _ in range(20):
-        p = random_poly(rng, V2, exp_lo=0)
-        assert back.apply(rho.apply(p)) == p.with_vars(back.vars)
-    with pytest.raises(VariableMismatch):
-        mul_map(1)
-
-
-def test_shear_map_frozen():
-    psi = shear_map(1, 0)
-    assert psi.apply(X1) == X1 - X2 - X1 ** 2
-    assert psi.apply(X2) == X2 + X1 ** 2
-    # the defining covariance: x1 + alpha*x2 is sent to x1 + beta
-    for alpha, beta in [(1, 0), (2, 5), (Fraction(1, 3), -1)]:
-        psi = shear_map(alpha, beta)
-        assert psi.apply(X1 + alpha * X2) == X1 + beta
-    with pytest.raises(VariableMismatch):
-        shear_map(0, 1)
-
-
-def test_shear_map_roundtrip():
-    rng = random.Random(23)
-    psi = shear_map(Fraction(3, 2), -2)
-    inv = psi.inverse()
-    assert compose(psi, inv).is_identity()
-    assert compose(inv, psi).is_identity()
-    for _ in range(20):
-        p = random_poly(rng, V2, exp_lo=0)
-        assert inv.apply(psi.apply(p)) == p
-
-
-def test_perm_action_plain_coordinates():
-    v3 = x_vars(3)
-    ident = identity_map(v3)
-    sigma = perm_action((2, 3, 1), ident)
-    assert sigma.image_of("x1") == LaurentPoly.variable(v3, "x2")
-    assert sigma.image_of("x2") == LaurentPoly.variable(v3, "x3")
-    assert sigma.image_of("x3") == LaurentPoly.variable(v3, "x1")
-    assert compose(sigma, sigma.inverse()).is_identity()
-    # order 3: applying three times is the identity
-    assert compose(sigma, compose(sigma, sigma)).is_identity()
-    with pytest.raises(VariableMismatch):
-        perm_action((1, 1, 2), ident)
-
-
-def test_perm_action_transported():
-    """Transporting the swap through the shear conjugates it: the result
-    is an involution that fixes the shear images of symmetric inputs."""
-    psi = shear_map(1, 0)
-    tau = perm_action((2, 1), psi)
-    assert not tau.is_identity()
-    assert compose(tau, tau).is_identity()
-    sym = psi.apply(X1 * X2)
-    assert tau.apply(sym) == sym
-
-
-def test_compose_matches_sequential_apply():
-    rng = random.Random(66)
-    f = shear_map(1, 1)
-    g = translation_map([2, -1])
-    fg = compose(f, g)
-    assert fg.kind == "composite"
-    for _ in range(20):
-        p = random_poly(rng, V2, exp_lo=0)
-        assert fg.apply(p) == f.apply(g.apply(p))
-    inv = fg.inverse()
-    for _ in range(10):
-        p = random_poly(rng, V2, exp_lo=0)
-        assert inv.apply(fg.apply(p)) == p
-
-
-def test_generic_map_has_no_inverse():
-    m = RingMap(V2, [X1 + X2, X2])
-    with pytest.raises(UnsupportedCase):
-        m.inverse()
+        p = random_poly(rng, VZ, exp_lo=-2)
+        assert axis_map(theta.apply(p)) == theta.apply(axis_map(p))
 
 
 def test_apply_rf():

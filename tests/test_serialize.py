@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from h14cert import (
-    Derivation,
     FGPoly,
     FormatError,
     LaurentPoly,
@@ -19,9 +18,6 @@ from h14cert import (
     build_certificate,
     certificate_from_json,
     certificate_to_json,
-    compose,
-    derivation_from_json,
-    derivation_to_json,
     dumps,
     fgpoly_from_json,
     fgpoly_to_json,
@@ -30,20 +26,13 @@ from h14cert import (
     group_from_json,
     group_to_json,
     invariant_witness_pack,
-    inversion_map,
     load_json_file,
-    mul_map,
     pack_from_json,
     pack_to_json,
-    perm_action,
     poly_from_json,
     poly_to_json,
     report_from_json,
     report_to_json,
-    ringmap_from_json,
-    ringmap_to_json,
-    shear_map,
-    translation_map,
     unipoly_from_json,
     unipoly_to_json,
     validate_pack,
@@ -51,9 +40,7 @@ from h14cert import (
     write_json_file,
     x_vars,
     xz_vars,
-    y_coords,
 )
-from h14cert.maps import axis_map
 from h14cert.witness import resolve_pack_fields
 from genutil import random_poly
 
@@ -135,38 +122,6 @@ def test_fgpoly_roundtrip():
         fgpoly_from_json({"terms": [{"e": [-1, 0, 0], "c": "1"}]})
 
 
-def test_ringmap_roundtrips_every_kind():
-    theta = inversion_map((5,), LaurentPoly.variable(xz_vars(2), "x1"))
-    maps = [
-        theta,
-        axis_map(3),
-        axis_map(2, with_z=True),
-        translation_map([1, Fraction(1, 2)]),
-        mul_map(2),
-        shear_map(Fraction(2, 3), -1),
-        perm_action((2, 1), y_coords(2)),
-        compose(shear_map(1, 0), translation_map([2, 3])),
-    ]
-    for m in maps:
-        obj = ringmap_to_json(m)
-        back = ringmap_from_json(obj)
-        assert back == m, obj["kind"]
-        assert dumps(ringmap_to_json(back)) == dumps(obj)
-    generic = ringmap_from_json({"kind": "generic",
-                                 "images": [poly_to_json(X1 + X2), poly_to_json(X2)]})
-    assert generic.images == (X1 + X2, X2)
-
-
-def test_ringmap_stored_images_cross_checked():
-    theta = inversion_map((5,), LaurentPoly.variable(xz_vars(2), "x1"))
-    obj = ringmap_to_json(theta)
-    obj["images"][0] = poly_to_json(LaurentPoly.variable(xz_vars(2), "x1"))
-    with pytest.raises(FormatError):
-        ringmap_from_json(obj)
-    with pytest.raises(FormatError):
-        ringmap_from_json({"kind": "mystery"})
-
-
 def test_pack_roundtrip_wire_keys():
     pack = invariant_witness_pack(SWAP)
     resolved, _ = validate_pack(pack)
@@ -233,18 +188,11 @@ def test_certificate_wire_keys():
         certificate_from_json({"witness": obj["witness"]})
 
 
-def test_group_and_derivation_roundtrip():
+def test_group_roundtrip():
     grp = PermGroupSpec(3, ((2, 3, 1), (2, 1, 3)))
     assert group_from_json(group_to_json(grp)) == grp
     with pytest.raises(FormatError):
         group_from_json({"n": 3, "generators": [[1, 1, 2]]})
-    D = Derivation(2, (LaurentPoly.zero(V2), X1), kernel_gens=(X1,))
-    back = derivation_from_json(derivation_to_json(D))
-    assert back == D
-    bare = Derivation(2, (LaurentPoly.zero(V2), X1))
-    assert "kernel_gens" not in derivation_to_json(bare)
-    with pytest.raises(FormatError):
-        derivation_from_json({"n": 2, "images": [poly_to_json(X1)]})
 
 
 def test_file_helpers(tmp_path):
