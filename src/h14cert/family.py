@@ -313,6 +313,20 @@ def _factorials(n: int) -> list[int]:
     return [math.factorial(i) for i in range(n + 1)]
 
 
+def _tail_order_bound(tail: FGPoly, rw: Resolved) -> int:
+    """A lower bound on the x1-order of twist(rel^e * tail), for nonzero
+    f, g and rel.
+
+    The x1-order v of a z-free Laurent polynomial over the domain
+    k[x2..xn] is a valuation, so v(twist(f^a rel^b g^m)) is the sum of the
+    orders of the factors and a sum of terms has at least the smallest
+    order among them; the minimum over the terms of the tail bounds the
+    order from below without realizing anything."""
+    vf, vr, vg = (rw.twist.x1_order(p) for p in (rw.f_xz, rw.rel_xz, rw.g_xz))
+    return min(a * vf + (b + rw.clearing) * vr + m * vg
+               for (a, b, m) in tail.terms)
+
+
 def tail_coefficients(l_max: int, rw: Resolved, verify: bool = True) -> list[FGPoly]:
     """The correction coefficients f_1, ..., f_{l_max}.
 
@@ -321,8 +335,9 @@ def tail_coefficients(l_max: int, rw: Resolved, verify: bool = True) -> list[FGP
     k[f, g], and negates it to obtain f_l.  What remains of p then has only
     negative g-powers, and multiplying by rel^e makes its twisted image a
     function with nonnegative x1-order — that is checked here for every
-    step when `verify` is set.  The twist maps monomials to monomials, so
-    that order is read off the exponents of the realized numerator.
+    step when `verify` is set.  The step passes at once when the
+    valuation bound of `_tail_order_bound` is nonnegative; only otherwise
+    is rel^e * remainder * g^K realized and its exact order compared.
     """
     if l_max < 0:
         raise VariableMismatch("l_max must be nonnegative")
@@ -336,7 +351,7 @@ def tail_coefficients(l_max: int, rw: Resolved, verify: bool = True) -> list[FGP
             p = p + prev.shifted(j, 0, -j, Fraction(1, fact[j]))
         poly_part, neg_tail = decompose(p, rw.ann)
         tail = -poly_part
-        if verify and neg_tail:
+        if verify and neg_tail and _tail_order_bound(neg_tail, rw) < 0:
             # rel^e * neg_tail = num / g^K with num realized in k[x]
             k_clear = -min(m for (_, _, m) in neg_tail.terms)
             num = realize_fg(neg_tail.shifted(0, rw.clearing, k_clear),
@@ -375,32 +390,60 @@ def tail_at_ratio(i: int, tails: list[FGPoly], clearing: int) -> FGPoly:
 
 def _assemble_witness_poly(l: int, tails: list[FGPoly], rw: Resolved,
                            caches: dict) -> LaurentPoly:
-    """q_l = twist(P_l(z)) assembled coefficientwise; no validity checks."""
+    """q_l = twist(P_l(z)) assembled from z-free blocks; no validity checks.
+
+    With c_j = twist(rel^e * f_j) (f_0 = 1) and twist(z) = z + s, the
+    member is q_l = sum_i c_{l-i} * (z + s)^i / i!.  Expanding (z + s)^i
+    regroups it as q_l = sum_k r_{l-k} * z^k / k!, where the block
+    r_j = sum_m c_{j-m} * s^m / m! does not depend on l.  The twist is a
+    ring map and its exponent part an involution, so with h = twist(s)
+    (the z-free preimage of s) r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!):
+    the sum runs over the small realized tails, and each block costs one
+    product with rel^e and one twist.  Every r_j is z-free, so q_l is laid
+    out by placing r_{l-k} / k! at z-degree k: no product with z, and
+    nothing to cancel.  Realized tails are cached by the content of f_j and
+    blocks by that of f_0..f_j, so one `caches` dict stays right across
+    members and across differing tail lists.
+    """
+    vz = rw.twist.vars
     fact = _factorials(max(l, 1))
-    zpow = caches.setdefault("zpow", {0: LaurentPoly.one(rw.twist.vars)})
-    z_img = rw.twist.image_of("z")
-    for k in range(1, l + 1):
-        if k not in zpow:
-            zpow[k] = zpow[k - 1] * z_img
+    shift = rw.twist.shift
+    h = rw.twist.apply(shift) if shift is not None else LaurentPoly.zero(vz)
+    hpow = caches.setdefault("hpow", [LaurentPoly.one(vz)])
+    while len(hpow) <= l:
+        m = len(hpow)
+        hpow.append(hpow[-1] * h * Fraction(1, m))      # h^m / m!
     rel_pow = caches.setdefault("relpow", {})
     if rw.clearing not in rel_pow:
         rel_pow[rw.clearing] = rw.rel_xz ** rw.clearing
     rel_e = rel_pow[rw.clearing]
-    coeff_cache = caches.setdefault("coeffs", {})
+    realized = caches.setdefault("realized", {})
+    block_cache = caches.setdefault("blocks", {})
     mul_cache = caches.setdefault("mulcache", {})
-    q = LaurentPoly.zero(rw.twist.vars)
-    for i in range(l + 1):
-        fj = tails[l - i - 1] if l - i >= 1 else FGPoly.one()
-        ck = fj.key()
-        twisted = coeff_cache.get(ck)
-        if twisted is None:
-            plain = rel_e * realize_fg(fj, rw.f_xz, rw.g_xz, rw.rel_xz, _cache=mul_cache)
-            twisted = rw.twist.apply(plain)
-            coeff_cache[ck] = twisted
-        if twisted.is_zero():
-            continue
-        q = q + twisted * Fraction(1, fact[i]) * zpow[i]
-    return q
+    fs = [FGPoly.one()] + [tails[j] for j in range(l)]
+    keys = [fj.key() for fj in fs]
+
+    def plain(j: int) -> LaurentPoly:
+        if keys[j] not in realized:
+            realized[keys[j]] = realize_fg(fs[j], rw.f_xz, rw.g_xz, rw.rel_xz,
+                                           _cache=mul_cache)
+        return realized[keys[j]]
+
+    z = vz.index("z")
+    terms: dict = {}
+    for k in range(l + 1):
+        j = l - k
+        block_key = tuple(keys[:j + 1])
+        block = block_cache.get(block_key)
+        if block is None:
+            pulled = LaurentPoly.zero(vz)
+            for m in range(j + 1):
+                pulled = pulled + plain(j - m) * hpow[m]
+            block = block_cache[block_key] = rw.twist.apply(rel_e * pulled)
+        scale = Fraction(1, fact[k])
+        for e, c in block.terms.items():
+            terms[e[:z] + (k,) + e[z + 1:]] = c * scale if k > 1 else c
+    return LaurentPoly(vz, terms, _clean=False)
 
 
 def witness_poly(l: int, rw: Resolved, tails: list[FGPoly],

@@ -1,6 +1,7 @@
 """The coefficient algebra on formal f/rel/g exponents, the tail-coefficient
 recursion, the polynomial family, and certificate build/verify."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,12 +33,14 @@ from h14cert import (
     tail_coefficients,
     tail_upoly,
     taylor_shift_check,
+    valuation,
     validate_pack,
     verify_certificate,
     witness_poly,
     x_vars,
 )
-from genutil import fg_realize_oracle, random_fraction
+from h14cert.family import _assemble_witness_poly, _tail_order_bound
+from genutil import fg_realize_oracle, random_fraction, random_pipeline_data
 
 V2 = x_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
@@ -234,10 +237,77 @@ def test_tail_coefficients_step_check_fires():
     rw = demo_resolved()
     # an underweighted twist breaks the nonnegative-order invariant
     bad = replace(rw, twist=inversion_map((1,), X1))
-    with pytest.raises(ConstructionFailure):
+    with pytest.raises(ConstructionFailure,
+                       match=r"^step \d+: twisted remainder has negative x1-order$"):
         tail_coefficients(4, bad)
     # without verification the recursion itself still runs
     assert tail_coefficients(4, bad, verify=False) == tail_coefficients(4, rw)[:4]
+
+
+def test_tail_check_passes_on_the_bound_alone(monkeypatch):
+    rw = demo_resolved()
+    expected = tail_coefficients(8, rw)
+
+    def no_realize(*args, **kwargs):
+        raise AssertionError("the tail check realized a remainder")
+
+    # every step of the demo has a nonnegative bound, so nothing is realized
+    monkeypatch.setattr("h14cert.family.realize_fg", no_realize)
+    assert tail_coefficients(8, rw) == expected
+
+
+def exact_tail_order(tail, rw):
+    """x1-order of twist(rel^e * tail), through rational functions; None
+    for a zero value."""
+    value = realize(tail.shifted(0, rw.clearing, 0), rw.f_xz, rw.g_xz, rw.rel_xz)
+    if value.is_zero():
+        return None
+    return valuation(rw.twist.apply_rf(value), "x1")
+
+
+def test_tail_order_bound_never_exceeds_exact_order():
+    rng = random.Random(2024)
+    checked = 0
+    for n in (2, 3):
+        for _ in range(5):
+            rw = random_pipeline_data(rng, n=n)
+            for _ in range(15):
+                tail = random_fgpoly(rng, lo=(0, 0, -3), hi=(rw.d - 1, 2, -1))
+                assert tail.is_negative_tail(rw.d)
+                exact = exact_tail_order(tail, rw)
+                if exact is None:
+                    continue
+                assert _tail_order_bound(tail, rw) <= exact
+                checked += 1
+    assert checked >= 100
+
+
+def test_tail_check_raises_exactly_on_negative_order():
+    rng = random.Random(515)
+    outcomes = set()
+    for n in (2, 3):
+        for _ in range(4):
+            rw = random_pipeline_data(rng, n=n)
+            tails = tail_coefficients(4, rw, verify=False)
+            for delta in range(4):
+                weights = tuple(w - delta for w in rw.weights)
+                trial = replace(rw, twist=inversion_map(weights, rw.h_xz))
+                # the step-s remainder is the negative tail of P_s(f/g)
+                first_bad = None
+                for step in range(1, 5):
+                    _, neg = decompose(tail_at_ratio(step, tails, 0), rw.ann)
+                    order = exact_tail_order(neg, trial) if neg else None
+                    if order is not None and order < 0:
+                        first_bad = step
+                        break
+                if first_bad is None:
+                    assert tail_coefficients(4, trial) == tails
+                else:
+                    with pytest.raises(ConstructionFailure,
+                                       match=rf"^step {first_bad}: twisted remainder"):
+                        tail_coefficients(4, trial)
+                outcomes.add(first_bad is None)
+    assert outcomes == {True, False}
 
 
 def test_tail_upoly_and_ratio():
@@ -285,6 +355,40 @@ def test_witness_poly_detects_broken_tails():
     with pytest.raises(ConstructionFailure) as err:
         witness_poly(4, rw, mut)
     assert "member l=4" in str(err.value)
+
+
+def direct_member(l, tails, rw):
+    """q_l = sum_i twist(rel^e * f_{l-i}) * twist(z)^i / i!, multiplied out."""
+    rel_e = rw.rel_xz ** rw.clearing
+    z_img = rw.twist.image_of("z")
+    q = LaurentPoly.zero(rw.twist.vars)
+    for i in range(l + 1):
+        fj = tails[l - i - 1] if l - i >= 1 else FGPoly.one()
+        c = rw.twist.apply(rel_e * realize_fg(fj, rw.f_xz, rw.g_xz, rw.rel_xz))
+        q = q + c * z_img ** i * Fraction(1, math.factorial(i))
+    return q
+
+
+def test_assembly_matches_direct_route():
+    rng = random.Random(808)
+    compared = non_monomial = 0
+    for n in (2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3):
+        rw = random_pipeline_data(rng, n=n, max_hdeg=2)
+        non_monomial += len(rw.twist.shift.terms) > 1
+        tails = tail_coefficients(5, rw, verify=False)
+        caches = {}
+        for l in range(6):
+            assert _assemble_witness_poly(l, tails, rw, caches) == direct_member(l, tails, rw)
+            compared += 1
+        # the caches are keyed on tail content: a changed f_2 is not served
+        # the blocks of the old one
+        changed = list(tails)
+        changed[1] = changed[1] + FGPoly.single(1, 0, 1, Fraction(2, 3))
+        for l in (2, 4):
+            assert (_assemble_witness_poly(l, changed, rw, caches)
+                    == direct_member(l, changed, rw))
+    assert compared == 72
+    assert non_monomial >= 6
 
 
 def test_taylor_shift_identity():
