@@ -100,24 +100,28 @@ class LaurentPoly:
         if _clean:
             clean: dict[Expo, Fraction] = {}
             width = len(vars)
+            strict = [pos for pos, flag in enumerate(vars.laurent) if not flag]
             for exps, coeff in items:
-                c = qq(coeff)
-                if c == 0:
+                c = coeff if type(coeff) is Fraction else qq(coeff)
+                if not c:
                     continue
                 e = tuple(exps)
                 if len(e) != width:
                     raise VariableMismatch(
                         f"exponent tuple {e} has wrong width for {vars.names}"
                     )
-                for pos, k in enumerate(e):
-                    if k < 0 and not vars.laurent[pos]:
+                for pos in strict:
+                    if e[pos] < 0:
                         raise VariableMismatch(
                             f"negative exponent on non-Laurent variable "
                             f"{vars.names[pos]!r}"
                         )
-                clean[e] = clean.get(e, Fraction(0)) + c
-                if clean[e] == 0:
-                    del clean[e]
+                if e in clean:
+                    c += clean[e]
+                    if not c:
+                        del clean[e]
+                        continue
+                clean[e] = c
             object.__setattr__(self, "terms", clean)
         else:
             object.__setattr__(self, "terms", dict(items))

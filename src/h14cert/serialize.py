@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from .algebra import LaurentPoly, UniPoly, VarSet
@@ -25,17 +26,24 @@ def frac_to_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+
+
 def frac_from_str(s) -> Fraction:
+    if isinstance(s, str):
+        m = _RATIONAL.fullmatch(s)
+        if m is None:
+            raise FormatError(f"bad rational {s!r}: expected 'num' or 'num/den'")
+        num, den = m.groups()
+        if den is None:
+            return Fraction(int(num))
+        den = int(den)
+        if den == 0:
+            raise FormatError(f"bad rational {s!r}: zero denominator")
+        return Fraction(int(num), den)
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if not isinstance(s, str):
-        raise FormatError(f"rational must be a string or int, got {type(s).__name__}")
-    if not re.fullmatch(r"-?\d+(/-?\d+)?", s):
-        raise FormatError(f"bad rational {s!r}: expected 'num' or 'num/den'")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise FormatError(f"bad rational {s!r}: zero denominator") from None
+    raise FormatError(f"rational must be a string or int, got {type(s).__name__}")
 
 
 def _require(cond: bool, message: str):
@@ -57,6 +65,26 @@ def _get(obj: dict, key: str, kind, where: str):
 
 def _all_ints(values) -> bool:
     return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
+def _terms_from_json(items: list, width: int, shape: str, where: str) -> dict:
+    """{exponent tuple: Fraction} from a JSON term list.  A well-formed
+    term costs one type test; `_get` runs only to word a bad term's error,
+    so the messages and their order are those of a field-by-field check."""
+    ints = (int,) * width
+    terms = {}
+    for i, item in enumerate(items):
+        e = item.get("e") if type(item) is dict else None
+        if type(e) is not list:
+            e = _get(item, "e", list, f"{where}.terms[{i}]")
+        key = tuple(e)
+        if tuple(map(type, key)) != ints:
+            _require(len(e) == width and _all_ints(e), f"{where}.terms[{i}].e: {shape}")
+        c = item["c"] if "c" in item else _get(item, "c", None, f"{where}.terms[{i}]")
+        c = frac_from_str(c)
+        _require(key not in terms, f"{where}.terms[{i}]: duplicate exponent {e}")
+        terms[key] = c
+    return terms
 
 
 # -- polynomials -------------------------------------------------------------
@@ -82,15 +110,8 @@ def poly_from_json(obj: Any, where: str = "poly") -> LaurentPoly:
         vars = VarSet(tuple(names), tuple(n in flagged for n in names))
     except VariableMismatch as exc:
         raise FormatError(f"{where}: {exc}") from None
-    terms = {}
-    for i, item in enumerate(_get(obj, "terms", list, where)):
-        e = _get(item, "e", list, f"{where}.terms[{i}]")
-        _require(len(e) == len(names) and _all_ints(e),
-                 f"{where}.terms[{i}].e: expected {len(names)} integers")
-        c = frac_from_str(_get(item, "c", None, f"{where}.terms[{i}]"))
-        key = tuple(e)
-        _require(key not in terms, f"{where}.terms[{i}]: duplicate exponent {e}")
-        terms[key] = c
+    terms = _terms_from_json(_get(obj, "terms", list, where), len(names),
+                             f"expected {len(names)} integers", where)
     try:
         return LaurentPoly(vars, terms)
     except VariableMismatch as exc:
@@ -120,15 +141,8 @@ def fgpoly_to_json(p: FGPoly) -> dict:
 
 
 def fgpoly_from_json(obj: Any, where: str = "fgpoly") -> FGPoly:
-    terms = {}
-    for i, item in enumerate(_get(obj, "terms", list, where)):
-        e = _get(item, "e", list, f"{where}.terms[{i}]")
-        _require(len(e) == 3 and _all_ints(e),
-                 f"{where}.terms[{i}].e: expected three integers")
-        c = frac_from_str(_get(item, "c", None, f"{where}.terms[{i}]"))
-        key = tuple(e)
-        _require(key not in terms, f"{where}.terms[{i}]: duplicate exponent {e}")
-        terms[key] = c
+    terms = _terms_from_json(_get(obj, "terms", list, where), 3,
+                             "expected three integers", where)
     try:
         return FGPoly(terms)
     except VariableMismatch as exc:
@@ -275,7 +289,58 @@ def group_from_json(obj: Any, where: str = "group") -> PermGroupSpec:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The canonical text of a JSON value: the bytes of
+    `json.dumps(obj, indent=2) + "\\n"`, written in one pass.  Values are
+    dicts with string keys, lists, strings, ints, bools and None; anything
+    else raises TypeError."""
+    parts: list[str] = []
+    _write(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(o: Any, nl: str, out) -> None:
+    """Append the indent-2 text of `o` to `out`; `nl` is a newline plus
+    the indentation of the line `o` starts on."""
+    if isinstance(o, str):
+        out(_encode_str(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(int.__repr__(o))
+    elif isinstance(o, list):
+        if not o:
+            out("[]")
+            return
+        inner = nl + "  "
+        if all(type(v) is int for v in o):
+            out("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out(sep + _encode_str(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def load_json_file(path: str) -> Any:

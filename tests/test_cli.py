@@ -133,6 +133,21 @@ def test_cert_verify_rejects_tampered_file(tmp_path, capsys):
     assert "[FAIL] relation-matches" in captured.out
 
 
+def test_cert_verify_negative_denominator_exits_3(tmp_path, capsys):
+    pack = write_demo_pack(tmp_path / "pack.json")
+    out = tmp_path / "cert.json"
+    assert main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    obj = load_json_file(str(out))
+    obj["entries"][1]["q"]["terms"][0]["c"] = "1/-2"
+    write_json_file(str(out), obj)
+    rc = main(["cert", "verify", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "input error: bad rational '1/-2'" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cert_build_weight_flag(tmp_path, capsys):
     pack = write_demo_pack(tmp_path / "pack.json")
     out = tmp_path / "cert.json"

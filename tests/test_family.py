@@ -451,6 +451,91 @@ def test_verify_certificate_flags_tampered_member():
     assert rep["member-3-recomputed"].ok
 
 
+def whole_member_checks(cert):
+    """The member-* report lines as `verify_certificate` once computed
+    them: leading and degree-drop checks on whole-member products (l! * q_l,
+    minus twist(rel)^e * z^l, cleaned).  The reference for the verifier,
+    which reads the z^l block and the top z-degree off the stored terms."""
+    rw, _ = validate_pack(cert.pack)
+    vz = rw.twist.vars
+    rel_t_pow = rw.twist.apply(rw.rel_xz) ** cert.clearing
+    caches = {}
+    lines = []
+    for entry in cert.entries:
+        l, tag = entry.l, f"member-{entry.l}"
+        lines.append((f"{tag}-tails-in-fg", all(t.is_fg() for t in entry.tails),
+                      "tail coefficients lie in k[f, g]"))
+        lines.append((f"{tag}-recomputed",
+                      _assemble_witness_poly(l, entry.tails, rw, caches) == entry.q,
+                      "stored member equals the recomputed twist image"))
+        poly_ok = entry.q.is_polynomial()
+        lines.append((f"{tag}-polynomial", poly_ok, "member lies in k[x1..xn, z]"))
+        if not poly_ok:
+            continue
+        scaled = entry.q * math.factorial(l)
+        if l == 0:
+            lines.append((f"{tag}-leading", scaled == rel_t_pow,
+                          "member 0 equals the twisted relation power"))
+        else:
+            lead = LaurentPoly.monomial(vz, [0] * (len(vz) - 1) + [l])
+            diff = scaled - rel_t_pow * lead
+            lead_coeff = LaurentPoly(
+                vz, {e[:-1] + (0,): c for e, c in scaled.terms.items() if e[-1] == l})
+            lines.append((f"{tag}-leading", lead_coeff == rel_t_pow,
+                          "z^l coefficient of l! * member equals the twisted relation power"))
+            lines.append((f"{tag}-degree-drop",
+                          diff.is_zero() or diff.degree_in("z") < l,
+                          "l! * member minus the leading block has z-degree < l"))
+        lines.append((f"{tag}-axis-constant", axis_map(entry.q).is_constant(),
+                      "axis image of the member is a constant"))
+    return lines
+
+
+def test_member_checks_match_whole_member_route():
+    cert = build_certificate(demo_pack(), l_max=4)
+    vz = cert.entries[0].q.vars
+
+    def edited(l, edit):
+        terms = dict(cert.entries[l].q.terms)
+        edit(terms)
+        entries = [CertEntry(l=e.l, tails=list(e.tails),
+                             q=LaurentPoly(vz, terms) if e.l == l else e.q)
+                   for e in cert.entries]
+        return replace(cert, entries=entries, report=None)
+
+    def bump(z_deg):
+        def edit(terms):
+            e = max(k for k in terms if k[-1] == z_deg)
+            terms[e] += 1
+        return edit
+
+    def extra(exps):
+        return lambda terms: terms.__setitem__(exps, Fraction(3))
+
+    cases = {
+        "untouched": cert,
+        "z^l coefficient": edited(2, bump(2)),
+        "extra z^(l+1) term": edited(2, extra((1, 0, 3))),
+        "lower z-degree coefficient": edited(2, bump(1)),
+        "member set to zero": edited(3, dict.clear),
+        "member 0 coefficient": edited(0, bump(0)),
+        "member 0 with a z term": edited(0, extra((0, 0, 1))),
+        "top member coefficient": edited(4, bump(4)),
+        "negative x1 exponent": edited(1, extra((-1, 0, 0))),
+    }
+    seen = set()
+    for name, tampered in cases.items():
+        lines = [(c.name, c.ok, c.detail) for c in verify_certificate(tampered).checks
+                 if c.name.startswith("member-")]
+        assert lines == whole_member_checks(tampered), name
+        seen.update((n.split("-", 2)[2], ok) for n, ok, _ in lines)
+    # both outcomes of both rewritten checks occur
+    assert {("leading", True), ("leading", False),
+            ("degree-drop", True), ("degree-drop", False)} <= seen
+    drop = verify_certificate(cases["extra z^(l+1) term"])
+    assert drop["member-2-leading"].ok and not drop["member-2-degree-drop"].ok
+
+
 def test_verify_certificate_flags_tampered_relation():
     cert = build_certificate(demo_pack(), l_max=2)
     tampered = Certificate(pack=cert.pack, rel=cert.rel + 1, d=cert.d,

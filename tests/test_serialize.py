@@ -57,7 +57,7 @@ def test_fraction_strings():
     assert frac_from_str("3/4") == Fraction(3, 4)
     assert frac_from_str("-5") == Fraction(-5)
     assert frac_from_str(7) == Fraction(7)
-    for bad in ("abc", "1/0", "1.5", None, 2.5):
+    for bad in ("abc", "1/0", "1.5", "1/-2", None, 2.5):
         with pytest.raises(FormatError):
             frac_from_str(bad)
 
@@ -83,20 +83,35 @@ def test_poly_terms_sorted_descending():
 
 def test_poly_from_json_rejects_malformed():
     good = poly_to_json(X1 + X2)
+    fresh = lambda: json.loads(json.dumps(good))
+    bad_e = "poly.terms[0].e: expected 2 integers"
+    bad_c = "bad rational 'x': expected 'num' or 'num/den'"
     cases = []
-    c = json.loads(json.dumps(good)); del c["vars"]; cases.append(c)
-    c = json.loads(json.dumps(good)); c["terms"][0]["e"] = [1]; cases.append(c)
-    c = json.loads(json.dumps(good)); c["terms"][0]["c"] = "x"; cases.append(c)
-    c = json.loads(json.dumps(good)); c["terms"].append(c["terms"][0]); cases.append(c)
-    c = json.loads(json.dumps(good)); c["laurent"] = ["zz"]; cases.append(c)
-    c = json.loads(json.dumps(good)); c["laurent"] = []; c["terms"][0]["e"] = [-1, 0]
-    cases.append(c)
-    c = json.loads(json.dumps(good)); c["terms"][0]["e"] = [1, True]; cases.append(c)
-    for broken in cases:
-        with pytest.raises(FormatError):
+    c = fresh(); del c["vars"]; cases.append((c, "poly: missing key 'vars'"))
+    c = fresh(); c["terms"][0]["e"] = [1]; cases.append((c, bad_e))
+    c = fresh(); c["terms"][0]["c"] = "x"; cases.append((c, bad_c))
+    c = fresh(); c["terms"].append(c["terms"][0])
+    cases.append((c, "poly.terms[2]: duplicate exponent [1, 0]"))
+    c = fresh(); c["laurent"] = ["zz"]
+    cases.append((c, "poly.laurent: unknown variable name"))
+    c = fresh(); c["laurent"] = []; c["terms"][0]["e"] = [-1, 0]
+    cases.append((c, "poly: negative exponent on non-Laurent variable 'x1'"))
+    c = fresh(); c["terms"][0]["e"] = [1, True]; cases.append((c, bad_e))
+    c = fresh(); del c["terms"][1]["c"]
+    cases.append((c, "poly.terms[1]: missing key 'c'"))
+    c = fresh(); c["terms"][1]["e"] = "11"
+    cases.append((c, "poly.terms[1].e: wrong type"))
+    c = fresh(); c["terms"][1] = 5
+    cases.append((c, "poly.terms[1]: expected an object"))
+    # the exponent is checked before the coefficient, both before duplicates
+    c = fresh(); c["terms"][0]["e"] = [1]; del c["terms"][0]["c"]
+    cases.append((c, bad_e))
+    c = fresh(); c["terms"][1] = {"e": [1, 0], "c": "x"}; cases.append((c, bad_c))
+    cases.append(([1, 2, 3], "poly: expected an object"))
+    for broken, message in cases:
+        with pytest.raises(FormatError) as err:
             poly_from_json(broken)
-    with pytest.raises(FormatError):
-        poly_from_json([1, 2, 3])
+        assert str(err.value) == message
 
 
 def test_unipoly_roundtrip():
