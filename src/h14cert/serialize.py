@@ -26,7 +26,7 @@ def frac_to_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def frac_from_str(s) -> Fraction:

@@ -171,7 +171,6 @@ def realize_annihilator(ann: UniPoly, f: LaurentPoly, g: LaurentPoly) -> Laurent
 class SemigroupTable:
     bound: int
     orders: frozenset[int]
-    basis: tuple[tuple[Fraction, ...], ...]
 
     def sorted_orders(self) -> list[int]:
         return sorted(self.orders)
@@ -182,6 +181,18 @@ def _univar_nonneg(gen: LaurentPoly, what: str) -> dict[int, Fraction]:
     if any(k < 0 for k in u):
         raise WitnessInvalid(f"{what} has a pole at x1 = 0")
     return u
+
+
+def _units(gens: Sequence[LaurentPoly], what: str) -> list[dict[int, Fraction]]:
+    """The distinct non-constant generators, without their constant parts,
+    as {exponent: coefficient}."""
+    units: dict[frozenset, dict[int, Fraction]] = {}
+    for gen in gens:
+        u = _univar_nonneg(gen, what)
+        u.pop(0, None)
+        if u:
+            units[frozenset(u.items())] = u
+    return list(units.values())
 
 
 def _mul_trunc(u: dict[int, Fraction], v: dict[int, Fraction], bound: int) -> dict[int, Fraction]:
@@ -199,81 +210,59 @@ def _mul_trunc(u: dict[int, Fraction], v: dict[int, Fraction], bound: int) -> di
     return out
 
 
-class _RowBasis:
-    """Incremental row echelon over Q; pivot = first nonzero column."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: dict[int, list[Fraction]] = {}
-
-    def insert(self, vec: Sequence[Fraction]) -> int | None:
-        v = [Fraction(c) for c in vec]
-        while True:
-            lead = next((i for i, c in enumerate(v) if c != 0), None)
-            if lead is None:
-                return None
-            if lead not in self.rows:
-                inv = Fraction(1) / v[lead]
-                self.rows[lead] = [c * inv for c in v]
-                return lead
-            row = self.rows[lead]
-            c = v[lead]
-            v = [a - c * b for a, b in zip(v, row)]
-
-    def reduces_to_zero(self, vec: Sequence[Fraction]) -> bool:
-        v = [Fraction(c) for c in vec]
-        while True:
-            lead = next((i for i, c in enumerate(v) if c != 0), None)
-            if lead is None:
-                return True
-            if lead not in self.rows:
-                return False
-            c = v[lead]
-            v = [a - c * b for a, b in zip(v, self.rows[lead])]
-
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
-    def snapshot(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(self.rows[p]) for p in sorted(self.rows))
+def _reduce(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]], lead) -> dict[int, Fraction]:
+    """Reduce v in place against sparse echelon rows over Q, each keyed by its
+    pivot (the `lead` of its exponents, min or max) with coefficient 1 there;
+    return the remainder, empty when v lies in their span."""
+    while v:
+        p = lead(v)
+        row = rows.get(p)
+        if row is None:
+            break
+        c = v[p]
+        for k, r in row.items():
+            s = v.get(k, 0) - c * r
+            if s:
+                v[k] = s
+            else:
+                del v[k]
+    return v
 
 
-def _vec(u: dict[int, Fraction], width: int) -> list[Fraction]:
-    return [u.get(i, Fraction(0)) for i in range(width)]
+def _add_row(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]], lead) -> dict[int, Fraction] | None:
+    """Insert the remainder of v as a new row; return it, or None if v lies
+    in the span of the rows already there."""
+    v = _reduce(v, rows, lead)
+    if not v:
+        return None
+    p = lead(v)
+    c = v[p]
+    rows[p] = row = {k: a / c for k, a in v.items()}
+    return row
 
 
 def semigroup_orders(gens: Sequence[LaurentPoly], bound: int) -> SemigroupTable:
     """All x1-orders realized by the subalgebra k[gens] of k[x1], up to the
-    bound.  Constant parts of generators are dropped (they do not change the
-    algebra), products are enumerated with truncation beyond the bound, and
-    orders are read off as pivot columns of a row echelon form."""
-    units: list[dict[int, Fraction]] = []
-    for gen in gens:
-        u = _univar_nonneg(gen, "semigroup generator")
-        u.pop(0, None)
-        if u:
-            units.append(u)
+    bound.  Truncation mod x1^(bound+1) is a ring map, so the space computed
+    is the truncated image of k[gens]: the closure of span{1} under
+    multiplication by each generator, built as a sparse row echelon form
+    over Q with pivot = lowest exponent.  The orders are its pivots.
+    Constant parts of generators are dropped (they do not change the
+    algebra)."""
+    units = _units(gens, "semigroup generator")
     if units and bound < max(max(u) for u in units):
         raise WitnessInvalid(
             f"semigroup bound {bound} is below a generator degree"
         )
-    width = bound + 1
-    basis = _RowBasis(width)
-    one = {0: Fraction(1)}
-    basis.insert(_vec(one, width))
-
-    def grow(start: int, current: dict[int, Fraction], order_sum: int):
-        for idx in range(start, len(units)):
-            step = min(units[idx])
-            if order_sum + step > bound:
-                continue
-            nxt = _mul_trunc(current, units[idx], bound)
-            basis.insert(_vec(nxt, width))
-            grow(idx, nxt, order_sum + step)
-
-    grow(0, one, 0)
-    return SemigroupTable(bound=bound, orders=frozenset(basis.pivots()),
-                          basis=basis.snapshot())
+    rows: dict[int, dict[int, Fraction]] = {}
+    fresh = [_add_row({0: Fraction(1)}, rows, min)] if bound >= 0 else []
+    while fresh:
+        row = fresh.pop()
+        for u in units:
+            new = _add_row(_mul_trunc(row, u, bound), rows, min)
+            if new is not None:
+                fresh.append(new)
+    return SemigroupTable(bound=bound, orders=frozenset(rows))
 
 
 def is_normal(table: SemigroupTable) -> bool:
@@ -295,32 +284,29 @@ def is_normal(table: SemigroupTable) -> bool:
 
 def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -> bool:
     """Bounded membership: is h a linear combination of monomials in the
-    generators of total degree <= bound?  (Sound for rejection up to the
-    bound; the caller chooses the bound.)"""
+    generators of total degree <= bound, a generator's degree being its
+    x1-degree?  That span W_bound is built by levels as a sparse row echelon
+    form over Q with pivot = highest exponent: W_0 = span{1} and
+    W_d = W_{d-1} + sum_i u_i * (rows new at level d - deg u_i).  Constant
+    parts of generators are dropped: the monomials of degree <= d in the
+    u_i - c_i span the same space as those in the u_i.  The answer is sound
+    for rejection up to the bound only (the caller chooses the bound);
+    membership is not decided exactly."""
     hu = _univar_nonneg(h, "membership candidate")
     if hu and max(hu) > bound:
         raise WitnessInvalid(f"candidate degree exceeds the bound {bound}")
-    units: list[dict[int, Fraction]] = []
-    for gen in gens:
-        u = _univar_nonneg(gen, "subalgebra generator")
-        if u and max(u) >= 1:
-            units.append(u)
-    width = bound + 1
-    basis = _RowBasis(width)
-    one = {0: Fraction(1)}
-    basis.insert(_vec(one, width))
-
-    def grow(start: int, current: dict[int, Fraction], deg_sum: int):
-        for idx in range(start, len(units)):
-            step = max(units[idx])
-            if deg_sum + step > bound:
-                continue
-            nxt = _mul_trunc(current, units[idx], bound)
-            basis.insert(_vec(nxt, width))
-            grow(idx, nxt, deg_sum + step)
-
-    grow(0, one, 0)
-    return basis.reduces_to_zero(_vec(hu, width))
+    units = [(max(u), u) for u in _units(gens, "subalgebra generator")]
+    rows: dict[int, dict[int, Fraction]] = {}
+    levels = [[_add_row({0: Fraction(1)}, rows, max)]]
+    for d in range(1, bound + 1):
+        level = []
+        for deg, u in units:
+            for row in levels[d - deg] if deg <= d else ():
+                new = _add_row(_mul_trunc(row, u, bound), rows, max)
+                if new is not None:
+                    level.append(new)
+        levels.append(level)
+    return not _reduce(hu, rows, max)
 
 
 # ---------------------------------------------------------------------------

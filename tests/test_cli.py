@@ -148,6 +148,23 @@ def test_cert_verify_negative_denominator_exits_3(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_cert_verify_non_ascii_digits_exit_3(tmp_path, capsys):
+    """Arabic-Indic digits are decimal digits to Python but not canonical
+    certificate bytes; the loader rejects them as an input error."""
+    pack = write_demo_pack(tmp_path / "pack.json")
+    out = tmp_path / "cert.json"
+    assert main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    obj = load_json_file(str(out))
+    obj["entries"][1]["q"]["terms"][0]["c"] = "\u0663/\u0664"
+    write_json_file(str(out), obj)
+    rc = main(["cert", "verify", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "input error: bad rational" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cert_build_weight_flag(tmp_path, capsys):
     pack = write_demo_pack(tmp_path / "pack.json")
     out = tmp_path / "cert.json"
@@ -222,15 +239,36 @@ def test_invariants_bad_group_shape(capsys):
     assert "not a permutation" in captured.err
 
 
-def test_console_script_entry_point(tmp_path):
-    out = tmp_path / "cert.json"
-    # the child imports the same package as this process
+def child_env():
+    """The environment for a `python -m h14cert.cli` child that imports the
+    same package as this process."""
     src = os.path.dirname(os.path.dirname(h14cert.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_witness_check_large_bounds(tmp_path):
+    """Both validation scans at bound 200 finish well inside a timeout; a
+    scan that enumerates generator monomials does not."""
+    path = write_demo_pack(tmp_path / "pack.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "h14cert.cli", "witness", "check", str(path),
+         "--bound", "200", "--member-bound", "200"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "[ok ] semigroup-non-normal: orders up to 200: [0, 2, 3, 4," in proc.stdout
+    assert "[ok ] quotient-outside-subring: h not spanned by generator " \
+        "monomials up to degree 200" in proc.stdout
+
+
+def test_console_script_entry_point(tmp_path):
+    out = tmp_path / "cert.json"
     proc = subprocess.run(
         [sys.executable, "-m", "h14cert.cli", "demo", "--lmax", "0",
          "--out", str(out)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "certificate written to" in proc.stdout

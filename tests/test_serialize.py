@@ -57,7 +57,7 @@ def test_fraction_strings():
     assert frac_from_str("3/4") == Fraction(3, 4)
     assert frac_from_str("-5") == Fraction(-5)
     assert frac_from_str(7) == Fraction(7)
-    for bad in ("abc", "1/0", "1.5", "1/-2", None, 2.5):
+    for bad in ("abc", "1/0", "1.5", "1/-2", "\u0663/\u0664", None, 2.5):
         with pytest.raises(FormatError):
             frac_from_str(bad)
 
