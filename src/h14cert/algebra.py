@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -179,7 +181,7 @@ class LaurentPoly:
 
     def is_polynomial(self) -> bool:
         """No negative exponents on any variable (Laurent-flagged or not)."""
-        return all(all(k >= 0 for k in e) for e in self.terms)
+        return min(chain.from_iterable(self.terms), default=0) >= 0
 
     def terms_sorted(self) -> list[tuple[Expo, Fraction]]:
         """Terms in the canonical order: lexicographically descending."""
@@ -246,7 +248,7 @@ class LaurentPoly:
         out: dict[Expo, int] = {}
         for e1, c1 in ia:
             for e2, c2 in ib:
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         scale = da * db
         terms = {e: Fraction(v, scale) for e, v in out.items() if v}

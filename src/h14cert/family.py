@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import LaurentPoly, RatFunc, UniPoly, qq, to_univar
 from .errors import (
@@ -407,6 +408,11 @@ def _assemble_witness_poly(l: int, tails: list[FGPoly], rw: Resolved,
     nothing to cancel.  Realized tails are cached by the content of f_j and
     blocks by that of f_0..f_j, so one `caches` dict stays right across
     members and across differing tail lists.
+
+    Only the builder assembles members.  `verify_certificate` checks each
+    stored member against `_appell_blocks`, which realizes the tails from
+    its own powers, uses the pack's h and twists by the weights, so a fault
+    here fails the build's verification instead of confirming itself.
     """
     vz = rw.twist.vars
     fact = _factorials(max(l, 1))
@@ -454,11 +460,10 @@ def witness_poly(l: int, rw: Resolved, tails: list[FGPoly],
     """The l-th member of the family; guaranteed (and checked) to be an
     honest polynomial in x1, ..., xn, z."""
     q = _assemble_witness_poly(l, tails, rw, caches if caches is not None else {})
-    bad = next((e for e in sorted(q.terms) if any(k < 0 for k in e)), None)
-    if bad is not None:
-        z_deg = bad[-1]
+    if not q.is_polynomial():
+        bad = next(e for e in sorted(q.terms) if min(e) < 0)
         raise ConstructionFailure(
-            f"member l={l}: coefficient of z^{z_deg} has a negative exponent"
+            f"member l={l}: coefficient of z^{bad[-1]} has a negative exponent"
         )
     return q
 
@@ -516,7 +521,13 @@ def build_certificate(pack: WitnessPack, l_max: int = 8, *,
                       member_bound: int = DEFAULT_MEMBER_BOUND) -> Certificate:
     """Validate the pack, run the recursion to l_max, and bundle the family
     with a verification report.  Raises WitnessInvalid (with the report
-    attached) when the pack fails validation."""
+    attached) when the pack fails validation.
+
+    The pack is validated once.  The stored pack must carry exactly the
+    resolved h, annihilator, weights and clearing exponent (all that a
+    second validation of it could catch); the family is then checked by the
+    same verify as `verify_certificate`, so the report equals that of a
+    fresh `verify_certificate` of the certificate."""
     resolved, report = validate_pack(
         pack, weights_override=weights_override,
         semigroup_bound=semigroup_bound, member_bound=member_bound,
@@ -531,17 +542,25 @@ def build_certificate(pack: WitnessPack, l_max: int = 8, *,
                   q=witness_poly(l, resolved, tails, caches))
         for l in range(l_max + 1)
     ]
-    cert = Certificate(pack=resolve_pack_fields(pack, resolved),
-                       rel=resolved.rel, d=resolved.d,
+    stored = resolve_pack_fields(pack, resolved)
+    if (stored.h, stored.ann, stored.weights, stored.clearing) != (
+            resolved.h, resolved.ann, resolved.weights, resolved.clearing):
+        raise ConstructionFailure(
+            "stored pack fields differ from the validated h, annihilator, "
+            "weights and clearing exponent"
+        )
+    cert = Certificate(pack=stored, rel=resolved.rel, d=resolved.d,
                        clearing=resolved.clearing, entries=entries)
-    cert.report = verify_certificate(cert, semigroup_bound=semigroup_bound,
-                                     member_bound=member_bound)
+    cert.report = _verify_resolved(cert, resolved, report)
     if not cert.report.ok:
         raise ConstructionFailure(
             "freshly built certificate failed verification: "
             + "; ".join(c.name for c in cert.report.failures())
         )
     return cert
+
+
+_RESOLVED_NOTE = "pack carries h, annihilator, weights, clearing exponent"
 
 
 def verify_certificate(cert: Certificate, *,
@@ -551,23 +570,95 @@ def verify_certificate(cert: Certificate, *,
 
     The report is deterministic: pack-level checks first (shared with
     validation), then the stored relation element and degree, then one
-    block per entry.  Tampering with any single field flips at least one
-    line, except in `witness.R_gens`: a generator unused by f_expr/g_expr
-    enters only through the semigroup and membership scans of its axis
-    image, which a changed coefficient can leave as they were.
+    block per entry.  Members are checked against the Appell blocks of
+    `_appell_blocks`, which share no code with the builder's assembly.
+    Tampering with any single field flips at least one line, except in
+    `witness.R_gens`: a generator unused by f_expr/g_expr enters only
+    through the semigroup and membership scans of its axis image, which a
+    changed coefficient can leave as they were.
     """
     pack = cert.pack
-    rep = Report()
-    resolved_fields = (pack.h is not None and pack.ann is not None
-                       and pack.weights is not None and pack.clearing is not None)
-    rep.add("resolved-fields", resolved_fields,
-            "pack carries h, annihilator, weights, clearing exponent")
-    if not resolved_fields:
+    if any(x is None for x in (pack.h, pack.ann, pack.weights, pack.clearing)):
+        rep = Report()
+        rep.add("resolved-fields", False, _RESOLVED_NOTE)
         return rep
-
     resolved, pack_rep = validate_pack(
         pack, semigroup_bound=semigroup_bound, member_bound=member_bound,
     )
+    return _verify_resolved(cert, resolved, pack_rep)
+
+
+def _appell_blocks(tails: list[FGPoly],
+                   rw: Resolved) -> tuple[list[dict], AlgebraError | None]:
+    """The blocks B_j = twist(rel^e * sum_m F_(j-m) * h^m / m!), each as a
+    map from twisted x-exponents to coefficients, for j = 0, 1, ... up to
+    len(tails) or up to the first F_j that cannot be realized, whose
+    AlgebraError comes second.
+
+    The members satisfy q_l = sum_k B_(l-k) * z^k / k!.  Everything here is
+    recomputed apart from the builder: F_j (F_0 = 1) is realized from
+    power lists of f, rel and g made for this call, h is the pack's own h
+    (so no shift is twisted), and the twist of a z-free block is the
+    exponent map x1 -> 1/x1, xi -> x1^(t_i) * xi read off the weights."""
+    vz = rw.f_xz.vars
+    n, weights = rw.n, rw.weights
+    bases = (rw.f_xz, rw.rel_xz, rw.g_xz)
+    pows = [[LaurentPoly.one(vz)] for _ in bases]
+    rel_e = rw.rel_xz ** rw.clearing
+    hpow = [LaurentPoly.one(vz)]                       # h^m / m!
+    values: list[LaurentPoly] = []
+    blocks: list[dict] = []
+    for j, fj in enumerate([FGPoly.one()] + list(tails)):
+        if any(m < 0 for (_, _, m) in fj.terms):       # worded as realize_fg's
+            return blocks, VariableMismatch("element has negative g-powers; use realize()")
+        value = LaurentPoly.zero(vz)
+        for exps, c in fj.terms.items():
+            term = LaurentPoly.const(vz, c)
+            for base, pw, k in zip(bases, pows, exps):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * base)
+                    term = term * pw[k]
+            value = value + term
+        values.append(value)
+        if j:
+            hpow.append(hpow[-1] * rw.h_xz * Fraction(1, j))
+        pulled = LaurentPoly.zero(vz)
+        for m in range(j + 1):
+            pulled = pulled + values[j - m] * hpow[m]
+        blocks.append({
+            (sum(map(mul, weights, e[1:n])) - e[0],) + e[1:n]: c
+            for e, c in (rel_e * pulled).terms.items()
+        })
+    return blocks, None
+
+
+def _member_matches(q: LaurentPoly, l: int, blocks: list[dict], fact: list[int]) -> bool:
+    """True iff every z^k block of q equals B_(l-k) / k! and no term lies
+    above z^l; coefficients are compared by integer cross-multiplication."""
+    counts = [0] * (l + 1)
+    for e, c in q.terms.items():
+        k = e[-1]                                      # z is the last variable
+        if not 0 <= k <= l:
+            return False
+        b = blocks[l - k].get(e[:-1])
+        if b is None:
+            return False
+        if k < 2:
+            if c != b:
+                return False
+        elif c.numerator * fact[k] * b.denominator != b.numerator * c.denominator:
+            return False
+        counts[k] += 1
+    return all(counts[k] == len(blocks[l - k]) for k in range(l + 1))
+
+
+def _verify_resolved(cert: Certificate, resolved: Resolved | None,
+                     pack_rep: Report) -> Report:
+    """The verify of a certificate whose pack carries its resolved fields,
+    given the pack's validation: `resolved` and its report `pack_rep`."""
+    rep = Report()
+    rep.add("resolved-fields", True, _RESOLVED_NOTE)
     rep.checks.extend(pack_rep.checks)
     if resolved is None:
         return rep
@@ -600,7 +691,9 @@ def verify_certificate(cert: Certificate, *,
     if not rep.ok:
         return rep
 
-    caches: dict = {}
+    # the tails are prefix-consistent, so the last entry's serve every member
+    blocks, failure = _appell_blocks(cert.entries[-1].tails, resolved)
+    vz = resolved.f_xz.vars
     fact = _factorials(max(len(cert.entries), 1))
     rel_t_pow = twisted_rel ** cert.clearing
     for entry in cert.entries:
@@ -609,14 +702,14 @@ def verify_certificate(cert: Certificate, *,
         shape_ok = all(t.is_fg() for t in entry.tails)
         rep.add(f"{tag}-tails-in-fg", shape_ok,
                 "tail coefficients lie in k[f, g]")
-        try:
-            recomputed = _assemble_witness_poly(l, entry.tails, resolved, caches)
-            recompute_ok = recomputed == entry.q
+        same_vars = entry.q.vars == vz
+        if l >= len(blocks):
+            recompute_ok, recompute_note = False, f"recomputation failed: {failure}"
+        else:
+            recompute_ok = same_vars and _member_matches(entry.q, l, blocks, fact)
             recompute_note = "stored member equals the recomputed twist image"
-        except AlgebraError as exc:
-            recompute_ok, recompute_note = False, f"recomputation failed: {exc}"
         rep.add(f"{tag}-recomputed", recompute_ok, recompute_note)
-        poly_ok = entry.q.is_polynomial()
+        poly_ok = same_vars and entry.q.is_polynomial()
         rep.add(f"{tag}-polynomial", poly_ok, "member lies in k[x1..xn, z]")
         if not poly_ok:
             continue

@@ -165,6 +165,25 @@ def test_cert_verify_non_ascii_digits_exit_3(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_cert_verify_member_without_variables_exits_2(tmp_path, capsys):
+    """A member stored over no variables is not in k[x1..xn, z]: exit 2
+    with its lines failing, not an IndexError on its empty exponents."""
+    pack = write_demo_pack(tmp_path / "pack.json")
+    out = tmp_path / "cert.json"
+    assert main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    obj = load_json_file(str(out))
+    obj["entries"][0]["q"] = {"vars": [], "laurent": [], "terms": [{"e": [], "c": "1"}]}
+    write_json_file(str(out), obj)
+    rc = main(["cert", "verify", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "[FAIL] member-0-recomputed" in captured.out
+    assert "[FAIL] member-0-polynomial" in captured.out
+    assert "[ok ] member-1-recomputed" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cert_build_weight_flag(tmp_path, capsys):
     pack = write_demo_pack(tmp_path / "pack.json")
     out = tmp_path / "cert.json"

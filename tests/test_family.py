@@ -1,10 +1,13 @@
 """The coefficient algebra on formal f/rel/g exponents, the tail-coefficient
 recursion, the polynomial family, and certificate build/verify."""
 
+import importlib.util
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from h14cert import (
     ConstructionFailure,
     FGPoly,
     LaurentPoly,
+    PermGroupSpec,
     RatFunc,
     VariableMismatch,
     WitnessInvalid,
@@ -24,6 +28,7 @@ from h14cert import (
     build_certificate,
     decompose,
     format_report,
+    invariant_witness_pack,
     inversion_map,
     realize,
     realize_annihilator,
@@ -39,6 +44,7 @@ from h14cert import (
     witness_poly,
     x_vars,
 )
+from h14cert import family
 from h14cert.family import _assemble_witness_poly, _tail_order_bound
 from genutil import fg_realize_oracle, random_fraction, random_pipeline_data
 
@@ -534,6 +540,126 @@ def test_member_checks_match_whole_member_route():
             ("degree-drop", True), ("degree-drop", False)} <= seen
     drop = verify_certificate(cases["extra z^(l+1) term"])
     assert drop["member-2-leading"].ok and not drop["member-2-degree-drop"].ok
+
+
+def test_verifier_catches_builder_dropping_a_factorial(monkeypatch):
+    """The verify shares no code with the assembly: an assembler that
+    doubles the z^2 block of q_l for l >= 3 (drops its 1/2!) fails the
+    build's own verification instead of confirming itself."""
+    original = family._assemble_witness_poly
+
+    def doubled(l, tails, rw, caches):
+        q = original(l, tails, rw, caches)
+        if l < 3:
+            return q
+        return LaurentPoly(q.vars, {e: c * 2 if e[-1] == 2 else c
+                                    for e, c in q.terms.items()})
+
+    monkeypatch.setattr("h14cert.family._assemble_witness_poly", doubled)
+    with pytest.raises(ConstructionFailure, match="member-3-recomputed"):
+        build_certificate(demo_pack(), l_max=4)
+
+
+def test_verifier_catches_a_wrong_cached_power(monkeypatch):
+    """A wrong g^2 in `realize_fg`'s power cache reaches every member whose
+    tails use g^2 (f_4 = -g^2/8 on the demo); the verify realizes the tails
+    from its own powers and fails the build."""
+    original = family.realize_fg
+
+    def perturbed(p, f, g, rel=None, _cache=None):
+        if _cache is not None and "g" not in _cache:
+            x2 = LaurentPoly.variable(g.vars, "x2")
+            _cache["g"] = [LaurentPoly.one(g.vars), g, g * g + x2 ** 5]
+        return original(p, f, g, rel, _cache)
+
+    monkeypatch.setattr("h14cert.family.realize_fg", perturbed)
+    with pytest.raises(ConstructionFailure, match="member-4-recomputed"):
+        build_certificate(demo_pack(), l_max=4)
+
+
+def test_verify_reports_an_unrealizable_tail():
+    cert = build_certificate(demo_pack(), l_max=3)
+    entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
+    entries[3].tails[2] = FGPoly.single(0, 0, -1)     # the last tail only
+    rep = verify_certificate(replace(cert, entries=entries, report=None))
+    assert rep["tails-prefix-consistency"].ok
+    assert rep["member-2-recomputed"].ok
+    assert not rep["member-3-tails-in-fg"].ok
+    failed = rep["member-3-recomputed"]
+    assert (failed.ok, failed.detail) == (
+        False, "recomputation failed: element has negative g-powers; use realize()")
+
+
+def test_verify_does_not_reach_the_builder(monkeypatch):
+    cert = build_certificate(demo_pack(), l_max=4)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the verify reached the builder")
+
+    monkeypatch.setattr("h14cert.family._assemble_witness_poly", unreachable)
+    monkeypatch.setattr("h14cert.family.realize_fg", unreachable)
+    assert verify_certificate(cert).ok
+
+
+def _load_benchmark_groups():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.GROUPS
+
+
+def report_lines(report):
+    return [(c.name, c.ok, c.detail) for c in report.checks]
+
+
+def test_build_report_equals_fresh_verify():
+    """The build validates once and verifies with that validation; its
+    report must be the one a fresh `verify_certificate` computes."""
+    certs = [build_certificate(invariant_witness_pack(
+                 PermGroupSpec(n=n, generators=tuple(map(tuple, gens)))), l_max=3)
+             for n, gens in _load_benchmark_groups().values()]
+    certs.append(build_certificate(demo_pack(), l_max=3, weights_override=(6,)))
+    assert certs[-1].pack.weights == (6,)
+    assert len(certs) == 8
+    for cert in certs:
+        assert cert.report.ok
+        assert report_lines(cert.report) == report_lines(verify_certificate(cert))
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("h", lambda v: v + 1),
+    ("ann", lambda v: None),
+    ("weights", lambda v: tuple(w + 1 for w in v)),
+    ("clearing", lambda v: v + 1),
+])
+def test_build_rejects_a_corrupted_resolved_field(monkeypatch, field, corrupt):
+    original = family.resolve_pack_fields
+
+    def corrupted(pack, resolved):
+        out = original(pack, resolved)
+        return replace(out, **{field: corrupt(getattr(out, field))})
+
+    monkeypatch.setattr("h14cert.family.resolve_pack_fields", corrupted)
+    with pytest.raises(ConstructionFailure, match="stored pack fields differ"):
+        build_certificate(demo_pack(), l_max=2)
+
+
+def test_witness_poly_names_the_lowest_negative_term(monkeypatch):
+    """The unsorted scan only detects a negative exponent; the message
+    still names the z-degree of the first offending term in sorted order."""
+    rw = demo_resolved()
+    vz = rw.twist.vars
+    bad = LaurentPoly(vz, {(-1, 0, 2): 1, (-2, 0, 1): 1, (0, 0, 0): 1})
+    monkeypatch.setattr("h14cert.family._assemble_witness_poly",
+                        lambda l, tails, rw, caches: bad)
+    with pytest.raises(ConstructionFailure,
+                       match=r"member l=2: coefficient of z\^1 has a negative exponent"):
+        witness_poly(2, rw, [])
 
 
 def test_verify_certificate_flags_tampered_relation():
