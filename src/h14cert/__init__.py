@@ -11,7 +11,6 @@ certificate.  Everything is exact rational arithmetic.
 
 from .algebra import (
     LaurentPoly,
-    RatFunc,
     UniPoly,
     VarSet,
     determinant_fraction_free,
@@ -21,7 +20,6 @@ from .algebra import (
     resultant,
     sylvester_matrix,
     to_univar,
-    valuation,
     x_vars,
     xz_vars,
 )
@@ -49,17 +47,12 @@ from .errors import (
 from .family import (
     CertEntry,
     Certificate,
-    FGPoly,
     annihilator_in_fg,
     build_certificate,
     decompose,
-    realize,
     realize_fg,
     reduce_by_annihilator,
-    tail_at_ratio,
     tail_coefficients,
-    tail_upoly,
-    taylor_shift_check,
     verify_certificate,
     witness_poly,
 )
@@ -74,7 +67,6 @@ from .serialize import (
     frac_from_str,
     frac_to_str,
     group_from_json,
-    group_to_json,
     load_json_file,
     pack_from_json,
     pack_to_json,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     NotDivisible,
@@ -25,7 +25,6 @@ from .errors import (
 )
 
 Expo = tuple[int, ...]
-Scalar = Union[int, Fraction]
 
 
 def qq(value) -> Fraction:
@@ -320,21 +319,6 @@ class LaurentPoly:
                 out[ne] = s
         return LaurentPoly(self.vars, out, _clean=False)
 
-    def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Total evaluation at rational values (all variables needed)."""
-        vals = [qq(point[name]) for name in self.vars.names]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                if k == 0:
-                    continue
-                if v == 0 and k < 0:
-                    raise ZeroDivisionError("negative power of zero in evaluation")
-                term *= v ** k
-            total += term
-        return total
-
     # -- substitution ---------------------------------------------------
 
     def subst(self, images: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
@@ -466,103 +450,6 @@ def from_univar(vars: VarSet, name: str, coeffs: Mapping[int, Fraction]) -> Laur
     return LaurentPoly(vars, terms)
 
 
-class RatFunc:
-    """Quotient of two Laurent polynomials; equality by cross-multiplication.
-
-    No gcd reduction is attempted — values stay exact and comparisons
-    multiply out, which is all the pipeline needs.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if num.vars != den.vars:
-            raise VariableMismatch("numerator and denominator variable sets differ")
-        if den.is_zero():
-            raise ZeroInput("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RatFunc":
-        return cls(p, LaurentPoly.one(p.vars))
-
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RatFunc.from_poly(other)
-        return RatFunc.from_poly(LaurentPoly.const(self.num.vars, other))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (RatFunc, LaurentPoly, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __add__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, k: int) -> "RatFunc":
-        if k >= 0:
-            return RatFunc(self.num ** k, self.den ** k)
-        if self.num.is_zero():
-            raise ZeroDivisionError("negative power of the zero rational function")
-        return RatFunc(self.den ** (-k), self.num ** (-k))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_term() == 1:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"<RatFunc {self}>"
-
-
-def valuation(q, name: str = "x1") -> int:
-    """Adic order at `name`: min exponent for polynomials, extended to
-    quotients by v(num/den) = v(num) - v(den).  Requires a nonzero input."""
-    if isinstance(q, LaurentPoly):
-        return q.order_in(name)
-    if isinstance(q, RatFunc):
-        if q.num.is_zero():
-            raise ZeroInput("valuation of the zero function")
-        return q.num.order_in(name) - q.den.order_in(name)
-    raise TypeError(f"no valuation for {type(q).__name__}")
-
-
 class UniPoly:
     """Dense univariate polynomial in an abstract variable, with LaurentPoly
     coefficients (index i holds the coefficient of the i-th power)."""
@@ -585,10 +472,6 @@ class UniPoly:
     @classmethod
     def zero(cls, vars: VarSet) -> "UniPoly":
         return cls(vars, ())
-
-    @classmethod
-    def from_scalars(cls, vars: VarSet, scalars: Sequence) -> "UniPoly":
-        return cls(vars, [LaurentPoly.const(vars, s) for s in scalars])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -618,48 +501,6 @@ class UniPoly:
         return self.vars == other.vars and self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.vars, [self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.vars, [self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.vars)
-        out = [LaurentPoly.zero(self.vars) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.vars, out)
-
-    def scale(self, factor: LaurentPoly) -> "UniPoly":
-        return UniPoly(self.vars, [c * factor for c in self.coeffs])
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by the k-th power of the abstract variable."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.vars, (LaurentPoly.zero(self.vars),) * k + self.coeffs)
-
-    def divmod_monic(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Long division by a monic divisor (exact over any coefficient ring)."""
-        if other.is_zero() or not other.is_monic():
-            raise NotDivisible("divisor must be monic")
-        d = other.degree
-        rem = list(self.coeffs)
-        quot = [LaurentPoly.zero(self.vars) for _ in range(max(0, len(rem) - d))]
-        for top in range(len(rem) - 1, d - 1, -1):
-            lead = rem[top]
-            if lead.is_zero():
-                continue
-            quot[top - d] = lead
-            for j in range(d + 1):
-                rem[top - d + j] = rem[top - d + j] - lead * other.coeff(j)
-        return UniPoly(self.vars, quot), UniPoly(self.vars, rem[:d])
 
     def eval_poly(self, value: LaurentPoly, coeff_images: Mapping[str, LaurentPoly] | None = None) -> LaurentPoly:
         """Horner evaluation at a LaurentPoly value, optionally substituting

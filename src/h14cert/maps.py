@@ -19,7 +19,6 @@ from typing import Sequence
 from .algebra import (
     Expo,
     LaurentPoly,
-    RatFunc,
     VarSet,
     from_univar,
     to_univar,
@@ -96,8 +95,11 @@ class RingMap:
                 out = out + LaurentPoly(self.vars, by_z[k], _clean=False) * power
         return out
 
-    def apply_rf(self, q: RatFunc) -> RatFunc:
-        return RatFunc(self.apply(q.num), self.apply(q.den))
+    # No caller: perfbench/spans.py wraps RingMap.apply_rf by name, and
+    # without it `perfbench/run.py --trace 1` stops in `Tracer.install` with
+    # KeyError: 'apply_rf'.  Drop the method and that span together.
+    def apply_rf(self, pair: tuple[LaurentPoly, LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly]:
+        return self.apply(pair[0]), self.apply(pair[1])
 
     def x1_order(self, p: LaurentPoly) -> int:
         """The x1-order of the image of a nonzero z-free polynomial, read off

@@ -17,7 +17,7 @@ from typing import Any
 from .algebra import LaurentPoly, UniPoly, VarSet
 from .constructions import PermGroupSpec
 from .errors import FormatError, VariableMismatch
-from .family import CertEntry, Certificate, FGPoly
+from .family import FG_VARS, CertEntry, Certificate
 from .report import Check, Report
 from .witness import G_VARS, WitnessPack
 
@@ -28,6 +28,11 @@ def frac_to_str(c: Fraction) -> str:
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
+#: the most digits a numerator or denominator may have: CPython's default
+#: limit on int-string conversion, checked before `int()` so that a longer
+#: one is an input error whatever limit the interpreter is set to
+_MAX_DIGITS = 4300
+
 
 def frac_from_str(s) -> Fraction:
     if isinstance(s, str):
@@ -35,6 +40,10 @@ def frac_from_str(s) -> Fraction:
         if m is None:
             raise FormatError(f"bad rational {s!r}: expected 'num' or 'num/den'")
         num, den = m.groups()
+        if max(len(num.lstrip("-")), len(den or "")) > _MAX_DIGITS:
+            raise FormatError(
+                f"bad rational {s[:20]!r}...: more than {_MAX_DIGITS} digits"
+            )
         if den is None:
             return Fraction(int(num))
         den = int(den)
@@ -132,7 +141,8 @@ def unipoly_from_json(obj: Any, where: str = "unipoly") -> UniPoly:
         raise FormatError(f"{where}: {exc}") from None
 
 
-def fgpoly_to_json(p: FGPoly) -> dict:
+def fgpoly_to_json(p: LaurentPoly) -> dict:
+    """A tail over FG_VARS: its terms only, the variables being implied."""
     return {
         "terms": [
             {"e": list(e), "c": frac_to_str(c)} for e, c in p.terms_sorted()
@@ -140,11 +150,11 @@ def fgpoly_to_json(p: FGPoly) -> dict:
     }
 
 
-def fgpoly_from_json(obj: Any, where: str = "fgpoly") -> FGPoly:
+def fgpoly_from_json(obj: Any, where: str = "fgpoly") -> LaurentPoly:
     terms = _terms_from_json(_get(obj, "terms", list, where), 3,
                              "expected three integers", where)
     try:
-        return FGPoly(terms)
+        return LaurentPoly(FG_VARS, terms)
     except VariableMismatch as exc:
         raise FormatError(f"{where}: {exc}") from None
 
@@ -266,10 +276,6 @@ def certificate_from_json(obj: Any, where: str = "certificate") -> Certificate:
 
 
 # -- constructions -------------------------------------------------------------
-
-
-def group_to_json(group: PermGroupSpec) -> dict:
-    return {"n": group.n, "generators": [list(g) for g in group.generators]}
 
 
 def group_from_json(obj: Any, where: str = "group") -> PermGroupSpec:

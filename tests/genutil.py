@@ -1,12 +1,11 @@
-"""Shared helpers for the test suite: seeded random data and independent
-oracles (naive Sylvester determinant, rational-function realization)."""
+"""Shared helpers for the test suite: seeded random data, shape tests on
+tails, and independent oracles (naive Sylvester determinant, realization
+of an element of k[f, rel, g, 1/g] times a clearing power of g)."""
 
 from fractions import Fraction
 
 from h14cert import (
-    FGPoly,
     LaurentPoly,
-    RatFunc,
     Resolved,
     WitnessInvalid,
     axis_quotient,
@@ -18,6 +17,7 @@ from h14cert import (
     realize_annihilator,
     x_vars,
 )
+from h14cert.family import FG_VARS
 
 
 def random_fraction(rng, max_num=9, max_den=4):
@@ -87,23 +87,27 @@ def naive_determinant(matrix):
     return minor(0, tuple(range(n)))
 
 
-def fg_realize_oracle(p: FGPoly, f, g, rel) -> RatFunc:
-    """Term-by-term realization with RatFunc arithmetic only (no shared
-    clearing denominator; independent of family.realize)."""
-    total = RatFunc.from_poly(LaurentPoly.zero(f.vars))
-    rf_f = RatFunc.from_poly(f)
-    rf_g = RatFunc.from_poly(g)
-    rf_rel = RatFunc.from_poly(rel)
-    for (a, b, m), c in p.terms.items():
-        term = RatFunc.from_poly(LaurentPoly.const(f.vars, c))
-        if a:
-            term = term * rf_f ** a
-        if b:
-            term = term * rf_rel ** b
-        if m:
-            term = term * rf_g ** m
-        total = total + term
-    return total
+def g_clearing(*ps) -> int:
+    """The least K >= 0 for which every p * g^K over FG_VARS has only
+    nonnegative g-powers."""
+    return max([0] + [-m for p in ps for (_, _, m) in p.terms])
+
+
+def fg_realize_oracle(p: LaurentPoly, f, g, rel, k: int) -> LaurentPoly:
+    """The polynomial p * g^k with f, rel and g substituted: a plain
+    `subst`, sharing no code with `family.realize_fg`.  Identities in
+    k[f, rel, g, 1/g] are compared through it with one k for both sides."""
+    cleared = p * LaurentPoly.monomial(FG_VARS, (0, 0, k))
+    return cleared.subst({"f": f, "rel": rel, "g": g})
+
+
+def is_negative_tail(p: LaurentPoly, d: int) -> bool:
+    """True when reduced (f-degree < d) with only negative g-powers."""
+    return all(a < d and m < 0 for (a, _, m) in p.terms)
+
+
+def max_f_exponent(p: LaurentPoly) -> int:
+    return max((a for (a, _, _) in p.terms), default=-1)
 
 
 def random_pipeline_data(rng, n=2, max_gdeg=2, max_hdeg=2):

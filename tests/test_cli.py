@@ -10,7 +10,6 @@ import h14cert
 from h14cert import (
     PermGroupSpec,
     certificate_from_json,
-    group_to_json,
     invariant_generators,
     invariant_witness_pack,
     load_json_file,
@@ -102,6 +101,20 @@ def test_witness_check_large_expression_exponent(tmp_path, capsys):
     assert rc == 2
     assert "[FAIL] generator-expressions" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_witness_check_coefficient_digit_limit(tmp_path, capsys):
+    """A pack coefficient whose denominator has 4301 digits is an input
+    error (exit 3), not a traceback from the interpreter's digit limit."""
+    path = write_demo_pack(tmp_path / "pack.json")
+    obj = load_json_file(str(path))
+    obj["R_gens"][0]["terms"][0]["c"] = "1/" + "9" * 4301
+    write_json_file(str(path), obj)
+    rc = main(["witness", "check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "more than 4300 digits" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cert_build_then_verify(tmp_path, capsys):
@@ -234,7 +247,7 @@ def test_invariants_inline_group(capsys):
 
 def test_invariants_json_output(tmp_path, capsys):
     spec = tmp_path / "group.json"
-    write_json_file(str(spec), group_to_json(SWAP))
+    write_json_file(str(spec), {"n": 2, "generators": [[2, 1]]})
     rc = main(["invariants", "--group", str(spec), "--degree", "2", "--json"])
     captured = capsys.readouterr()
     assert rc == 0

@@ -1,5 +1,6 @@
-"""The coefficient algebra on formal f/rel/g exponents, the tail-coefficient
-recursion, the polynomial family, and certificate build/verify."""
+"""The coefficient ring k[f, rel, g, 1/g] as Laurent polynomials over
+FG_VARS, the tail-coefficient recursion, the polynomial family, and
+certificate build/verify."""
 
 import importlib.util
 import math
@@ -15,10 +16,8 @@ from h14cert import (
     CertEntry,
     Certificate,
     ConstructionFailure,
-    FGPoly,
     LaurentPoly,
     PermGroupSpec,
-    RatFunc,
     VariableMismatch,
     WitnessInvalid,
     WitnessPack,
@@ -30,23 +29,25 @@ from h14cert import (
     format_report,
     invariant_witness_pack,
     inversion_map,
-    realize,
     realize_annihilator,
     realize_fg,
     reduce_by_annihilator,
-    tail_at_ratio,
     tail_coefficients,
-    tail_upoly,
-    taylor_shift_check,
-    valuation,
     validate_pack,
     verify_certificate,
     witness_poly,
     x_vars,
 )
 from h14cert import family
-from h14cert.family import _assemble_witness_poly, _tail_order_bound
-from genutil import fg_realize_oracle, random_fraction, random_pipeline_data
+from h14cert.family import FG_VARS, _assemble_witness_poly, _tail_order_bound, is_fg
+from genutil import (
+    fg_realize_oracle,
+    g_clearing,
+    is_negative_tail,
+    max_f_exponent,
+    random_fraction,
+    random_pipeline_data,
+)
 
 V2 = x_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
@@ -61,6 +62,18 @@ DEMO_GENS = [
 ]
 DEMO_ANN = build_annihilator(DEMO_F, DEMO_G)
 DEMO_REL = realize_annihilator(DEMO_ANN, DEMO_F, DEMO_G)
+ONE = LaurentPoly.one(FG_VARS)
+
+
+def fg(a, b, m, coeff=1):
+    """The single term coeff * f^a * rel^b * g^m."""
+    return LaurentPoly.monomial(FG_VARS, (a, b, m), coeff)
+
+
+def demo_oracle(*ps):
+    """Each element realized on the demo pair times one common power of g."""
+    k = g_clearing(*ps)
+    return [fg_realize_oracle(p, DEMO_F, DEMO_G, DEMO_REL, k) for p in ps]
 
 
 def demo_resolved():
@@ -77,22 +90,22 @@ def random_fgpoly(rng, max_terms=4, lo=(0, 0, -3), hi=(3, 2, 3)):
         c = random_fraction(rng)
         if c:
             terms[key] = terms.get(key, Fraction(0)) + c
-    return FGPoly(terms)
+    return LaurentPoly(FG_VARS, terms)
 
 
-# -- the exponent-triple algebra -----------------------------------------
+# -- the ring of tails -----------------------------------------------------
 
 
 def test_fgpoly_construction():
-    p = FGPoly({(1, 0, 0): 1, (0, 0, 0): 0})
+    p = LaurentPoly(FG_VARS, {(1, 0, 0): 1, (0, 0, 0): 0})
     assert p.terms == {(1, 0, 0): Fraction(1)}
-    assert FGPoly.zero().is_zero()
-    assert FGPoly.one().terms == {(0, 0, 0): Fraction(1)}
-    assert FGPoly.single(2, 1, -3, Fraction(1, 2)).terms == {(2, 1, -3): Fraction(1, 2)}
+    assert LaurentPoly.zero(FG_VARS).is_zero()
+    assert ONE.terms == {(0, 0, 0): Fraction(1)}
+    assert fg(2, 1, -3, Fraction(1, 2)).terms == {(2, 1, -3): Fraction(1, 2)}
     with pytest.raises(VariableMismatch):
-        FGPoly({(-1, 0, 0): 1})
+        LaurentPoly(FG_VARS, {(-1, 0, 0): 1})
     with pytest.raises(VariableMismatch):
-        FGPoly({(0, -1, 0): 1})
+        LaurentPoly(FG_VARS, {(0, -1, 0): 1})
 
 
 def test_fgpoly_arithmetic():
@@ -105,31 +118,31 @@ def test_fgpoly_arithmetic():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a - a).is_zero()
-        assert a * FGPoly.one() == a
-    assert FGPoly.single(1, 0, 0) * 3 == FGPoly.single(1, 0, 0, 3)
-    assert FGPoly.single(1, 0, 2) * FGPoly.single(0, 1, -3) == FGPoly.single(1, 1, -1)
+        assert a * ONE == a
+    assert fg(1, 0, 0) * 3 == fg(1, 0, 0, 3)
+    assert fg(1, 0, 2) * fg(0, 1, -3) == fg(1, 1, -1)
 
 
 def test_fgpoly_shape_predicates():
-    assert FGPoly.single(2, 0, 3).is_fg()
-    assert not FGPoly.single(2, 0, -1).is_fg()
-    assert not FGPoly.single(2, 1, 3).is_fg()
-    assert FGPoly.single(1, 1, -2).is_negative_tail(2)
-    assert not FGPoly.single(2, 1, -2).is_negative_tail(2)  # f-exponent too big
-    assert not FGPoly.single(1, 1, 0).is_negative_tail(2)   # g-power not negative
-    p = FGPoly({(2, 0, 0): 1, (0, 1, 5): 1})
-    assert p.max_f_exponent() == 2
-    assert p.shifted(1, 2, -1, 3).terms == {
+    assert is_fg(fg(2, 0, 3))
+    assert not is_fg(fg(2, 0, -1))
+    assert not is_fg(fg(2, 1, 3))
+    assert is_negative_tail(fg(1, 1, -2), 2)
+    assert not is_negative_tail(fg(2, 1, -2), 2)  # f-exponent too big
+    assert not is_negative_tail(fg(1, 1, 0), 2)   # g-power not negative
+    p = LaurentPoly(FG_VARS, {(2, 0, 0): 1, (0, 1, 5): 1})
+    assert max_f_exponent(p) == 2
+    assert (p * fg(1, 2, -1, 3)).terms == {
         (3, 2, -1): Fraction(3), (1, 3, 4): Fraction(3)
     }
 
 
 def test_fgpoly_sorted_and_str():
-    p = FGPoly({(0, 0, 1): Fraction(-1, 2), (2, 0, 0): 1})
+    p = LaurentPoly(FG_VARS, {(0, 0, 1): Fraction(-1, 2), (2, 0, 0): 1})
     keys = [k for k, _ in p.terms_sorted()]
     assert keys == sorted(keys, reverse=True)
     assert "g" in str(p) and "f^2" in str(p)
-    assert str(FGPoly.zero()) == "0"
+    assert str(LaurentPoly.zero(FG_VARS)) == "0"
 
 
 # -- rewriting against the annihilator -----------------------------------
@@ -143,13 +156,13 @@ def test_annihilator_in_fg_demo():
 
 def test_reduce_by_annihilator_demo():
     # f^2 -> rel + g^3
-    red = reduce_by_annihilator(FGPoly.single(2, 0, 0), DEMO_ANN)
+    red = reduce_by_annihilator(fg(2, 0, 0), DEMO_ANN)
     assert red.terms == {(0, 1, 0): Fraction(1), (0, 0, 3): Fraction(1)}
     # f^3 -> f*rel + f*g^3
-    red3 = reduce_by_annihilator(FGPoly.single(3, 0, 0), DEMO_ANN)
+    red3 = reduce_by_annihilator(fg(3, 0, 0), DEMO_ANN)
     assert red3.terms == {(1, 1, 0): Fraction(1), (1, 0, 3): Fraction(1)}
     # already reduced elements pass through
-    low = FGPoly({(1, 2, -1): Fraction(7)})
+    low = fg(1, 2, -1, 7)
     assert reduce_by_annihilator(low, DEMO_ANN) == low
 
 
@@ -158,9 +171,8 @@ def test_reduce_preserves_value():
     for _ in range(20):
         p = random_fgpoly(rng, hi=(4, 1, 2))
         red = reduce_by_annihilator(p, DEMO_ANN)
-        assert red.max_f_exponent() < DEMO_ANN.degree
-        lhs = fg_realize_oracle(p, DEMO_F, DEMO_G, DEMO_REL)
-        rhs = fg_realize_oracle(red, DEMO_F, DEMO_G, DEMO_REL)
+        assert max_f_exponent(red) < DEMO_ANN.degree
+        lhs, rhs = demo_oracle(p, red)
         assert lhs == rhs
 
 
@@ -178,17 +190,16 @@ def test_decompose_splits_value():
     for _ in range(15):
         p = random_fgpoly(rng)
         poly_part, tail = decompose(p, DEMO_ANN)
-        assert poly_part.is_fg()
-        assert tail.is_zero() or tail.is_negative_tail(DEMO_ANN.degree)
-        total = (fg_realize_oracle(poly_part, DEMO_F, DEMO_G, DEMO_REL)
-                 + fg_realize_oracle(tail, DEMO_F, DEMO_G, DEMO_REL))
-        assert total == fg_realize_oracle(p, DEMO_F, DEMO_G, DEMO_REL)
+        assert is_fg(poly_part)
+        assert tail.is_zero() or is_negative_tail(tail, DEMO_ANN.degree)
+        real_poly, real_tail, real_p = demo_oracle(poly_part, tail, p)
+        assert real_poly + real_tail == real_p
 
 
 def test_decompose_pure_pole():
-    poly_part, tail = decompose(FGPoly.single(0, 0, -2), DEMO_ANN)
+    poly_part, tail = decompose(fg(0, 0, -2), DEMO_ANN)
     assert poly_part.is_zero()
-    assert tail == FGPoly.single(0, 0, -2)
+    assert tail == fg(0, 0, -2)
 
 
 # -- realization -----------------------------------------------------------
@@ -196,25 +207,26 @@ def test_decompose_pure_pole():
 
 def test_realize_fg_guards():
     with pytest.raises(VariableMismatch):
-        realize_fg(FGPoly.single(0, 0, -1), DEMO_F, DEMO_G)
+        realize_fg(fg(0, 0, -1), DEMO_F, DEMO_G)
     with pytest.raises(VariableMismatch):
-        realize_fg(FGPoly.single(0, 1, 0), DEMO_F, DEMO_G)  # rel value missing
-    assert realize_fg(FGPoly.single(2, 0, 1), DEMO_F, DEMO_G) == DEMO_F ** 2 * DEMO_G
+        realize_fg(fg(0, 1, 0), DEMO_F, DEMO_G)  # rel value missing
+    assert realize_fg(fg(2, 0, 1), DEMO_F, DEMO_G) == DEMO_F ** 2 * DEMO_G
     # powers far beyond the recursion limit
-    assert realize_fg(FGPoly.single(3000, 0, 0), X1, X2) == X1 ** 3000
+    assert realize_fg(fg(3000, 0, 0), X1, X2) == X1 ** 3000
 
 
 def test_realize_matches_oracle():
+    """realize_fg of p * g^K, with K clearing the negative g-powers of p,
+    equals the substitution oracle."""
     rng = random.Random(77)
     for _ in range(25):
         p = random_fgpoly(rng)
-        assert realize(p, DEMO_F, DEMO_G, DEMO_REL) == fg_realize_oracle(
-            p, DEMO_F, DEMO_G, DEMO_REL
+        k = g_clearing(p)
+        assert realize_fg(p * fg(0, 0, k), DEMO_F, DEMO_G, DEMO_REL) == fg_realize_oracle(
+            p, DEMO_F, DEMO_G, DEMO_REL, k
         )
-    assert realize(FGPoly.single(1, 1, -2), DEMO_F, DEMO_G, DEMO_REL) == RatFunc(
-        DEMO_F * DEMO_REL, DEMO_G ** 2
-    )
-    assert realize(FGPoly.zero(), DEMO_F, DEMO_G, DEMO_REL).is_zero()
+    assert fg_realize_oracle(fg(1, 1, -2), DEMO_F, DEMO_G, DEMO_REL, 2) == DEMO_F * DEMO_REL
+    assert realize_fg(LaurentPoly.zero(FG_VARS), DEMO_F, DEMO_G, DEMO_REL).is_zero()
 
 
 # -- the tail-coefficient recursion ----------------------------------------
@@ -224,19 +236,17 @@ def test_tail_coefficients_frozen():
     rw = demo_resolved()
     tails = tail_coefficients(8, rw)
     expected = [
-        FGPoly.zero(),                                   # f_1
-        FGPoly.single(0, 0, 1, Fraction(-1, 2)),         # f_2
-        FGPoly.single(1, 0, 0, Fraction(1, 3)),          # f_3
-        FGPoly.single(0, 0, 2, Fraction(-1, 8)),         # f_4
-        FGPoly.single(1, 0, 1, Fraction(1, 30)),         # f_5
-        FGPoly({(2, 0, 0): Fraction(-2, 45),             # f_6
-                (0, 0, 3): Fraction(3, 80)}),
-        FGPoly.single(1, 0, 2, Fraction(1, 840)),        # f_7
-        FGPoly({(2, 0, 1): Fraction(11, 630),            # f_8
-                (0, 0, 4): Fraction(-79, 4480)}),
+        LaurentPoly.zero(FG_VARS),                       # f_1
+        fg(0, 0, 1, Fraction(-1, 2)),                    # f_2
+        fg(1, 0, 0, Fraction(1, 3)),                     # f_3
+        fg(0, 0, 2, Fraction(-1, 8)),                    # f_4
+        fg(1, 0, 1, Fraction(1, 30)),                    # f_5
+        fg(2, 0, 0, Fraction(-2, 45)) + fg(0, 0, 3, Fraction(3, 80)),      # f_6
+        fg(1, 0, 2, Fraction(1, 840)),                   # f_7
+        fg(2, 0, 1, Fraction(11, 630)) + fg(0, 0, 4, Fraction(-79, 4480)),  # f_8
     ]
     assert tails == expected
-    assert all(t.is_fg() for t in tails)
+    assert all(is_fg(t) for t in tails)
 
 
 def test_tail_coefficients_step_check_fires():
@@ -263,12 +273,15 @@ def test_tail_check_passes_on_the_bound_alone(monkeypatch):
 
 
 def exact_tail_order(tail, rw):
-    """x1-order of twist(rel^e * tail), through rational functions; None
-    for a zero value."""
-    value = realize(tail.shifted(0, rw.clearing, 0), rw.f_xz, rw.g_xz, rw.rel_xz)
-    if value.is_zero():
+    """x1-order of twist(rel^e * tail), with cleared denominators:
+    rel^e * tail = num / g^K, so the order is that of twist(num) less that
+    of twist(g^K).  None for a zero value."""
+    k = g_clearing(tail)
+    num = fg_realize_oracle(tail * fg(0, rw.clearing, 0), rw.f_xz, rw.g_xz, rw.rel_xz, k)
+    if num.is_zero():
         return None
-    return valuation(rw.twist.apply_rf(value), "x1")
+    return (rw.twist.apply(num).order_in("x1")
+            - rw.twist.apply(rw.g_xz ** k).order_in("x1"))
 
 
 def test_tail_order_bound_never_exceeds_exact_order():
@@ -279,13 +292,20 @@ def test_tail_order_bound_never_exceeds_exact_order():
             rw = random_pipeline_data(rng, n=n)
             for _ in range(15):
                 tail = random_fgpoly(rng, lo=(0, 0, -3), hi=(rw.d - 1, 2, -1))
-                assert tail.is_negative_tail(rw.d)
+                assert is_negative_tail(tail, rw.d)
                 exact = exact_tail_order(tail, rw)
                 if exact is None:
                     continue
                 assert _tail_order_bound(tail, rw) <= exact
                 checked += 1
     assert checked >= 100
+
+
+def at_ratio(i, tails):
+    """P_i(f/g) = sum_w f_(i-w) * (f/g)^w / w! (f_0 = 1) over FG_VARS."""
+    fs = [ONE] + list(tails)
+    return sum((fs[i - w] * fg(w, 0, -w, Fraction(1, math.factorial(w)))
+                for w in range(i + 1)), LaurentPoly.zero(FG_VARS))
 
 
 def test_tail_check_raises_exactly_on_negative_order():
@@ -301,7 +321,7 @@ def test_tail_check_raises_exactly_on_negative_order():
                 # the step-s remainder is the negative tail of P_s(f/g)
                 first_bad = None
                 for step in range(1, 5):
-                    _, neg = decompose(tail_at_ratio(step, tails, 0), rw.ann)
+                    _, neg = decompose(at_ratio(step, tails), rw.ann)
                     order = exact_tail_order(neg, trial) if neg else None
                     if order is not None and order < 0:
                         first_bad = step
@@ -314,19 +334,6 @@ def test_tail_check_raises_exactly_on_negative_order():
                         tail_coefficients(4, trial)
                 outcomes.add(first_bad is None)
     assert outcomes == {True, False}
-
-
-def test_tail_upoly_and_ratio():
-    rw = demo_resolved()
-    tails = tail_coefficients(3, rw)
-    assert tail_upoly(0, tails, rw.clearing) == [FGPoly.single(0, rw.clearing, 0)]
-    assert tail_at_ratio(0, tails, rw.clearing) == FGPoly.single(0, rw.clearing, 0)
-    coeffs = tail_upoly(3, tails, rw.clearing)
-    assert len(coeffs) == 4
-    assert coeffs[3] == FGPoly.single(0, rw.clearing, 0, Fraction(1, 6))
-    assert coeffs[0] == tails[2].shifted(0, rw.clearing, 0)
-    with pytest.raises(VariableMismatch):
-        tail_upoly(4, tails, rw.clearing)
 
 
 # -- the polynomial family ---------------------------------------------------
@@ -357,7 +364,7 @@ def test_witness_poly_detects_broken_tails():
     rw = demo_resolved()
     tails = tail_coefficients(4, rw)
     mut = list(tails)
-    mut[3] = FGPoly.single(0, 0, 2, Fraction(-1, 4))  # wrong coefficient
+    mut[3] = fg(0, 0, 2, Fraction(-1, 4))  # wrong coefficient
     with pytest.raises(ConstructionFailure) as err:
         witness_poly(4, rw, mut)
     assert "member l=4" in str(err.value)
@@ -369,7 +376,7 @@ def direct_member(l, tails, rw):
     z_img = rw.twist.image_of("z")
     q = LaurentPoly.zero(rw.twist.vars)
     for i in range(l + 1):
-        fj = tails[l - i - 1] if l - i >= 1 else FGPoly.one()
+        fj = tails[l - i - 1] if l - i >= 1 else ONE
         c = rw.twist.apply(rel_e * realize_fg(fj, rw.f_xz, rw.g_xz, rw.rel_xz))
         q = q + c * z_img ** i * Fraction(1, math.factorial(i))
     return q
@@ -389,7 +396,7 @@ def test_assembly_matches_direct_route():
         # the caches are keyed on tail content: a changed f_2 is not served
         # the blocks of the old one
         changed = list(tails)
-        changed[1] = changed[1] + FGPoly.single(1, 0, 1, Fraction(2, 3))
+        changed[1] = changed[1] + fg(1, 0, 1, Fraction(2, 3))
         for l in (2, 4):
             assert (_assemble_witness_poly(l, changed, rw, caches)
                     == direct_member(l, changed, rw))
@@ -398,10 +405,27 @@ def test_assembly_matches_direct_route():
 
 
 def test_taylor_shift_identity():
+    """q_l against the Taylor expansion around the shifted variable,
+
+        q_l = sum_i twist(rel^e * P_(l-i)(f/g)) / i! * (z - twist(f - g*h)/twist(g))^i,
+
+    with cleared denominators: rel^e * P_j(f/g) * g^j realizes to a
+    polynomial N_j, so multiplying by twist(g)^l leaves the polynomial
+    identity q_l * twist(g)^l = sum_i twist(N_(l-i)) * (z*twist(g) - twist(f - g*h))^i / i!."""
     rw = demo_resolved()
     tails = tail_coefficients(3, rw)
+    vz = rw.twist.vars
+    tg = rw.twist.apply(rw.g_xz)
+    w = LaurentPoly.variable(vz, "z") * tg - rw.twist.apply(rw.f_xz - rw.g_xz * rw.h_xz)
     for l in range(4):
-        assert taylor_shift_check(l, rw, tails)
+        lhs = witness_poly(l, rw, tails) * tg ** l
+        rhs = LaurentPoly.zero(vz)
+        for i in range(l + 1):
+            j = l - i
+            num = fg_realize_oracle(at_ratio(j, tails) * fg(0, rw.clearing, 0),
+                                    rw.f_xz, rw.g_xz, rw.rel_xz, j)
+            rhs = rhs + rw.twist.apply(num) * w ** i * Fraction(1, math.factorial(i))
+        assert lhs == rhs
 
 
 # -- certificates -------------------------------------------------------------
@@ -469,7 +493,7 @@ def whole_member_checks(cert):
     lines = []
     for entry in cert.entries:
         l, tag = entry.l, f"member-{entry.l}"
-        lines.append((f"{tag}-tails-in-fg", all(t.is_fg() for t in entry.tails),
+        lines.append((f"{tag}-tails-in-fg", all(is_fg(t) for t in entry.tails),
                       "tail coefficients lie in k[f, g]"))
         lines.append((f"{tag}-recomputed",
                       _assemble_witness_poly(l, entry.tails, rw, caches) == entry.q,
@@ -528,6 +552,7 @@ def test_member_checks_match_whole_member_route():
         "member 0 with a z term": edited(0, extra((0, 0, 1))),
         "top member coefficient": edited(4, bump(4)),
         "negative x1 exponent": edited(1, extra((-1, 0, 0))),
+        "extra x1-only term": edited(2, extra((1, 0, 0))),
     }
     seen = set()
     for name, tampered in cases.items():
@@ -535,9 +560,10 @@ def test_member_checks_match_whole_member_route():
                  if c.name.startswith("member-")]
         assert lines == whole_member_checks(tampered), name
         seen.update((n.split("-", 2)[2], ok) for n, ok, _ in lines)
-    # both outcomes of both rewritten checks occur
+    # both outcomes of the three rewritten checks occur
     assert {("leading", True), ("leading", False),
-            ("degree-drop", True), ("degree-drop", False)} <= seen
+            ("degree-drop", True), ("degree-drop", False),
+            ("axis-constant", True), ("axis-constant", False)} <= seen
     drop = verify_certificate(cases["extra z^(l+1) term"])
     assert drop["member-2-leading"].ok and not drop["member-2-degree-drop"].ok
 
@@ -580,7 +606,7 @@ def test_verifier_catches_a_wrong_cached_power(monkeypatch):
 def test_verify_reports_an_unrealizable_tail():
     cert = build_certificate(demo_pack(), l_max=3)
     entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
-    entries[3].tails[2] = FGPoly.single(0, 0, -1)     # the last tail only
+    entries[3].tails[2] = fg(0, 0, -1)                # the last tail only
     rep = verify_certificate(replace(cert, entries=entries, report=None))
     assert rep["tails-prefix-consistency"].ok
     assert rep["member-2-recomputed"].ok
@@ -682,7 +708,7 @@ def test_verify_certificate_flags_missing_entry():
 def test_verify_certificate_flags_inconsistent_tails():
     cert = build_certificate(demo_pack(), l_max=3)
     entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
-    entries[3].tails[0] = FGPoly.single(1, 0, 0)  # breaks the shared prefix
+    entries[3].tails[0] = fg(1, 0, 0)             # breaks the shared prefix
     tampered = Certificate(pack=cert.pack, rel=cert.rel, d=cert.d,
                            clearing=cert.clearing, entries=entries)
     rep = verify_certificate(tampered)

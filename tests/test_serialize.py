@@ -3,12 +3,12 @@ strict validation errors on malformed input."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from h14cert import (
-    FGPoly,
     FormatError,
     LaurentPoly,
     PermGroupSpec,
@@ -24,7 +24,6 @@ from h14cert import (
     frac_from_str,
     frac_to_str,
     group_from_json,
-    group_to_json,
     invariant_witness_pack,
     load_json_file,
     pack_from_json,
@@ -41,6 +40,7 @@ from h14cert import (
     x_vars,
     xz_vars,
 )
+from h14cert.family import FG_VARS
 from h14cert.witness import resolve_pack_fields
 from genutil import random_poly
 
@@ -60,6 +60,27 @@ def test_fraction_strings():
     for bad in ("abc", "1/0", "1.5", "1/-2", "\u0663/\u0664", None, 2.5):
         with pytest.raises(FormatError):
             frac_from_str(bad)
+
+
+def test_fraction_digit_limit():
+    """4300 digits in a numerator or denominator load; 4301 are an input
+    error, checked before int() and so whatever the interpreter's own
+    limit on int-string conversion is set to."""
+    nines = "9" * 4300
+    assert frac_from_str("1/" + nines) == Fraction(1, int(nines))
+    assert frac_from_str("-" + nines) == -int(nines)
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    old = sys.get_int_max_str_digits() if set_limit else None
+    try:
+        for limit in ((old, 0) if set_limit else (None,)):
+            if set_limit:
+                set_limit(limit)
+            for bad in ("1/9" + nines, "-9" + nines, "9" + nines + "/1"):
+                with pytest.raises(FormatError, match="more than 4300 digits"):
+                    frac_from_str(bad)
+    finally:
+        if set_limit:
+            set_limit(old)
 
 
 def test_poly_roundtrip_random():
@@ -127,14 +148,16 @@ def test_unipoly_roundtrip():
 
 
 def test_fgpoly_roundtrip():
-    p = FGPoly({(2, 1, -3): Fraction(5, 7), (0, 0, 1): Fraction(-1)})
+    p = LaurentPoly(FG_VARS, {(2, 1, -3): Fraction(5, 7), (0, 0, 1): Fraction(-1)})
     obj = fgpoly_to_json(p)
     assert fgpoly_from_json(obj) == p
     assert [t["e"] for t in obj["terms"]] == [[2, 1, -3], [0, 0, 1]]
     with pytest.raises(FormatError):
         fgpoly_from_json({"terms": [{"e": [1, 0], "c": "1"}]})
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="negative exponent on non-Laurent variable 'f'"):
         fgpoly_from_json({"terms": [{"e": [-1, 0, 0], "c": "1"}]})
+    with pytest.raises(FormatError, match="negative exponent on non-Laurent variable 'rel'"):
+        fgpoly_from_json({"terms": [{"e": [0, -1, 0], "c": "1"}]})
 
 
 def test_pack_roundtrip_wire_keys():
@@ -205,7 +228,7 @@ def test_certificate_wire_keys():
 
 def test_group_roundtrip():
     grp = PermGroupSpec(3, ((2, 3, 1), (2, 1, 3)))
-    assert group_from_json(group_to_json(grp)) == grp
+    assert group_from_json({"n": 3, "generators": [[2, 3, 1], [2, 1, 3]]}) == grp
     with pytest.raises(FormatError):
         group_from_json({"n": 3, "generators": [[1, 1, 2]]})
 
