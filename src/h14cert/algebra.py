@@ -184,7 +184,7 @@ class LaurentPoly:
 
     def terms_sorted(self) -> list[tuple[Expo, Fraction]]:
         """Terms in the canonical order: lexicographically descending."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

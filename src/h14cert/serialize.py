@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -77,9 +78,36 @@ def _all_ints(values) -> bool:
 
 
 def _terms_from_json(items: list, width: int, shape: str, where: str) -> dict:
-    """{exponent tuple: Fraction} from a JSON term list.  A well-formed
-    term costs one type test; `_get` runs only to word a bad term's error,
-    so the messages and their order are those of a field-by-field check."""
+    """{exponent tuple: Fraction} from a JSON term list, checked as a
+    whole: each distinct coefficient is parsed once, and duplicates show
+    as a shorter dict.  Any irregularity reruns `_terms_by_item`, which
+    raises the first error in term order."""
+    if not items:
+        return {}
+    try:
+        es = [item["e"] for item in items]
+        cs = [item["c"] for item in items]
+    except (KeyError, TypeError):
+        return _terms_by_item(items, width, shape, where)
+    # str and int never compare equal, so each coefficient keys its own
+    # parse; a bool or float would share a key with an int
+    if (set(map(type, es)) == {list} and set(map(len, es)) == {width}
+            and set(map(type, chain.from_iterable(es))) <= {int}
+            and set(map(type, cs)) <= {str, int}):
+        try:
+            parsed = {c: frac_from_str(c) for c in set(cs)}
+        except FormatError:
+            pass
+        else:
+            terms = dict(zip(map(tuple, es), map(parsed.__getitem__, cs)))
+            if len(terms) == len(items):
+                return terms
+    return _terms_by_item(items, width, shape, where)
+
+
+def _terms_by_item(items: list, width: int, shape: str, where: str) -> dict:
+    """The term-by-term reading of `_terms_from_json`: the messages and
+    their order are those of a field-by-field check."""
     ints = (int,) * width
     terms = {}
     for i, item in enumerate(items):
@@ -104,7 +132,8 @@ def poly_to_json(p: LaurentPoly) -> dict:
         "vars": list(p.vars.names),
         "laurent": [n for n, flag in zip(p.vars.names, p.vars.laurent) if flag],
         "terms": [
-            {"e": list(e), "c": frac_to_str(c)} for e, c in p.terms_sorted()
+            # str(Fraction) is the "num" or "num/den" of frac_to_str
+            {"e": list(e), "c": str(c)} for e, c in p.terms_sorted()
         ],
     }
 
@@ -145,7 +174,7 @@ def fgpoly_to_json(p: LaurentPoly) -> dict:
     """A tail over FG_VARS: its terms only, the variables being implied."""
     return {
         "terms": [
-            {"e": list(e), "c": frac_to_str(c)} for e, c in p.terms_sorted()
+            {"e": list(e), "c": str(c)} for e, c in p.terms_sorted()
         ]
     }
 
@@ -326,6 +355,8 @@ def _write(o: Any, nl: str, out) -> None:
         if all(type(v) is int for v in o):
             out("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
             return
+        if _write_terms(o, nl, out):
+            return
         sep = "[" + inner
         for v in o:
             out(sep)
@@ -349,13 +380,39 @@ def _write(o: Any, nl: str, out) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _write_terms(o: list, nl: str, out) -> bool:
+    """Write a term list, every item `{"e": [int, ...], "c": str}` with
+    those keys in that order and `e` not empty, from one item template;
+    False, with nothing written, for any other list."""
+    if set(map(type, o)) != {dict} or set(map(tuple, o)) != {("e", "c")}:
+        return False
+    es = [v["e"] for v in o]
+    cs = [v["c"] for v in o]
+    if (set(map(type, es)) != {list} or not all(es)
+            or set(map(type, chain.from_iterable(es))) != {int}
+            or set(map(type, cs)) != {str}):
+        return False
+    inner = nl + "  "
+    inner2 = inner + "  "
+    inner3 = inner2 + "  "
+    head = "{" + inner2 + '"e": [' + inner3
+    esep = "," + inner3
+    mid = inner2 + "]," + inner2 + '"c": '
+    tail = inner + "}"
+    out("[" + inner + ("," + inner).join([
+        head + esep.join(map(int.__repr__, e)) + mid + _encode_str(c) + tail
+        for e, c in zip(es, cs)
+    ]) + nl + "]")
+    return True
+
+
 def load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, bad UTF-8, over-long integers
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 

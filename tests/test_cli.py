@@ -117,6 +117,35 @@ def test_witness_check_coefficient_digit_limit(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_over_long_json_integers_exit_3(tmp_path, capsys):
+    """A JSON integer of 4301 digits, which json.load refuses with a plain
+    ValueError, is an input error (exit 3): a pack's "n" under `witness
+    check` and a member's exponent under `cert verify`."""
+    pack = write_demo_pack(tmp_path / "pack.json")
+    cert = tmp_path / "cert.json"
+    assert main(["cert", "build", str(pack), "--lmax", "1", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    placeholder = 987654321
+
+    def put_long_int(path, keys):
+        obj = load_json_file(str(path))
+        inner = obj
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = placeholder
+        write_json_file(str(path), obj)
+        path.write_text(path.read_text().replace(str(placeholder), "9" * 4301))
+
+    put_long_int(pack, ["n"])
+    put_long_int(cert, ["entries", 1, "q", "terms", 0, "e", 0])
+    for argv in (["witness", "check", str(pack)], ["cert", "verify", str(cert)]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert "is not valid JSON: Exceeds the limit (4300" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
 def test_cert_build_then_verify(tmp_path, capsys):
     pack = write_demo_pack(tmp_path / "pack.json")
     out = tmp_path / "cert.json"

@@ -40,6 +40,7 @@ from h14cert import (
     x_vars,
     xz_vars,
 )
+from h14cert import serialize
 from h14cert.family import FG_VARS
 from h14cert.witness import resolve_pack_fields
 from genutil import random_poly
@@ -133,6 +134,95 @@ def test_poly_from_json_rejects_malformed():
         with pytest.raises(FormatError) as err:
             poly_from_json(broken)
         assert str(err.value) == message
+
+
+COEFFS = ["1", "-1", "3/4", "-5/7", "2", "1/3", "12345678901234567890123/7"]
+
+
+def random_term_list(rng, width):
+    """JSON-shaped terms over a few coefficient strings, so that most
+    strings repeat."""
+    n = min(rng.randrange(1, 10), 5 ** width)
+    exps = set()
+    while len(exps) < n:
+        exps.add(tuple(rng.randrange(-2, 3) for _ in range(width)))
+    return [{"e": list(e), "c": rng.choice(COEFFS)} for e in exps]
+
+
+def term_mutations(rng, items):
+    """Copies of `items` with one irregularity each, some of them still
+    valid input."""
+    n = len(items)
+    fresh = lambda: [{"e": list(t["e"]), "c": t["c"]} for t in items]
+    def at(i, **fields):
+        out = fresh()
+        out[i].update(fields)
+        return out
+    i, j = rng.randrange(n), rng.randrange(n)
+    e = items[i]["e"]
+    yield at(i, e=e[:-1] + [True])                   # a bool in e
+    yield at(i, e=e[:-1] + [float(e[-1])])           # a float in e
+    yield at(i, e=e + [0])                           # wrong width
+    yield at(i, e=e[:-1])
+    yield at(i, e="".join(map(str, e)))              # e not a list
+    yield at(i, e={"0": 1})
+    out = fresh(); out[i] = rng.choice([5, "x", [e, "1"], None]); yield out
+    out = fresh(); del out[i]["c"]; yield out         # a missing c
+    out = fresh(); del out[i]["e"]; yield out
+    yield at(i, c=rng.randrange(-3, 4))              # an int c: valid
+    yield at(i, c=True)                              # a bool c
+    out = at(i, c=1); out[j]["c"] = True; yield out  # ... beside an int 1
+    yield at(i, c=1.0)
+    out = at(i, c="1/2"); out[j]["c"] = "2/4"; yield out  # valid
+    yield at(i, c=rng.choice(["x", "1/0", "1.5", "1/-2", "", "\u0663"]))
+    yield at(i, c="0")                               # valid: kept as 0
+    if n >= 3:                                       # a duplicate exponent
+        out = fresh()                                # before a bad rational
+        out[1]["e"] = list(out[0]["e"])
+        out[2]["c"] = "x"
+        yield out
+        out = fresh(); out[2]["e"] = list(out[0]["e"]); yield out
+
+
+def read_terms(reader, items, width):
+    try:
+        return reader(items, width, f"expected {width} integers", "poly")
+    except FormatError as exc:
+        return exc
+
+
+def test_batch_term_reader_matches_term_by_term(monkeypatch):
+    """The batch reader returns the term-by-term reading or its exact
+    error, and hands to the term-by-term loop only input that raises."""
+    reference = serialize._terms_by_item
+    handed = []
+    def spy(*args):
+        handed.append(args)
+        return reference(*args)
+    monkeypatch.setattr(serialize, "_terms_by_item", spy)
+    rng = random.Random(31)
+    valid_mutants = 0
+    for trial in range(300):
+        width = rng.randrange(1, 4)
+        items = random_term_list(rng, width)
+        for k, case in enumerate([items, *term_mutations(rng, items)]):
+            handed.clear()
+            want = read_terms(reference, case, width)
+            got = read_terms(serialize._terms_from_json, case, width)
+            if isinstance(want, FormatError):
+                assert isinstance(got, FormatError), case
+                assert str(got) == str(want), case
+            else:
+                assert got == want and list(got) == list(want), case
+                assert all(type(c) is Fraction for c in got.values())
+                assert not handed, case
+                valid_mutants += k > 0
+            if handed:
+                assert isinstance(got, FormatError), case
+    assert valid_mutants > 300
+    handed.clear()
+    assert read_terms(serialize._terms_from_json, [], 2) == {}
+    assert not handed
 
 
 def test_unipoly_roundtrip():
