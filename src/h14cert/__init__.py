@@ -11,15 +11,12 @@ certificate.  Everything is exact rational arithmetic.
 
 from .algebra import (
     LaurentPoly,
-    UniPoly,
     VarSet,
     determinant_fraction_free,
-    from_univar,
     plain_vars,
     qq,
     resultant,
     sylvester_matrix,
-    to_univar,
     x_vars,
     xz_vars,
 )

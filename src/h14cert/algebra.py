@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from operator import add, sub
+from typing import Mapping, Sequence
 
 from .errors import (
     NotDivisible,
@@ -426,144 +426,74 @@ class LaurentPoly:
         return f"<LaurentPoly {self}>"
 
 
-def to_univar(p: LaurentPoly, name: str) -> dict[int, Fraction]:
-    """View a polynomial involving only `name` as {exponent: coefficient}."""
-    i = p.vars.index(name)
-    out: dict[int, Fraction] = {}
-    for e, c in p.terms.items():
-        if any(k != 0 for pos, k in enumerate(e) if pos != i):
-            raise VariableMismatch(
-                f"{p} involves a variable other than {name!r}"
-            )
-        out[e[i]] = c
-    return out
-
-
-def from_univar(vars: VarSet, name: str, coeffs: Mapping[int, Fraction]) -> LaurentPoly:
-    i = vars.index(name)
-    width = len(vars)
-    terms = {}
-    for k, c in coeffs.items():
-        e = [0] * width
-        e[i] = k
-        terms[tuple(e)] = c
-    return LaurentPoly(vars, terms)
-
-
-class UniPoly:
-    """Dense univariate polynomial in an abstract variable, with LaurentPoly
-    coefficients (index i holds the coefficient of the i-th power)."""
-
-    __slots__ = ("vars", "coeffs")
-
-    def __init__(self, vars: VarSet, coeffs: Iterable[LaurentPoly] = ()):
-        cs = list(coeffs)
-        for c in cs:
-            if c.vars != vars:
-                raise VariableMismatch("coefficient over the wrong variable set")
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def zero(cls, vars: VarSet) -> "UniPoly":
-        return cls(vars, ())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ZeroInput("degree of the zero polynomial")
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> LaurentPoly:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return LaurentPoly.zero(self.vars)
-
-    def leading(self) -> LaurentPoly:
-        if not self.coeffs:
-            raise ZeroInput("leading coefficient of the zero polynomial")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.leading() == LaurentPoly.one(self.vars)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def eval_poly(self, value: LaurentPoly, coeff_images: Mapping[str, LaurentPoly] | None = None) -> LaurentPoly:
-        """Horner evaluation at a LaurentPoly value, optionally substituting
-        the coefficients' own variables first."""
-        acc = LaurentPoly.zero(value.vars)
-        for c in reversed(self.coeffs):
-            cc = c.subst(coeff_images) if coeff_images is not None else c
-            acc = acc * value + cc
-        return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c})*T^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero())
-
-    def __repr__(self) -> str:
-        return f"<UniPoly {self}>"
-
-
 def _exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division of multivariate polynomials by leading-term elimination
     (lexicographically largest term).  Raises NotDivisible when the quotient
-    would leave the ring."""
+    would leave the ring.
+
+    Monomials in the Laurent-flagged variables are units, so both operands
+    are first divided by their lowest power of each such variable; the
+    quotient of the two results is then a polynomial in every variable, and
+    the elimination runs over the well-ordered exponents of a polynomial
+    ring, which makes it terminate."""
     if b.is_zero():
         raise ZeroInput("division by the zero polynomial")
     if b.is_constant():
         return a / b.constant_term()
     if a.is_zero():
         return a
-    lead_b = max(b.terms)
-    cb = b.terms[lead_b]
-    rem = dict(a.terms)
+    flags = list(enumerate(a.vars.laurent))
+    low_a = [min(e[i] for e in a.terms) if flag else 0 for i, flag in flags]
+    low_b = [min(e[i] for e in b.terms) if flag else 0 for i, flag in flags]
+    b_terms = {tuple(map(sub, e, low_b)): c for e, c in b.terms.items()}
+    lead_b = max(b_terms)
+    cb = b_terms[lead_b]
+    rem = {tuple(map(sub, e, low_a)): c for e, c in a.terms.items()}
     quot: dict[Expo, Fraction] = {}
     while rem:
         lead_r = max(rem)
-        qe = tuple(i - j for i, j in zip(lead_r, lead_b))
-        for pos, k in enumerate(qe):
-            if k < 0 and not a.vars.laurent[pos]:
-                raise NotDivisible(f"{b} does not divide {a}")
+        qe = tuple(map(sub, lead_r, lead_b))
+        if min(qe) < 0:
+            raise NotDivisible(f"{b} does not divide {a}")
         qc = rem[lead_r] / cb
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        for e, c in b.terms.items():
-            ne = tuple(i + j for i, j in zip(qe, e))
+        quot[qe] = qc
+        for e, c in b_terms.items():
+            ne = tuple(map(add, qe, e))
             s = rem.get(ne, Fraction(0)) - qc * c
             if s == 0:
                 rem.pop(ne, None)
             else:
                 rem[ne] = s
-    return LaurentPoly(a.vars, quot)
+    shift = tuple(map(sub, low_a, low_b))
+    return LaurentPoly(a.vars, {tuple(map(add, e, shift)): c for e, c in quot.items()},
+                       _clean=False)
 
 
-def sylvester_matrix(a: UniPoly, b: UniPoly) -> list[list[LaurentPoly]]:
-    """The (deg a + deg b)-square Sylvester matrix, coefficients descending."""
+def coeffs_in(p: LaurentPoly, name: str) -> list[LaurentPoly]:
+    """The coefficients of p as a polynomial in `name`, lowest power first;
+    each lies on p's VarSet with the exponent of `name` set to 0."""
+    i = p.vars.index(name)
+    parts: list[dict[Expo, Fraction]] = [{} for _ in range(p.degree_in(name) + 1)]
+    for e, c in p.terms.items():
+        if e[i] < 0:
+            raise VariableMismatch(f"{p} has a negative power of {name!r}")
+        parts[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+    return [LaurentPoly(p.vars, t, _clean=False) for t in parts]
+
+
+def sylvester_matrix(a: LaurentPoly, b: LaurentPoly, name: str) -> list[list[LaurentPoly]]:
+    """The (deg a + deg b)-square Sylvester matrix of a and b as polynomials
+    in `name`, coefficients descending."""
     if a.is_zero() or b.is_zero():
         raise ZeroInput("Sylvester matrix of a zero polynomial")
-    m, n = a.degree, b.degree
+    a_desc = coeffs_in(a, name)[::-1]
+    b_desc = coeffs_in(b, name)[::-1]
+    m, n = len(a_desc) - 1, len(b_desc) - 1
     if m == 0 or n == 0:
         raise ZeroInput("Sylvester matrix needs two positive-degree inputs")
     size = m + n
     zero = LaurentPoly.zero(a.vars)
     rows = []
-    a_desc = [a.coeff(m - i) for i in range(m + 1)]
-    b_desc = [b.coeff(n - i) for i in range(n + 1)]
     for i in range(n):
         rows.append([zero] * i + a_desc + [zero] * (size - m - 1 - i))
     for i in range(m):
@@ -599,8 +529,9 @@ def determinant_fraction_free(matrix: list[list[LaurentPoly]], vars: VarSet) -> 
     return det if sign == 1 else -det
 
 
-def resultant(a: UniPoly, b: UniPoly) -> LaurentPoly:
-    """Resultant of two univariate polynomials over a common coefficient ring.
+def resultant(a: LaurentPoly, b: LaurentPoly, name: str) -> LaurentPoly:
+    """Resultant of a and b as polynomials in the variable `name`: a
+    polynomial on their common VarSet in which `name` does not occur.
 
     Degenerate degrees follow the usual conventions: res(a0, b) = a0^deg(b),
     res(a, b0) = b0^deg(a), and res of two constants is 1.
@@ -609,11 +540,11 @@ def resultant(a: UniPoly, b: UniPoly) -> LaurentPoly:
         raise ZeroInput("resultant of a zero polynomial")
     if a.vars != b.vars:
         raise VariableMismatch("resultant operands over different variable sets")
-    m, n = a.degree, b.degree
+    m, n = a.degree_in(name), b.degree_in(name)
     if m == 0 and n == 0:
         return LaurentPoly.one(a.vars)
     if m == 0:
-        return a.coeff(0) ** n
+        return a ** n
     if n == 0:
-        return b.coeff(0) ** m
-    return determinant_fraction_free(sylvester_matrix(a, b), a.vars)
+        return b ** m
+    return determinant_fraction_free(sylvester_matrix(a, b, name), a.vars)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .algebra import LaurentPoly, UniPoly, VarSet, to_univar
+from .algebra import LaurentPoly, VarSet
 from .errors import (
     AlgebraError,
     ConstructionFailure,
@@ -40,6 +40,7 @@ from .witness import (
     DEFAULT_SEMIGROUP_BOUND,
     Resolved,
     WitnessPack,
+    monic_degree,
     resolve_pack_fields,
     validate_pack,
 )
@@ -58,29 +59,25 @@ def is_fg(p: LaurentPoly) -> bool:
 # rewriting against the annihilator
 
 
-def _ann_rules(ann: UniPoly) -> tuple[int, list[tuple[int, int, Fraction]]]:
+def _ann_rules(ann: LaurentPoly) -> tuple[int, list[tuple[int, int, Fraction]]]:
     """Degree d plus the replacement data for f^d = rel - sum c_s(g) f^s,
     flattened to (s, g-power, coefficient) triples."""
-    if ann.is_zero() or not ann.is_monic():
+    d = monic_degree(ann)
+    if d is None:
         raise VariableMismatch("annihilator must be monic")
-    d = ann.degree
     if d < 1:
         raise VariableMismatch("annihilator must have positive degree")
-    rules = []
-    for s in range(d):
-        for u, gamma in to_univar(ann.coeff(s), "G").items():
-            rules.append((s, u, gamma))
-    return d, rules
+    return d, [(s, u, gamma) for (s, u), gamma in ann.terms.items() if s < d]
 
 
-def annihilator_in_fg(ann: UniPoly) -> LaurentPoly:
+def annihilator_in_fg(ann: LaurentPoly) -> LaurentPoly:
     """The relation element written out in k[f, g]: Ann evaluated at f."""
     d, rules = _ann_rules(ann)
     terms = [((d, 0, 0), 1)] + [((s, 0, u), gamma) for s, u, gamma in rules]
     return LaurentPoly(FG_VARS, terms)
 
 
-def reduce_by_annihilator(p: LaurentPoly, ann: UniPoly) -> LaurentPoly:
+def reduce_by_annihilator(p: LaurentPoly, ann: LaurentPoly) -> LaurentPoly:
     """Rewrite until every f-exponent is below the annihilator degree.
 
     Each application of the rule trades f^d for one rel-power plus strictly
@@ -108,7 +105,7 @@ def reduce_by_annihilator(p: LaurentPoly, ann: UniPoly) -> LaurentPoly:
     return LaurentPoly(FG_VARS, terms, _clean=False)
 
 
-def decompose(p: LaurentPoly, ann: UniPoly) -> tuple[LaurentPoly, LaurentPoly]:
+def decompose(p: LaurentPoly, ann: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Split p into (polynomial part, negative tail): the first lies in
     k[f, g] with all rel-powers expanded back out, the second is reduced
     with strictly negative g-powers.  Their sum equals p in the localized

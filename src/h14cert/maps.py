@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import (
-    Expo,
-    LaurentPoly,
-    VarSet,
-    from_univar,
-    to_univar,
-    xz_vars,
-)
+from .algebra import Expo, LaurentPoly, VarSet, xz_vars
 from .errors import VariableMismatch, ZeroInput
 
 
@@ -139,12 +132,13 @@ def inversion_map(weights: Sequence[int], shift: LaurentPoly) -> RingMap:
     """
     n = len(weights) + 1
     vars = xz_vars(n)
-    coeffs = to_univar(shift, "x1")
-    if any(k < 0 for k in coeffs):
+    x1 = shift.vars.index("x1")
+    if any(k and (pos != x1 or k < 0) for e in shift.terms for pos, k in enumerate(e)):
         raise VariableMismatch("shift polynomial must lie in k[x1]")
     rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
     rows[0][0] = -1
     for i, w in enumerate(weights, start=1):
         rows[i][0] = int(w)
-    at_inv = from_univar(vars, "x1", {-k: c for k, c in coeffs.items()})
+    at_inv = LaurentPoly(vars, {(-e[x1],) + (0,) * n: c for e, c in shift.terms.items()},
+                         _clean=False)
     return RingMap(vars, rows, at_inv)

@@ -15,12 +15,12 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
-from .algebra import LaurentPoly, UniPoly, VarSet
+from .algebra import LaurentPoly, VarSet, coeffs_in
 from .constructions import PermGroupSpec
 from .errors import FormatError, VariableMismatch
 from .family import FG_VARS, CertEntry, Certificate
 from .report import Check, Report
-from .witness import G_VARS, WitnessPack
+from .witness import ANN_VARS, WitnessPack
 
 
 def frac_to_str(c: Fraction) -> str:
@@ -138,6 +138,22 @@ def poly_to_json(p: LaurentPoly) -> dict:
     }
 
 
+def _poly_from_terms(vars: VarSet, terms: dict, where: str) -> LaurentPoly:
+    """The polynomial of a term map read by `_terms_from_json`, zero
+    coefficients dropped.  A negative exponent on a variable that is not
+    Laurent fails on the first such term in JSON order."""
+    if not all(terms.values()):
+        terms = {e: c for e, c in terms.items() if c}
+    strict = [pos for pos, flag in enumerate(vars.laurent) if not flag]
+    if terms and strict:
+        cols = list(zip(*terms))
+        if min(min(cols[pos]) for pos in strict) < 0:
+            e = next(e for e in terms if min(e[pos] for pos in strict) < 0)
+            name = next(vars.names[pos] for pos in strict if e[pos] < 0)
+            raise FormatError(f"{where}: negative exponent on non-Laurent variable {name!r}")
+    return LaurentPoly(vars, terms, _clean=False)
+
+
 def poly_from_json(obj: Any, where: str = "poly") -> LaurentPoly:
     names = _get(obj, "vars", list, where)
     _require(all(isinstance(n, str) for n in names), f"{where}.vars: names must be strings")
@@ -150,24 +166,32 @@ def poly_from_json(obj: Any, where: str = "poly") -> LaurentPoly:
         raise FormatError(f"{where}: {exc}") from None
     terms = _terms_from_json(_get(obj, "terms", list, where), len(names),
                              f"expected {len(names)} integers", where)
-    try:
-        return LaurentPoly(vars, terms)
-    except VariableMismatch as exc:
-        raise FormatError(f"{where}: {exc}") from None
+    return _poly_from_terms(vars, terms, where)
 
 
-def unipoly_to_json(P: UniPoly) -> list:
-    return [poly_to_json(c) for c in P.coeffs]
+def unipoly_to_json(P: LaurentPoly) -> list:
+    """Pi, whose first variable is T, as the list of its T-coefficients,
+    each over the remaining variables."""
+    cvars = VarSet(P.vars.names[1:], P.vars.laurent[1:])
+    return [poly_to_json(c.with_vars(cvars)) for c in coeffs_in(P, "T")] if P else []
 
 
-def unipoly_from_json(obj: Any, where: str = "unipoly") -> UniPoly:
+def unipoly_from_json(obj: Any, where: str = "unipoly") -> LaurentPoly:
+    """Pi from the list of its T-coefficients: a polynomial over T followed
+    by the coefficients' variables."""
     _require(isinstance(obj, list), f"{where}: expected a list of coefficients")
     coeffs = [poly_from_json(c, f"{where}[{i}]") for i, c in enumerate(obj)]
-    vars = coeffs[0].vars if coeffs else G_VARS
+    if not coeffs:
+        return LaurentPoly.zero(ANN_VARS)
+    cvars = coeffs[0].vars
+    _require(all(c.vars == cvars for c in coeffs),
+             f"{where}: coefficient over the wrong variable set")
     try:
-        return UniPoly(vars, coeffs)
+        vars = VarSet(("T",) + cvars.names, (False,) + cvars.laurent)
     except VariableMismatch as exc:
         raise FormatError(f"{where}: {exc}") from None
+    return LaurentPoly(vars, {(s,) + e: c for s, coeff in enumerate(coeffs)
+                              for e, c in coeff.terms.items()}, _clean=False)
 
 
 def fgpoly_to_json(p: LaurentPoly) -> dict:
@@ -182,10 +206,7 @@ def fgpoly_to_json(p: LaurentPoly) -> dict:
 def fgpoly_from_json(obj: Any, where: str = "fgpoly") -> LaurentPoly:
     terms = _terms_from_json(_get(obj, "terms", list, where), 3,
                              "expected three integers", where)
-    try:
-        return LaurentPoly(FG_VARS, terms)
-    except VariableMismatch as exc:
-        raise FormatError(f"{where}: {exc}") from None
+    return _poly_from_terms(FG_VARS, terms, where)
 
 
 # -- witness packs and certificates -------------------------------------------

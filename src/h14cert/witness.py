@@ -16,21 +16,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (
-    LaurentPoly,
-    UniPoly,
-    from_univar,
-    plain_vars,
-    resultant,
-    to_univar,
-    x_vars,
-)
-from .errors import VariableMismatch, WitnessInvalid
+from .algebra import LaurentPoly, _exact_div, plain_vars, resultant, x_vars
+from .errors import NotDivisible, VariableMismatch, WitnessInvalid
 from .maps import RingMap, axis_map, inversion_map
 from .report import Report
 
-#: abstract coefficient variable for annihilator polynomials
-G_VARS = plain_vars("G")
+#: the annihilator's variables: T, and G for the coefficients in k[G]
+ANN_VARS = plain_vars("T", "G")
 
 DEFAULT_SEMIGROUP_BOUND = 12
 DEFAULT_MEMBER_BOUND = 12
@@ -45,7 +37,7 @@ class WitnessPack:
     f: LaurentPoly
     g: LaurentPoly
     h: LaurentPoly | None = None
-    ann: UniPoly | None = None
+    ann: LaurentPoly | None = None
     weights: tuple[int, ...] | None = None
     clearing: int | None = None
     f_expr: LaurentPoly | None = None
@@ -60,7 +52,7 @@ class Resolved:
     f: LaurentPoly
     g: LaurentPoly
     h: LaurentPoly
-    ann: UniPoly
+    ann: LaurentPoly
     rel: LaurentPoly
     d: int
     weights: tuple[int, ...]
@@ -85,82 +77,58 @@ class Resolved:
 
 def axis_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """The unique h in k[x1] with eps(f) = eps(g) * h, where eps collapses
-    every variable except x1.  Rejects the pair when eps(g) = 0 or the
-    division leaves k[x1]."""
-    ef = to_univar(axis_map(f), "x1")
-    eg = to_univar(axis_map(g), "x1")
-    if not eg:
+    every variable except x1.  Rejects the pair when eps(g) = 0, an axis
+    image has a negative power of x1, or the division leaves k[x1]."""
+    ef, eg = axis_map(f), axis_map(g)
+    if eg.is_zero():
         raise WitnessInvalid("axis image of g is zero")
-    quot: dict[int, Fraction] = {}
-    dg = max(eg)
-    lead = eg[dg]
-    work = dict(ef)
-    while work:
-        top = max(work)
-        if top < dg:
-            raise WitnessInvalid("axis image of g does not divide that of f")
-        c = work[top] / lead
-        quot[top - dg] = c
-        for k, v in eg.items():
-            pos = top - dg + k
-            s = work.get(pos, Fraction(0)) - c * v
-            if s == 0:
-                work.pop(pos, None)
-            else:
-                work[pos] = s
-    if any(k < 0 for k in quot):
+    if not (ef.is_polynomial() and eg.is_polynomial()):
         raise WitnessInvalid("axis quotient has a pole at x1 = 0")
-    return from_univar(f.vars, "x1", quot)
+    plain = plain_vars(*f.vars.names)
+    try:
+        h = _exact_div(ef.with_vars(plain), eg.with_vars(plain))
+    except NotDivisible:
+        raise WitnessInvalid("axis image of g does not divide that of f") from None
+    return h.with_vars(f.vars)
 
 
-def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> UniPoly:
-    """The monic polynomial Ann over k[G] of degree deg(eps(g)) with
-    Ann(eps(f)) = 0 after G -> eps(g); computed as a resultant that
-    eliminates x1.  Requires eps(g) to be nonconstant."""
-    ef = to_univar(axis_map(f), "x1")
-    eg = to_univar(axis_map(g), "x1")
-    if not eg or max(eg) < 1:
+def monic_degree(ann: LaurentPoly) -> int | None:
+    """The T-degree d of an annihilator over ANN_VARS whose T^d coefficient
+    is 1, or None when it is not of that shape."""
+    if ann.vars != ANN_VARS or ann.is_zero():
+        return None
+    d = ann.degree_in("T")
+    top = [e for e in ann.terms if e[0] == d]
+    return d if top == [(d, 0)] and ann.terms[(d, 0)] == 1 else None
+
+
+def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """The polynomial Ann over ANN_VARS, monic in T of degree deg(eps(g)),
+    with Ann(eps(f), eps(g)) = 0; computed as the resultant of T - eps(f)
+    and G - eps(g) that eliminates x1.  Requires eps(g) to be nonconstant."""
+    ef, eg = axis_map(f), axis_map(g)
+    m = eg.degree_in("x1") if eg else 0
+    if m < 1:
         raise WitnessInvalid("axis image of g is constant; no annihilator")
-    zw = plain_vars("Z", "W")
-    zvar = LaurentPoly.variable(zw, "Z")
-    wvar = LaurentPoly.variable(zw, "W")
-
-    def lifted(coeffs: dict[int, Fraction], head: LaurentPoly) -> UniPoly:
-        top = max(coeffs) if coeffs else 0
-        cs = [LaurentPoly.const(zw, -coeffs.get(k, 0)) for k in range(top + 1)]
-        cs[0] = cs[0] + head
-        return UniPoly(zw, cs)
-
-    res = resultant(lifted(ef, zvar), lifted(eg, wvar))
-    # regroup by powers of Z; coefficients must involve only W
-    m = max(eg)
-    by_z: dict[int, dict[tuple[int], Fraction]] = {}
-    for (ez, ew), c in res.terms.items():
-        by_z.setdefault(ez, {})[(ew,)] = c
-    if max(by_z) != m:
+    xtg = plain_vars("x1", "T", "G")
+    res = resultant(LaurentPoly.variable(xtg, "T") - ef.with_vars(xtg),
+                    LaurentPoly.variable(xtg, "G") - eg.with_vars(xtg), "x1")
+    res = res.with_vars(ANN_VARS)
+    if res.degree_in("T") != m:
         raise WitnessInvalid("annihilator degree mismatch (unexpected collapse)")
-    lead = by_z[m]
-    if set(lead) != {(0,)}:
+    lead = [e for e in res.terms if e[0] == m]
+    if lead != [(m, 0)]:
         raise WitnessInvalid("annihilator leading coefficient is not constant")
-    lc = lead[(0,)]
-    coeffs = []
-    for j in range(m + 1):
-        terms = {e: c / lc for e, c in by_z.get(j, {}).items()}
-        coeffs.append(LaurentPoly(G_VARS, terms))
-    ann = UniPoly(G_VARS, coeffs)
+    ann = res / res.terms[(m, 0)]
     # sanity: the defining property, checked in k[x1]
-    check = ann.eval_poly(
-        from_univar(f.vars, "x1", ef),
-        coeff_images={"G": from_univar(f.vars, "x1", eg)},
-    )
-    if not check.is_zero():
+    if not ann.subst({"T": ef, "G": eg}).is_zero():
         raise WitnessInvalid("annihilator fails to annihilate the axis image")
     return ann
 
 
-def realize_annihilator(ann: UniPoly, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Evaluate Ann at f with G -> g: the relation element of the pair."""
-    return ann.eval_poly(f, coeff_images={"G": g})
+def realize_annihilator(ann: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Evaluate Ann at T -> f, G -> g: the relation element of the pair."""
+    return ann.subst({"T": f, "G": g})
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +144,12 @@ class SemigroupTable:
         return sorted(self.orders)
 
 
-def _univar_nonneg(gen: LaurentPoly, what: str) -> dict[int, Fraction]:
-    u = to_univar(gen, "x1")
-    if any(k < 0 for k in u):
+def _univar_nonneg(p: LaurentPoly, what: str) -> dict[int, Fraction]:
+    """p in k[x1], x1 being its first variable, as {exponent: coefficient}."""
+    if any(any(e[1:]) for e in p.terms):
+        raise VariableMismatch(f"{p} involves a variable other than 'x1'")
+    u = {e[0]: c for e, c in p.terms.items()}
+    if min(u, default=0) < 0:
         raise WitnessInvalid(f"{what} has a pole at x1 = 0")
     return u
 
@@ -419,10 +390,9 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
     compared verbatim.
     """
     rep = Report()
-    vars = x_vars(pack.n) if pack.n >= 1 else None
+    vars = x_vars(pack.n) if 2 <= pack.n == len(pack.f.vars) else None
     shape_ok = (
         vars is not None
-        and pack.n >= 2
         and len(pack.gens) >= 1
         and pack.f.vars == vars
         and pack.g.vars == vars
@@ -471,17 +441,16 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
     try:
         if pack.ann is not None:
             ann = pack.ann
-            d = ann.degree
-            if not ann.is_monic() or ann.vars != G_VARS:
+            d = ann.degree_in("T")
+            if monic_degree(ann) is None:
                 raise WitnessInvalid("stored annihilator is not monic over k[G]")
             if d != eg.degree_in("x1"):
                 raise WitnessInvalid("stored annihilator degree differs from deg eps(g)")
-            ef = axis_map(pack.f)
-            if not ann.eval_poly(ef, coeff_images={"G": eg}).is_zero():
+            if not ann.subst({"T": axis_map(pack.f), "G": eg}).is_zero():
                 raise WitnessInvalid("stored annihilator does not annihilate eps(f)")
         else:
             ann = build_annihilator(pack.f, pack.g)
-            d = ann.degree
+            d = ann.degree_in("T")
         ann_ok, ann_note = True, f"degree {d}"
     except WitnessInvalid as exc:
         ann, d, ann_ok, ann_note = None, None, False, str(exc)

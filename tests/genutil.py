@@ -12,7 +12,6 @@ from h14cert import (
     build_annihilator,
     choose_weights,
     clearing_exponent,
-    from_univar,
     inversion_map,
     realize_annihilator,
     x_vars,
@@ -47,12 +46,25 @@ def random_nonzero_poly(rng, vars, **kw):
             return p
 
 
+def univar(vars, coeffs):
+    """The polynomial sum of c * x1^k over {k: c}; x1 is the first of
+    `vars`."""
+    rest = (0,) * (len(vars) - 1)
+    return LaurentPoly(vars, {(k,) + rest: c for k, c in coeffs.items()})
+
+
+def univar_coeffs(p):
+    """{k: c} of a polynomial in x1 alone, x1 being its first variable."""
+    assert not any(any(e[1:]) for e in p.terms), p
+    return {e[0]: c for e, c in p.terms.items()}
+
+
 def random_univar(rng, vars, degree, nonzero_lead=True):
     coeffs = {k: random_fraction(rng) for k in range(degree + 1)}
     if nonzero_lead:
         while coeffs[degree] == 0:
             coeffs[degree] = random_fraction(rng)
-    return from_univar(vars, "x1", {k: c for k, c in coeffs.items() if c})
+    return univar(vars, {k: c for k, c in coeffs.items() if c})
 
 
 def naive_determinant(matrix):
@@ -135,8 +147,8 @@ def random_pipeline_data(rng, n=2, max_gdeg=2, max_hdeg=2):
                 continue
             weights = choose_weights(f, g, h, rel)
             twist = inversion_map(weights, h)
-            e = clearing_exponent(twist, rel, f, ann.degree)
+            e = clearing_exponent(twist, rel, f, ann.degree_in("T"))
         except WitnessInvalid:
             continue
-        return Resolved(n=n, f=f, g=g, h=h, ann=ann, rel=rel, d=ann.degree,
+        return Resolved(n=n, f=f, g=g, h=h, ann=ann, rel=rel, d=ann.degree_in("T"),
                         weights=weights, clearing=e, twist=twist)

@@ -16,7 +16,6 @@ from h14cert import (
     FormatError,
     LaurentPoly,
     PermGroupSpec,
-    UniPoly,
     axis_map,
     build_annihilator,
     build_certificate,
@@ -37,13 +36,13 @@ from h14cert import (
     semigroup_orders,
     sylvester_matrix,
     tail_coefficients,
-    to_univar,
     validate_pack,
     verify_certificate,
     witness_poly,
     x_vars,
 )
 from h14cert.family import FG_VARS, is_fg
+from h14cert.witness import ANN_VARS, monic_degree
 from genutil import (
     g_clearing,
     is_negative_tail,
@@ -124,10 +123,8 @@ def test_criterion_3_annihilator_construction():
     v1 = x_vars(1)
     x1 = LaurentPoly.variable(v1, "x1")
     ann = build_annihilator(x1 ** 3, x1 ** 2)
-    gv = plain_vars("G")
-    gvar = LaurentPoly.variable(gv, "G")
-    expected = UniPoly(gv, [-(gvar ** 3), LaurentPoly.zero(gv), LaurentPoly.const(gv, 1)])
-    if ann != expected:
+    tvar, gvar = (LaurentPoly.variable(ANN_VARS, name) for name in ("T", "G"))
+    if ann != tvar ** 2 - gvar ** 3:
         failures.append(f"annihilator of (x1^3, x1^2) is {ann}")
 
     rw = demo_resolved()
@@ -140,27 +137,24 @@ def test_criterion_3_annihilator_construction():
         failures.append("realized relation does not vanish on the axis")
 
     rng = random.Random(14003)
-    zw = plain_vars("Z", "W")
+    xtg = plain_vars("x1", "T", "G")
 
     def lifted(p, head):
-        cs = to_univar(p, "x1")
-        coeffs = [LaurentPoly.const(zw, -cs.get(k, 0)) for k in range(max(cs) + 1)]
-        coeffs[0] = coeffs[0] + LaurentPoly.variable(zw, head)
-        return UniPoly(zw, coeffs)
+        return LaurentPoly.variable(xtg, head) - p.with_vars(xtg)
 
     for trial in range(50):
         fbar = random_univar(rng, v1, rng.randint(1, 4))
         gbar = random_univar(rng, v1, rng.randint(1, 4))
         ann = build_annihilator(fbar, gbar)
-        if not ann.is_monic() or ann.degree != gbar.degree_in("x1"):
+        if monic_degree(ann) != gbar.degree_in("x1"):
             failures.append(f"trial {trial}: wrong shape {ann}")
             break
-        plugged = ann.eval_poly(fbar, coeff_images={"G": gbar})
+        plugged = ann.subst({"T": fbar, "G": gbar})
         if not plugged.is_zero():
             failures.append(f"trial {trial}: annihilator misses its target")
             break
-        A, B = lifted(fbar, "Z"), lifted(gbar, "W")
-        if resultant(A, B) != naive_determinant(sylvester_matrix(A, B)):
+        A, B = lifted(fbar, "T"), lifted(gbar, "G")
+        if resultant(A, B, "x1") != naive_determinant(sylvester_matrix(A, B, "x1")):
             failures.append(f"trial {trial}: resultant disagrees with the "
                             "Sylvester determinant oracle")
             break

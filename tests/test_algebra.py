@@ -1,46 +1,46 @@
-"""Core exact-arithmetic layer: Laurent polynomials, dense univariate
-polynomials, and the fraction-free resultant."""
+"""Core exact-arithmetic layer: Laurent polynomials, exact division, and
+the fraction-free resultant that eliminates a named variable."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import h14cert
 from h14cert import (
     LaurentPoly,
+    NotDivisible,
     NotInvertible,
-    UniPoly,
     VariableMismatch,
+    VarSet,
     ZeroInput,
     determinant_fraction_free,
-    from_univar,
     plain_vars,
     qq,
     resultant,
     sylvester_matrix,
-    to_univar,
     x_vars,
     xz_vars,
 )
+from h14cert.algebra import _exact_div, coeffs_in
 from genutil import naive_determinant, random_nonzero_poly, random_poly
 
 V2 = x_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
 X2 = LaurentPoly.variable(V2, "x2")
+# V2 with T appended: polynomials in T whose coefficients lie over V2
+VT = VarSet(("x1", "x2", "T"), (True, False, False))
+T = LaurentPoly.variable(VT, "T")
 
 
-def scalars(*cs):
-    """The univariate polynomial cs[0] + cs[1]*T + ... over V2."""
-    return UniPoly(V2, [LaurentPoly.const(V2, c) for c in cs])
-
-
-def upoly_mul(a, b):
-    """The product of two UniPolys, convolving the coefficient lists."""
-    out = [LaurentPoly.zero(a.vars)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + x * y
-    return UniPoly(a.vars, out)
+def in_t(*cs):
+    """cs[0] + cs[1]*T + ... over VT; each cs[i] is a number or a
+    polynomial over V2."""
+    return sum(((c.with_vars(VT) if isinstance(c, LaurentPoly) else c) * T ** i
+                for i, c in enumerate(cs)), LaurentPoly.zero(VT))
 
 
 def test_qq_coercion():
@@ -220,14 +220,6 @@ def test_str_formatting():
     assert "x1^-1" in str(X1 ** -1)
 
 
-def test_univar_roundtrip():
-    coeffs = {0: Fraction(1), 3: Fraction(-2, 5)}
-    p = from_univar(V2, "x1", coeffs)
-    assert to_univar(p, "x1") == coeffs
-    with pytest.raises(VariableMismatch):
-        to_univar(X1 * X2, "x1")
-
-
 def test_valuation():
     """order_in is the x-adic valuation: additive on products of nonzero
     polynomials (k[x2] is a domain), and bounded below on sums."""
@@ -244,31 +236,61 @@ def test_valuation():
             assert (a + b).order_in("x1") >= min(a.order_in("x1"), b.order_in("x1"))
 
 
-# -- dense univariate layer --------------------------------------------
+# -- exact division ------------------------------------------------------
 
 
-def test_unipoly_basics():
-    P = scalars(1, 0, 1)  # 1 + T^2
-    assert P.degree == 2
-    assert P.is_monic()
-    assert not scalars(0, 2).is_monic()
-    assert P.coeff(1).is_zero()
-    assert P.leading() == LaurentPoly.one(V2)
-    Z = UniPoly.zero(V2)
-    assert Z.is_zero()
+def test_exact_div_recovers_random_factor():
+    """a*b / b = a, also with negative powers of the Laurent-flagged x1."""
+    rng = random.Random(808)
+    for _ in range(40):
+        a = random_poly(rng, V2, exp_lo=-2)
+        b = random_nonzero_poly(rng, V2, exp_lo=-2)
+        assert _exact_div(a * b, b) == a
+    assert _exact_div(LaurentPoly.one(V2), X1) == X1 ** -1
+
+
+def test_exact_div_refuses_what_does_not_divide():
+    v1 = x_vars(1)
+    x1 = LaurentPoly.variable(v1, "x1")
+    with pytest.raises(NotDivisible):
+        _exact_div(x1 ** 3, x1 ** 2 + 1)   # x1 is Laurent-flagged
+    with pytest.raises(NotDivisible):
+        _exact_div(X1 * X2 + 1, X1 + X2)
+    with pytest.raises(NotDivisible):
+        _exact_div(LaurentPoly.one(V2), X2)  # x2 is not invertible
     with pytest.raises(ZeroInput):
-        Z.degree
-    # trailing zero coefficients are trimmed
-    assert UniPoly(V2, [X1, LaurentPoly.zero(V2)]).degree == 0
+        _exact_div(X1, LaurentPoly.zero(V2))
 
 
-def test_eval_poly_horner():
-    A = UniPoly(V2, [X2, X1, LaurentPoly.one(V2)])  # x2 + x1*T + T^2
-    val = X1 + X2
-    assert A.eval_poly(val) == X2 + X1 * val + val * val
-    # coefficient images applied before evaluation
-    swapped = A.eval_poly(val, coeff_images={"x1": X2, "x2": X1})
-    assert swapped == X1 + X2 * val + val * val
+def test_exact_div_over_a_laurent_variable_returns():
+    """Elimination from the top never reaches the bottom of a Laurent
+    variable's exponents; the division must still end, and refuse."""
+    src = os.path.dirname(os.path.dirname(h14cert.__file__))
+    code = ("from h14cert import LaurentPoly, NotDivisible, x_vars\n"
+            "from h14cert.algebra import _exact_div\n"
+            "x1 = LaurentPoly.variable(x_vars(1), 'x1')\n"
+            "try:\n"
+            "    _exact_div(x1 ** 3, x1 ** 2 + 1)\n"
+            "except NotDivisible:\n"
+            "    print('refused')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=10)
+    assert proc.stdout == "refused\n", proc.stderr
+
+
+def test_coeffs_in_and_horner_evaluation():
+    x1, x2 = X1.with_vars(VT), X2.with_vars(VT)
+    A = in_t(X2, X1, 1)  # x2 + x1*T + T^2
+    assert coeffs_in(A, "T") == [x2, x1, LaurentPoly.one(VT)]
+    val = x1 + x2
+    horner = LaurentPoly.zero(VT)
+    for c in reversed(coeffs_in(A, "T")):
+        horner = horner * val + c
+    assert A.subst({"x1": x1, "x2": x2, "T": val}) == horner == x2 + x1 * val + val * val
+    with pytest.raises(VariableMismatch):
+        coeffs_in(X1 ** -1, "x1")
+    with pytest.raises(ZeroInput):
+        coeffs_in(LaurentPoly.zero(VT), "T")
 
 
 # -- determinants and resultants ---------------------------------------
@@ -294,66 +316,59 @@ def test_determinant_matches_naive_oracle():
 
 
 def test_sylvester_shape():
-    A = scalars(1, 0, 1)
-    B = scalars(2, 1)
-    m = sylvester_matrix(A, B)
+    A = in_t(1, 0, 1)
+    B = in_t(2, 1)
+    m = sylvester_matrix(A, B, "T")
     assert len(m) == 3 and all(len(row) == 3 for row in m)
+    assert m[0] == [LaurentPoly.one(VT), LaurentPoly.zero(VT), LaurentPoly.one(VT)]
     with pytest.raises(ZeroInput):
-        sylvester_matrix(A, scalars(5))
+        sylvester_matrix(A, in_t(5), "T")
 
 
 def test_resultant_linear_pair():
     # res(T - a, T - b) = a - b
     a, b = X1, X2
-    A = UniPoly(V2, [-a, LaurentPoly.one(V2)])
-    B = UniPoly(V2, [-b, LaurentPoly.one(V2)])
-    assert resultant(A, B) == a - b
+    assert resultant(in_t(-a, 1), in_t(-b, 1), "T") == (a - b).with_vars(VT)
 
 
 def test_resultant_classic_cusp():
     # res(T^2 - W, T^3 - Z) = Z^2 - W^3
-    vars = plain_vars("Z", "W")
-    Z = LaurentPoly.variable(vars, "Z")
-    W = LaurentPoly.variable(vars, "W")
-    one = LaurentPoly.one(vars)
-    zero = LaurentPoly.zero(vars)
-    A = UniPoly(vars, [-W, zero, one])
-    B = UniPoly(vars, [-Z, zero, zero, one])
-    assert resultant(A, B) == Z * Z - W ** 3
+    vars = plain_vars("Z", "W", "T")
+    Z, W, T3 = (LaurentPoly.variable(vars, name) for name in vars.names)
+    assert resultant(T3 ** 2 - W, T3 ** 3 - Z, "T") == Z * Z - W ** 3
 
 
 def test_resultant_degenerate_conventions():
-    c = scalars(3)
-    A = scalars(1, 0, 1)
-    assert resultant(c, A) == LaurentPoly.const(V2, 9)
-    assert resultant(A, c) == LaurentPoly.const(V2, 9)
-    assert resultant(c, c) == LaurentPoly.one(V2)
+    c = in_t(3)
+    A = in_t(1, 0, 1)
+    assert resultant(c, A, "T") == LaurentPoly.const(VT, 9)
+    assert resultant(A, c, "T") == LaurentPoly.const(VT, 9)
+    assert resultant(c, c, "T") == LaurentPoly.one(VT)
     with pytest.raises(ZeroInput):
-        resultant(A, UniPoly.zero(V2))
+        resultant(A, LaurentPoly.zero(VT), "T")
 
 
 def test_resultant_vanishes_iff_common_root():
     """res(A, B) with A, B sharing the factor (T - x1) must vanish;
     perturbing one root away from the other must not."""
     rng = random.Random(909)
-    one = LaurentPoly.one(V2)
     for _ in range(20):
         r1 = random_poly(rng, V2, max_terms=2, exp_hi=2)
         r2 = random_poly(rng, V2, max_terms=2, exp_hi=2)
-        shared = UniPoly(V2, [-X1, one])
-        A = upoly_mul(UniPoly(V2, [-r1, one]), shared)
-        B = upoly_mul(UniPoly(V2, [-r2, one]), shared)
-        assert resultant(A, B).is_zero()
-        B_moved = upoly_mul(UniPoly(V2, [-r2, one]), UniPoly(V2, [-(X1 + 1), one]))
-        assert not resultant(A, B_moved).is_zero()
+        shared = in_t(-X1, 1)
+        A = in_t(-r1, 1) * shared
+        B = in_t(-r2, 1) * shared
+        assert resultant(A, B, "T").is_zero()
+        B_moved = in_t(-r2, 1) * in_t(-(X1 + 1), 1)
+        assert not resultant(A, B_moved, "T").is_zero()
 
 
 def test_resultant_against_naive_sylvester():
     rng = random.Random(321)
     for _ in range(25):
         da, db = rng.randint(1, 3), rng.randint(1, 3)
-        A = UniPoly(V2, [random_poly(rng, V2, max_terms=2, exp_hi=2) for _ in range(da)]
-                    + [random_nonzero_poly(rng, V2, max_terms=2, exp_hi=2)])
-        B = UniPoly(V2, [random_poly(rng, V2, max_terms=2, exp_hi=2) for _ in range(db)]
-                    + [random_nonzero_poly(rng, V2, max_terms=2, exp_hi=2)])
-        assert resultant(A, B) == naive_determinant(sylvester_matrix(A, B))
+        A = in_t(*[random_poly(rng, V2, max_terms=2, exp_hi=2) for _ in range(da)],
+                 random_nonzero_poly(rng, V2, max_terms=2, exp_hi=2))
+        B = in_t(*[random_poly(rng, V2, max_terms=2, exp_hi=2) for _ in range(db)],
+                 random_nonzero_poly(rng, V2, max_terms=2, exp_hi=2))
+        assert resultant(A, B, "T") == naive_determinant(sylvester_matrix(A, B, "T"))

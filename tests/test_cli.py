@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import h14cert
 from h14cert import (
     PermGroupSpec,
@@ -265,6 +267,58 @@ def test_malformed_inputs_exit_3(tmp_path, capsys):
     assert "input error:" in captured.err
 
 
+def check_with_stored_pi(tmp_path, capsys, edit):
+    """`witness check` on the resolved demo pack after `edit` has changed
+    the stored Pi, the list of its T-coefficients, in place; returns
+    (rc, out, err)."""
+    path = write_demo_pack(tmp_path / "pack.json", resolved=True)
+    obj = load_json_file(str(path))
+    edit(obj["Pi"])
+    write_json_file(str(path), obj)
+    rc = main(["witness", "check", str(path)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _set_all(key, value):
+    def edit(coeffs):
+        for c in coeffs:
+            c[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_all("vars", ["H"]),                 # coefficients over H, not G
+    _set_all("laurent", ["G"]),              # G flagged Laurent
+], ids=["over-H", "G-laurent"])
+def test_stored_pi_over_other_variables_fails_its_line(tmp_path, capsys, edit):
+    rc, out, err = check_with_stored_pi(tmp_path, capsys, edit)
+    assert rc == 2
+    assert "[FAIL] annihilator: stored annihilator is not monic over k[G]" in out
+    assert "result: FAIL" in out
+
+
+def test_stored_pi_with_mixed_variable_sets_exits_3(tmp_path, capsys):
+    rc, out, err = check_with_stored_pi(
+        tmp_path, capsys, lambda coeffs: coeffs[0].update(vars=["H"]))
+    assert rc == 3
+    assert "input error: witness.Pi: coefficient over the wrong variable set" in err
+
+
+def test_empty_stored_pi_exits_2(tmp_path, capsys):
+    rc, out, err = check_with_stored_pi(tmp_path, capsys, lambda coeffs: coeffs.clear())
+    assert rc == 2
+    assert "check failed: degree of the zero polynomial" in err
+
+
+def test_stored_pi_coefficient_variable_named_t_exits_3(tmp_path, capsys):
+    """Pi is read over T followed by its coefficients' variables, so a
+    coefficient variable named T is an input error."""
+    rc, out, err = check_with_stored_pi(tmp_path, capsys, _set_all("vars", ["T"]))
+    assert rc == 3
+    assert "input error: witness.Pi: duplicate variable names" in err
+
+
 def test_invariants_inline_group(capsys):
     rc = main(["invariants", "--group", '{"n": 2, "generators": [[2, 1]]}',
                "--degree", "2"])
@@ -334,3 +388,18 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "certificate written to" in proc.stdout
     assert out.exists()
+
+
+def test_pack_with_huge_n_fails_its_shape_fast(tmp_path):
+    """A pack whose n disagrees with its polynomials' width fails
+    `pack-shape` without first building n variable names."""
+    path = write_demo_pack(tmp_path / "pack.json")
+    obj = load_json_file(str(path))
+    obj["n"] = 10_000_000
+    write_json_file(str(path), obj)
+    proc = subprocess.run(
+        [sys.executable, "-m", "h14cert.cli", "witness", "check", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=5,
+    )
+    assert proc.returncode == 2
+    assert "[FAIL] pack-shape: n=10000000, 3 generators" in proc.stdout

@@ -14,13 +14,12 @@ from h14cert import (
     PermGroupSpec,
     WitnessInvalid,
     axis_map,
-    from_univar,
     invariant_witness_pack,
     semigroup_orders,
     subalgebra_member,
-    to_univar,
     x_vars,
 )
+from genutil import univar, univar_coeffs
 
 V2 = x_vars(2)
 
@@ -29,7 +28,7 @@ V2 = x_vars(2)
 
 
 def _univar_nonneg(gen: LaurentPoly, what: str) -> dict[int, Fraction]:
-    u = to_univar(gen, "x1")
+    u = univar_coeffs(gen)
     if any(k < 0 for k in u):
         raise WitnessInvalid(f"{what} has a pole at x1 = 0")
     return u
@@ -159,7 +158,7 @@ def new_orders(gens, bound):
 
 
 def degree(p):
-    return max(to_univar(p, "x1"), default=0)
+    return max(univar_coeffs(p), default=0)
 
 
 def random_coeff(rng):
@@ -182,7 +181,7 @@ def random_generator(rng):
         coeffs = {0: random_coeff(rng)}
     elif kind < 0.09:
         coeffs[-rng.randint(1, 2)] = random_coeff(rng)
-    return from_univar(V2, "x1", coeffs)
+    return univar(V2, coeffs)
 
 
 def random_generator_set(rng):
@@ -203,12 +202,12 @@ def random_candidate(rng, gens, bound):
         return LaurentPoly.zero(V2)
     if kind < 0.4:
         deg = rng.randint(0, max(bound, 0) + 1)
-        return from_univar(V2, "x1", {k: random_coeff(rng)
+        return univar(V2, {k: random_coeff(rng)
                                       for k in range(deg + 1) if rng.random() < 0.6})
-    cand = from_univar(V2, "x1", {0: random_coeff(rng)}) if rng.random() < 0.5 \
+    cand = univar(V2, {0: random_coeff(rng)}) if rng.random() < 0.5 \
         else LaurentPoly.zero(V2)
     for _ in range(rng.randint(1, 2)):
-        prod = from_univar(V2, "x1", {0: random_coeff(rng)})
+        prod = univar(V2, {0: random_coeff(rng)})
         for _ in range(rng.randint(1, 3)):
             gen = rng.choice(gens)
             if degree(prod) + degree(gen) <= bound:

@@ -13,7 +13,7 @@ from h14cert import (
     LaurentPoly,
     PermGroupSpec,
     Report,
-    UniPoly,
+    VarSet,
     WitnessPack,
     build_certificate,
     certificate_from_json,
@@ -42,7 +42,7 @@ from h14cert import (
 )
 from h14cert import serialize
 from h14cert.family import FG_VARS
-from h14cert.witness import resolve_pack_fields
+from h14cert.witness import ANN_VARS, resolve_pack_fields
 from genutil import random_poly
 
 V2 = x_vars(2)
@@ -130,10 +130,27 @@ def test_poly_from_json_rejects_malformed():
     cases.append((c, bad_e))
     c = fresh(); c["terms"][1] = {"e": [1, 0], "c": "x"}; cases.append((c, bad_c))
     cases.append(([1, 2, 3], "poly: expected an object"))
+    # signs are checked after every term is read, on the first offending
+    # term in JSON order and its first offending variable; a "0" term is
+    # dropped before that check
+    neg_x1 = "poly: negative exponent on non-Laurent variable 'x1'"
+    neg_x2 = "poly: negative exponent on non-Laurent variable 'x2'"
+    c = fresh(); c["terms"][0]["c"] = "0"; c["terms"][1]["e"] = [0, -1]
+    cases.append((c, neg_x2))
+    c = fresh(); c["terms"][0]["e"] = [0, -1]; c["terms"][1]["c"] = "x"
+    cases.append((c, bad_c))
+    c = fresh(); c["laurent"] = []
+    c["terms"][0]["e"] = [0, -1]; c["terms"][1]["e"] = [-1, 0]
+    cases.append((c, neg_x2))
+    c = fresh(); c["laurent"] = []; c["terms"][1]["e"] = [-1, -1]
+    cases.append((c, neg_x1))
     for broken, message in cases:
         with pytest.raises(FormatError) as err:
             poly_from_json(broken)
         assert str(err.value) == message
+    c = fresh(); c["terms"][0] = {"e": [0, -1], "c": "0"}
+    assert poly_from_json(c) == X2
+    assert poly_from_json(c).terms == {(0, 1): 1}
 
 
 COEFFS = ["1", "-1", "3/4", "-5/7", "2", "1/3", "12345678901234567890123/7"]
@@ -226,15 +243,28 @@ def test_batch_term_reader_matches_term_by_term(monkeypatch):
 
 
 def test_unipoly_roundtrip():
-    P = UniPoly(V2, [X2, X1, LaurentPoly.one(V2)])
+    """Pi is written as the list of its T-coefficients over G, zero ones
+    included, and read back over T followed by their variables."""
+    T, G = (LaurentPoly.variable(ANN_VARS, name) for name in ("T", "G"))
+    P = T ** 3 + G * T - G ** 2 / 2
     obj = unipoly_to_json(P)
+    assert len(obj) == 4
+    assert obj[2] == {"vars": ["G"], "laurent": [], "terms": []}
+    assert obj[0] == poly_to_json(LaurentPoly.monomial(VarSet(("G",), (False,)), (2,), "-1/2"))
     assert unipoly_from_json(obj) == P
-    assert isinstance(obj, list) and len(obj) == 3
+    wide = VarSet(("T", "x1", "x2"), (False, True, False))
+    Q = LaurentPoly(wide, {(2, 0, 0): 1, (0, -1, 1): 3})
+    assert [c["vars"] for c in unipoly_to_json(Q)] == [["x1", "x2"]] * 3
+    assert unipoly_from_json(unipoly_to_json(Q)) == Q
+    assert unipoly_from_json([]) == LaurentPoly.zero(ANN_VARS)
     with pytest.raises(FormatError):
         unipoly_from_json({"not": "a list"})
     mixed = [poly_to_json(X1), poly_to_json(LaurentPoly.variable(x_vars(3), "x3"))]
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="coefficient over the wrong variable set"):
         unipoly_from_json(mixed)
+    named_t = [poly_to_json(LaurentPoly.variable(VarSet(("T",), (False,)), "T"))]
+    with pytest.raises(FormatError, match="duplicate variable names"):
+        unipoly_from_json(named_t)
 
 
 def test_fgpoly_roundtrip():

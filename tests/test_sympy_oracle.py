@@ -1,6 +1,7 @@
 """sympy as an outside oracle for the two eliminations of the pipeline:
-`resultant` on seeded random univariate pairs, and `build_annihilator`
-on the swap and 3-cycle packs.  Skipped when sympy is not installed; the
+`resultant` on seeded random pairs of polynomials in T, and
+`build_annihilator` on seeded random univariate pairs and on the swap and
+3-cycle packs.  Skipped when sympy is not installed; the
 package itself does not use it."""
 
 import random
@@ -10,19 +11,20 @@ import pytest
 from h14cert import (
     LaurentPoly,
     PermGroupSpec,
-    UniPoly,
+    VarSet,
     axis_map,
     build_annihilator,
     invariant_witness_pack,
     resultant,
-    to_univar,
     x_vars,
 )
-from genutil import random_poly
+from genutil import random_poly, random_univar
 
 sympy = pytest.importorskip("sympy")
 
 V2 = x_vars(2)
+# V2 with T appended: polynomials in T whose coefficients lie over V2
+VT = VarSet(("x1", "x2", "T"), (True, False, False))
 T = sympy.Symbol("T")
 
 
@@ -37,25 +39,29 @@ def to_sympy(p: LaurentPoly):
     ))
 
 
-def upoly_to_sympy(P: UniPoly):
-    return sympy.Add(*(to_sympy(c) * T ** i for i, c in enumerate(P.coeffs)))
-
-
-def sympy_resultant(A: UniPoly, B: UniPoly):
-    """res(A, B), asking sympy with the higher degree first.  sympy 1.14
+def sympy_resultant(A: LaurentPoly, B: LaurentPoly):
+    """res_T(A, B), asking sympy with the higher degree first.  sympy 1.14
     returns res(B, A) when A has the lower degree: it gives 26 for
     res(T + 3, T^3 + 1), which is (T^3 + 1) at T = -3, that is -26.  The
     swap res(A, B) = (-1)^(deg A * deg B) * res(B, A) is applied here."""
-    if A.degree >= B.degree:
-        return sympy.resultant(upoly_to_sympy(A), upoly_to_sympy(B), T)
-    sign = -1 if A.degree * B.degree % 2 else 1
-    return sign * sympy.resultant(upoly_to_sympy(B), upoly_to_sympy(A), T)
+    da, db = A.degree_in("T"), B.degree_in("T")
+    if da >= db:
+        return sympy.resultant(to_sympy(A), to_sympy(B), T)
+    sign = -1 if da * db % 2 else 1
+    return sign * sympy.resultant(to_sympy(B), to_sympy(A), T)
+
+
+def in_t(coeffs):
+    """sum coeffs[i] * T^i over VT, the coefficients lying over V2."""
+    tvar = LaurentPoly.variable(VT, "T")
+    return sum((c.with_vars(VT) * tvar ** i for i, c in enumerate(coeffs)),
+               LaurentPoly.zero(VT))
 
 
 def test_resultant_matches_sympy():
-    linear = UniPoly(V2, [LaurentPoly.const(V2, c) for c in (3, 1)])
-    cubic = UniPoly(V2, [LaurentPoly.const(V2, c) for c in (1, 0, 0, 1)])
-    assert resultant(linear, cubic) == LaurentPoly.const(V2, -26)
+    linear = in_t([LaurentPoly.const(V2, c) for c in (3, 1)])
+    cubic = in_t([LaurentPoly.const(V2, c) for c in (1, 0, 0, 1)])
+    assert resultant(linear, cubic, "T") == LaurentPoly.const(VT, -26)
     assert sympy_resultant(linear, cubic) == -26
     rng = random.Random(5150)
     for trial in range(30):
@@ -69,11 +75,32 @@ def test_resultant_matches_sympy():
                 if c or not nonzero:
                     return c
 
-        A = UniPoly(V2, [coeff() for _ in range(da)] + [coeff(nonzero=True)])
-        B = UniPoly(V2, [coeff() for _ in range(db)] + [coeff(nonzero=True)])
-        ours = to_sympy(resultant(A, B))
+        A = in_t([coeff() for _ in range(da)] + [coeff(nonzero=True)])
+        B = in_t([coeff() for _ in range(db)] + [coeff(nonzero=True)])
+        ours = to_sympy(resultant(A, B, "T"))
         theirs = sympy_resultant(A, B)
         assert sympy.expand(ours - theirs) == 0, trial
+
+
+def sympy_annihilator(ef: LaurentPoly, eg: LaurentPoly):
+    """The monic res_x1(T - ef, G - eg) in T, for ef, eg in k[x1]."""
+    x1, G = sympy.symbols("x1 G")
+    res = sympy.Poly(sympy.resultant(T - to_sympy(ef), G - to_sympy(eg), x1), T)
+    return res.degree(), sympy.expand(res.as_expr() / res.LC())
+
+
+def test_annihilator_matches_sympy_on_random_pairs():
+    """Ann against sympy's elimination on 30 seeded univariate pairs, with
+    eps(f) of degree 0 to 4 and eps(g) of degree 1 to 4."""
+    v1 = x_vars(1)
+    rng = random.Random(27182)
+    for trial in range(30):
+        fbar = random_univar(rng, v1, rng.randint(0, 4))
+        gbar = random_univar(rng, v1, rng.randint(1, 4))
+        ann = build_annihilator(fbar, gbar)
+        degree, expected = sympy_annihilator(fbar, gbar)
+        assert ann.degree_in("T") == degree == gbar.degree_in("x1"), trial
+        assert sympy.expand(to_sympy(ann) - expected) == 0, trial
 
 
 @pytest.mark.parametrize("generators, n", [
@@ -85,13 +112,7 @@ def test_annihilator_matches_sympy(generators, n):
     G = eps(g); sympy eliminates x1 from T - eps(f), G - eps(g)."""
     pack = invariant_witness_pack(PermGroupSpec(n=n, generators=generators))
     ann = build_annihilator(pack.f, pack.g)
-    x1, G = sympy.symbols("x1 G")
-    ef = sum(sympy.Rational(c.numerator, c.denominator) * x1 ** k
-             for k, c in to_univar(axis_map(pack.f), "x1").items())
-    eg = sum(sympy.Rational(c.numerator, c.denominator) * x1 ** k
-             for k, c in to_univar(axis_map(pack.g), "x1").items())
-    res = sympy.Poly(sympy.resultant(T - ef, G - eg, x1), T)
-    expected = sympy.expand(res.as_expr() / res.LC())
-    ours = sympy.expand(upoly_to_sympy(ann))
-    assert ann.degree == res.degree() == sympy.degree(eg, x1)
-    assert sympy.expand(ours - expected) == 0
+    ef, eg = axis_map(pack.f), axis_map(pack.g)
+    degree, expected = sympy_annihilator(ef, eg)
+    assert ann.degree_in("T") == degree == eg.degree_in("x1")
+    assert sympy.expand(to_sympy(ann) - expected) == 0
