@@ -306,18 +306,12 @@ class LaurentPoly:
         return min(e[i] for e in self.terms)
 
     def deriv(self, name: str) -> "LaurentPoly":
+        # e -> e - 1 on one coordinate is injective: no two terms collide
         i = self.vars.index(name)
-        out: dict[Expo, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-            s = out.get(ne, Fraction(0)) + c * e[i]
-            if s == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return LaurentPoly(self.vars, out, _clean=False)
+        return LaurentPoly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]:
+                                       c if e[i] == 1 else c * e[i]
+                                       for e, c in self.terms.items() if e[i]},
+                           _clean=False)
 
     # -- substitution ---------------------------------------------------
 

@@ -118,6 +118,8 @@ def cmd_invariants(args) -> int:
             obj = _json.loads(spec)
         except ValueError as exc:
             raise FormatError(f"inline group spec is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise FormatError("inline group spec is nested too deeply") from None
     else:
         obj = load_json_file(spec)
     group = group_from_json(obj)

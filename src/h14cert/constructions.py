@@ -26,6 +26,8 @@ class PermGroupSpec:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise VariableMismatch(f"n must be at least 1, got {self.n}")
         for gen in self.generators:
             if sorted(gen) != list(range(1, self.n + 1)):
                 raise VariableMismatch(

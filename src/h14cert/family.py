@@ -18,6 +18,10 @@ which normalizes every element to f-degree < d.  On top of that sit:
 * `witness_poly`   — the l-th member q_l of the certified family,
 * `build_certificate` / `verify_certificate` — serialize-ready bundles of
                      the family plus every recomputable check.
+
+The family is an Appell sequence in z: q_(l-1) = d/dz q_l.  The builder
+therefore assembles only the top member q_(l_max) and differentiates down;
+the verifier checks every stored member against blocks of its own.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ def realize_fg(p: LaurentPoly, f: LaurentPoly, g: LaurentPoly,
                _cache: dict | None = None) -> LaurentPoly:
     """Evaluate an element with only nonnegative g-powers to a polynomial."""
     if any(m < 0 for (_, _, m) in p.terms):
-        raise VariableMismatch("element has negative g-powers; use realize()")
+        raise VariableMismatch("element has negative g-powers")
     if rel is None and any(b > 0 for (_, b, _) in p.terms):
         raise VariableMismatch("element has rel-powers but no rel value given")
     cache = _cache if _cache is not None else {}
@@ -180,7 +184,7 @@ def _tail_order_bound(tail: LaurentPoly, rw: Resolved) -> int:
                for (a, b, m) in tail.terms)
 
 
-def tail_coefficients(l_max: int, rw: Resolved, verify: bool = True) -> list[LaurentPoly]:
+def tail_coefficients(l_max: int, rw: Resolved) -> list[LaurentPoly]:
     """The correction coefficients f_1, ..., f_{l_max}.
 
     Step l forms p = sum_{j=1}^{l} f_{l-j} * (f/g)^j / j!  (with f_0 = 1),
@@ -188,9 +192,9 @@ def tail_coefficients(l_max: int, rw: Resolved, verify: bool = True) -> list[Lau
     k[f, g], and negates it to obtain f_l.  What remains of p then has only
     negative g-powers, and multiplying by rel^e makes its twisted image a
     function with nonnegative x1-order — that is checked here for every
-    step when `verify` is set.  The step passes at once when the
-    valuation bound of `_tail_order_bound` is nonnegative; only otherwise
-    is rel^e * remainder * g^K realized and its exact order compared.
+    step.  The step passes at once when the valuation bound of
+    `_tail_order_bound` is nonnegative; only otherwise is
+    rel^e * remainder * g^K realized and its exact order compared.
     """
     if l_max < 0:
         raise VariableMismatch("l_max must be nonnegative")
@@ -205,7 +209,7 @@ def tail_coefficients(l_max: int, rw: Resolved, verify: bool = True) -> list[Lau
             p = p + prev * LaurentPoly.monomial(FG_VARS, (j, 0, -j), Fraction(1, fact[j]))
         poly_part, neg_tail = decompose(p, rw.ann)
         tail = -poly_part
-        if verify and neg_tail and _tail_order_bound(neg_tail, rw) < 0:
+        if neg_tail and _tail_order_bound(neg_tail, rw) < 0:
             # rel^e * neg_tail = num / g^K with num realized in k[x]
             k_clear = -min(m for (_, _, m) in neg_tail.terms)
             num = realize_fg(neg_tail * LaurentPoly.monomial(FG_VARS, (0, rw.clearing, k_clear)),
@@ -219,8 +223,7 @@ def tail_coefficients(l_max: int, rw: Resolved, verify: bool = True) -> list[Lau
     return tails
 
 
-def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved,
-                           caches: dict) -> LaurentPoly:
+def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> LaurentPoly:
     """q_l = twist(P_l(z)) assembled from z-free blocks; no validity checks.
 
     With c_j = twist(rel^e * f_j) (f_0 = 1) and twist(z) = z + s, the
@@ -230,63 +233,47 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved,
     ring map and its exponent part an involution, so with h = twist(s)
     (the z-free preimage of s) r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!):
     the sum runs over the small realized tails, and each block costs one
-    product with rel^e and one twist.  Every r_j is z-free, so q_l is laid
-    out by placing r_{l-k} / k! at z-degree k: no product with z, and
-    nothing to cancel.  Realized tails are cached by the content of f_j and
-    blocks by that of f_0..f_j, so one `caches` dict stays right across
-    members and across differing tail lists.
+    product with rel^e and one twist.  The blocks r_0..r_l are made in one
+    pass, realizing the tails from one power dict; every r_j is z-free, so
+    q_l is laid out by placing r_{l-k} / k! at z-degree k: no product with
+    z, and nothing to cancel.  Since the blocks do not depend on l, the
+    lower members are derivatives, q_{l-1} = d/dz q_l, and
+    `build_certificate` assembles only q_{l_max}.
 
     Only the builder assembles members.  `verify_certificate` checks each
     stored member against `_appell_blocks`, which realizes the tails from
     its own powers, uses the pack's h and twists by the weights, so a fault
-    here fails the build's verification instead of confirming itself.
+    here, or in the derivatives, fails the build's verification instead of
+    confirming itself.
     """
     vz = rw.twist.vars
     fact = _factorials(max(l, 1))
     shift = rw.twist.shift
     h = rw.twist.apply(shift) if shift is not None else LaurentPoly.zero(vz)
-    hpow = caches.setdefault("hpow", [LaurentPoly.one(vz)])
-    while len(hpow) <= l:
-        m = len(hpow)
-        hpow.append(hpow[-1] * h * Fraction(1, m))      # h^m / m!
-    rel_pow = caches.setdefault("relpow", {})
-    if rw.clearing not in rel_pow:
-        rel_pow[rw.clearing] = rw.rel_xz ** rw.clearing
-    rel_e = rel_pow[rw.clearing]
-    realized = caches.setdefault("realized", {})
-    block_cache = caches.setdefault("blocks", {})
-    mul_cache = caches.setdefault("mulcache", {})
-    fs = [LaurentPoly.one(FG_VARS)] + [tails[j] for j in range(l)]
-    keys = [tuple(sorted(fj.terms.items())) for fj in fs]
-
-    def plain(j: int) -> LaurentPoly:
-        if keys[j] not in realized:
-            realized[keys[j]] = realize_fg(fs[j], rw.f_xz, rw.g_xz, rw.rel_xz,
-                                           _cache=mul_cache)
-        return realized[keys[j]]
-
+    rel_e = rw.rel_xz ** rw.clearing
+    powers: dict = {}
+    plain = [realize_fg(fj, rw.f_xz, rw.g_xz, rw.rel_xz, _cache=powers)
+             for fj in [LaurentPoly.one(FG_VARS), *tails[:l]]]
+    hpow = [LaurentPoly.one(vz)]                       # h^m / m!
     z = vz.index("z")
     terms: dict = {}
-    for k in range(l + 1):
-        j = l - k
-        block_key = tuple(keys[:j + 1])
-        block = block_cache.get(block_key)
-        if block is None:
-            pulled = LaurentPoly.zero(vz)
-            for m in range(j + 1):
-                pulled = pulled + plain(j - m) * hpow[m]
-            block = block_cache[block_key] = rw.twist.apply(rel_e * pulled)
+    for j in range(l + 1):
+        if j:
+            hpow.append(hpow[-1] * h * Fraction(1, j))
+        pulled = LaurentPoly.zero(vz)
+        for m in range(j + 1):
+            pulled = pulled + plain[j - m] * hpow[m]
+        k = l - j
         scale = Fraction(1, fact[k])
-        for e, c in block.terms.items():
+        for e, c in rw.twist.apply(rel_e * pulled).terms.items():
             terms[e[:z] + (k,) + e[z + 1:]] = c * scale if k > 1 else c
     return LaurentPoly(vz, terms, _clean=False)
 
 
-def witness_poly(l: int, rw: Resolved, tails: list[LaurentPoly],
-                 caches: dict | None = None) -> LaurentPoly:
+def witness_poly(l: int, rw: Resolved, tails: list[LaurentPoly]) -> LaurentPoly:
     """The l-th member of the family; guaranteed (and checked) to be an
     honest polynomial in x1, ..., xn, z."""
-    q = _assemble_witness_poly(l, tails, rw, caches if caches is not None else {})
+    q = _assemble_witness_poly(l, tails, rw)
     if not q.is_polynomial():
         bad = next(e for e in sorted(q.terms) if min(e) < 0)
         raise ConstructionFailure(
@@ -320,9 +307,10 @@ def build_certificate(pack: WitnessPack, l_max: int = 8, *,
                       weights_override=None,
                       semigroup_bound: int = DEFAULT_SEMIGROUP_BOUND,
                       member_bound: int = DEFAULT_MEMBER_BOUND) -> Certificate:
-    """Validate the pack, run the recursion to l_max, and bundle the family
-    with a verification report.  Raises WitnessInvalid (with the report
-    attached) when the pack fails validation.
+    """Validate the pack, run the recursion to l_max, assemble q_(l_max)
+    and differentiate it down to q_0, and bundle the family with a
+    verification report.  Raises WitnessInvalid (with the report attached)
+    when the pack fails validation.
 
     The pack is validated once.  The stored pack must carry exactly the
     resolved h, annihilator, weights and clearing exponent (all that a
@@ -337,12 +325,11 @@ def build_certificate(pack: WitnessPack, l_max: int = 8, *,
         failures = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
         raise WitnessInvalid(f"witness rejected ({failures})", report=report)
     tails = tail_coefficients(l_max, resolved)
-    caches: dict = {}
-    entries = [
-        CertEntry(l=l, tails=list(tails[:l]),
-                  q=witness_poly(l, resolved, tails, caches))
-        for l in range(l_max + 1)
-    ]
+    members = [witness_poly(l_max, resolved, tails)]
+    for _ in range(l_max):
+        members.append(members[-1].deriv("z"))     # q_(l-1) = d/dz q_l
+    entries = [CertEntry(l=l, tails=list(tails[:l]), q=q)
+               for l, q in enumerate(reversed(members))]
     stored = resolve_pack_fields(pack, resolved)
     if (stored.h, stored.ann, stored.weights, stored.clearing) != (
             resolved.h, resolved.ann, resolved.weights, resolved.clearing):
@@ -411,7 +398,7 @@ def _appell_blocks(tails: list[LaurentPoly],
     blocks: list[dict] = []
     for j, fj in enumerate([LaurentPoly.one(FG_VARS)] + list(tails)):
         if any(m < 0 for (_, _, m) in fj.terms):       # worded as realize_fg's
-            return blocks, VariableMismatch("element has negative g-powers; use realize()")
+            return blocks, VariableMismatch("element has negative g-powers")
         value = LaurentPoly.zero(vz)
         for exps, c in fj.terms.items():
             term = LaurentPoly.const(vz, c)

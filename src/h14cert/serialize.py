@@ -159,6 +159,7 @@ def poly_from_json(obj: Any, where: str = "poly") -> LaurentPoly:
     _require(all(isinstance(n, str) for n in names), f"{where}.vars: names must be strings")
     flagged = obj.get("laurent", [])
     _require(isinstance(flagged, list), f"{where}.laurent: expected a list")
+    _require(all(isinstance(n, str) for n in flagged), f"{where}.laurent: names must be strings")
     _require(set(flagged) <= set(names), f"{where}.laurent: unknown variable name")
     try:
         vars = VarSet(tuple(names), tuple(n in flagged for n in names))
@@ -435,6 +436,8 @@ def load_json_file(path: str) -> Any:
         raise FormatError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:   # JSONDecodeError, bad UTF-8, over-long integers
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def write_json_file(path: str, obj: Any):

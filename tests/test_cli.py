@@ -25,6 +25,7 @@ from h14cert import (
 from h14cert.cli import main
 
 SWAP = PermGroupSpec(n=2, generators=((2, 1),))
+DEEP_JSON = "[" * 5000 + "]" * 5000
 
 
 def write_demo_pack(path, resolved=False):
@@ -266,6 +267,25 @@ def test_malformed_inputs_exit_3(tmp_path, capsys):
     assert rc == 3
     assert "input error:" in captured.err
 
+    # nested deeper than the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    for argv in (["cert", "verify", str(deep)], ["witness", "check", str(deep)]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3, argv
+        assert "input error:" in captured.err and "nested too deeply" in captured.err
+
+    # a Laurent flag that is not a variable name
+    obj = load_json_file(str(write_demo_pack(tmp_path / "pack.json")))
+    obj["f"]["laurent"] = [[1]]
+    flagged = tmp_path / "flagged.json"
+    write_json_file(str(flagged), obj)
+    rc = main(["witness", "check", str(flagged)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "input error: witness.f.laurent: names must be strings" in captured.err
+
 
 def check_with_stored_pi(tmp_path, capsys, edit):
     """`witness check` on the resolved demo pack after `edit` has changed
@@ -339,19 +359,24 @@ def test_invariants_json_output(tmp_path, capsys):
 
 
 def test_invariants_bad_inline_json(capsys):
-    rc = main(["invariants", "--group", "{oops", "--degree", "2"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "inline group spec" in captured.err
+    for spec, detail in [("{oops", "is not valid JSON"),
+                         ('{"n": ' + DEEP_JSON + "}", "is nested too deeply")]:
+        rc = main(["invariants", "--group", spec, "--degree", "2"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert f"input error: inline group spec {detail}" in captured.err
 
 
-def test_invariants_bad_group_shape(capsys):
-    rc = main(["invariants", "--group", '{"n": 2, "generators": [[2, 2]]}',
-               "--degree", "2"])
-    captured = capsys.readouterr()
-    assert rc == 3
-    assert "input error:" in captured.err
-    assert "not a permutation" in captured.err
+@pytest.mark.parametrize("spec, rc, message", [
+    ('{"n": 2, "generators": [[2, 2]]}', 3, "input error: group: (2, 2) is not a permutation of 1..2"),
+    ('{"n": 0, "generators": []}', 3, "input error: group: n must be at least 1, got 0"),
+    ('{"n": -1, "generators": []}', 3, "input error: group: n must be at least 1, got -1"),
+    # one letter is a well-formed group that has no witness pair
+    ('{"n": 1, "generators": []}', 2, "check failed: need at least two variables"),
+], ids=["not-a-permutation", "n-zero", "n-negative", "n-one"])
+def test_invariants_bad_group_shape(capsys, spec, rc, message):
+    assert main(["invariants", "--group", spec, "--degree", "2"]) == rc
+    assert message in capsys.readouterr().err
 
 
 def child_env():

@@ -256,8 +256,6 @@ def test_tail_coefficients_step_check_fires():
     with pytest.raises(ConstructionFailure,
                        match=r"^step \d+: twisted remainder has negative x1-order$"):
         tail_coefficients(4, bad)
-    # without verification the recursion itself still runs
-    assert tail_coefficients(4, bad, verify=False) == tail_coefficients(4, rw)[:4]
 
 
 def test_tail_check_passes_on_the_bound_alone(monkeypatch):
@@ -314,7 +312,7 @@ def test_tail_check_raises_exactly_on_negative_order():
     for n in (2, 3):
         for _ in range(4):
             rw = random_pipeline_data(rng, n=n)
-            tails = tail_coefficients(4, rw, verify=False)
+            tails = tail_coefficients(4, rw)
             for delta in range(4):
                 weights = tuple(w - delta for w in rw.weights)
                 trial = replace(rw, twist=inversion_map(weights, rw.h_xz))
@@ -351,9 +349,8 @@ def test_witness_poly_base_member():
 def test_witness_poly_members_are_polynomials():
     rw = demo_resolved()
     tails = tail_coefficients(5, rw)
-    caches = {}
     for l in range(6):
-        q = witness_poly(l, rw, tails, caches)
+        q = witness_poly(l, rw, tails)
         assert q.is_polynomial()
         assert axis_map(q).is_constant()
         if l >= 1:
@@ -388,20 +385,33 @@ def test_assembly_matches_direct_route():
     for n in (2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3):
         rw = random_pipeline_data(rng, n=n, max_hdeg=2)
         non_monomial += len(rw.twist.shift.terms) > 1
-        tails = tail_coefficients(5, rw, verify=False)
-        caches = {}
+        tails = tail_coefficients(5, rw)
         for l in range(6):
-            assert _assemble_witness_poly(l, tails, rw, caches) == direct_member(l, tails, rw)
+            assert _assemble_witness_poly(l, tails, rw) == direct_member(l, tails, rw)
             compared += 1
-        # the caches are keyed on tail content: a changed f_2 is not served
-        # the blocks of the old one
-        changed = list(tails)
-        changed[1] = changed[1] + fg(1, 0, 1, Fraction(2, 3))
-        for l in (2, 4):
-            assert (_assemble_witness_poly(l, changed, rw, caches)
-                    == direct_member(l, changed, rw))
     assert compared == 72
     assert non_monomial >= 6
+
+
+def test_members_are_z_derivatives_of_the_top_member():
+    """The family is an Appell sequence, d/dz q_l = q_(l-1), which is what
+    lets `build_certificate` assemble only q_(l_max): the top member
+    differentiated L - l times in z equals the independently assembled q_l."""
+    rng = random.Random(909)
+    L = 5
+    compared = non_monomial = 0
+    for n in (2, 2, 2, 2, 2, 3, 3, 3, 3, 3):
+        rw = random_pipeline_data(rng, n=n, max_hdeg=2)
+        non_monomial += len(rw.twist.shift.terms) > 1
+        tails = tail_coefficients(L, rw)
+        q = witness_poly(L, rw, tails)
+        for l in range(L, -1, -1):
+            assert q == witness_poly(l, rw, tails), (n, l)
+            compared += 1
+            q = q.deriv("z")
+        assert q.is_zero()
+    assert compared == 60
+    assert non_monomial >= 5
 
 
 def test_taylor_shift_identity():
@@ -489,14 +499,13 @@ def whole_member_checks(cert):
     rw, _ = validate_pack(cert.pack)
     vz = rw.twist.vars
     rel_t_pow = rw.twist.apply(rw.rel_xz) ** cert.clearing
-    caches = {}
     lines = []
     for entry in cert.entries:
         l, tag = entry.l, f"member-{entry.l}"
         lines.append((f"{tag}-tails-in-fg", all(is_fg(t) for t in entry.tails),
                       "tail coefficients lie in k[f, g]"))
         lines.append((f"{tag}-recomputed",
-                      _assemble_witness_poly(l, entry.tails, rw, caches) == entry.q,
+                      _assemble_witness_poly(l, entry.tails, rw) == entry.q,
                       "stored member equals the recomputed twist image"))
         poly_ok = entry.q.is_polynomial()
         lines.append((f"{tag}-polynomial", poly_ok, "member lies in k[x1..xn, z]"))
@@ -574,8 +583,8 @@ def test_verifier_catches_builder_dropping_a_factorial(monkeypatch):
     build's own verification instead of confirming itself."""
     original = family._assemble_witness_poly
 
-    def doubled(l, tails, rw, caches):
-        q = original(l, tails, rw, caches)
+    def doubled(l, tails, rw):
+        q = original(l, tails, rw)
         if l < 3:
             return q
         return LaurentPoly(q.vars, {e: c * 2 if e[-1] == 2 else c
@@ -613,7 +622,7 @@ def test_verify_reports_an_unrealizable_tail():
     assert not rep["member-3-tails-in-fg"].ok
     failed = rep["member-3-recomputed"]
     assert (failed.ok, failed.detail) == (
-        False, "recomputation failed: element has negative g-powers; use realize()")
+        False, "recomputation failed: element has negative g-powers")
 
 
 def test_verify_does_not_reach_the_builder(monkeypatch):
@@ -682,7 +691,7 @@ def test_witness_poly_names_the_lowest_negative_term(monkeypatch):
     vz = rw.twist.vars
     bad = LaurentPoly(vz, {(-1, 0, 2): 1, (-2, 0, 1): 1, (0, 0, 0): 1})
     monkeypatch.setattr("h14cert.family._assemble_witness_poly",
-                        lambda l, tails, rw, caches: bad)
+                        lambda l, tails, rw: bad)
     with pytest.raises(ConstructionFailure,
                        match=r"member l=2: coefficient of z\^1 has a negative exponent"):
         witness_poly(2, rw, [])
