@@ -306,7 +306,8 @@ class LaurentPoly:
         return min(e[i] for e in self.terms)
 
     def deriv(self, name: str) -> "LaurentPoly":
-        # e -> e - 1 on one coordinate is injective: no two terms collide
+        # e -> e - 1 on one coordinate is injective: no two terms collide;
+        # a factor of 1 is skipped, since a Fraction product is not free
         i = self.vars.index(name)
         return LaurentPoly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]:
                                        c if e[i] == 1 else c * e[i]

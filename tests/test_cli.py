@@ -25,7 +25,10 @@ from h14cert import (
 from h14cert.cli import main
 
 SWAP = PermGroupSpec(n=2, generators=((2, 1),))
-DEEP_JSON = "[" * 5000 + "]" * 5000
+# 10,000 levels pass the JSON decoder's limit on every supported Python: from
+# 3.12 on the C scanner counts depth against the C recursion limit (10,000 on
+# Linux in 3.13, which decodes 9,998 levels), not sys.getrecursionlimit()
+DEEP_JSON = "[" * 10_000 + "]" * 10_000
 
 
 def write_demo_pack(path, resolved=False):
