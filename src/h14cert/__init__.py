@@ -78,7 +78,6 @@ from .serialize import (
 from .witness import (
     Resolved,
     SemigroupTable,
-    TwistCheck,
     WitnessPack,
     axis_quotient,
     build_annihilator,

@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 when a mathematical check fails, 3 on
-malformed input.  All output is deterministic for fixed inputs.
+malformed input: a bad command line, an unreadable or malformed input
+file, or an --out path that cannot be written.  All output is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 from .constructions import PermGroupSpec, invariant_witness_pack, orbit_sum
 from .errors import (
@@ -45,32 +49,45 @@ def _add_bound_options(p: argparse.ArgumentParser):
                    help="degree bound for the subring membership scan")
 
 
-def cmd_demo(args) -> int:
-    group = PermGroupSpec(n=2, generators=((2, 1),))
-    pack = invariant_witness_pack(group)
-    weights = (args.t2,) if args.t2 is not None else None
+def _build_and_write(pack, args, show=None) -> int:
+    """Build to --lmax, print show(cert) and the report, write to --out,
+    whose directory is checked before the build; exit 2 on a rejected pack."""
+    if os.path.isdir(args.out):
+        raise FormatError(f"cannot write {args.out}: it is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FormatError(f"cannot write {args.out}: no such directory")
     try:
-        cert = build_certificate(
-            pack, l_max=args.lmax, weights_override=weights,
-            semigroup_bound=args.bound, member_bound=args.member_bound,
-        )
+        cert = build_certificate(pack, l_max=args.lmax, semigroup_bound=args.bound,
+                                 member_bound=args.member_bound)
     except WitnessInvalid as exc:
         if exc.report is not None:
             print(format_report(exc.report))
         print(f"witness rejected: {exc}", file=sys.stderr)
         return 2
-
-    twist = inversion_map(cert.pack.weights, cert.pack.h)
-    pair = orbit_sum(group, (1, 1)).with_vars(twist.vars)
-    print("generators of the twisted invariant algebra:")
-    print(f"  image of orbit(y1)    = {twist.apply(pack.g.with_vars(twist.vars))}")
-    print(f"  image of orbit(y1*y2) = {twist.apply(pair)}")
-    print(f"  image of z            = {twist.image_of('z')}")
-    print()
+    if show is not None:
+        show(cert)
     print(format_report(cert.report))
     write_json_file(args.out, certificate_to_json(cert))
     print(f"certificate written to {args.out}")
     return 0
+
+
+def cmd_demo(args) -> int:
+    group = PermGroupSpec(n=2, generators=((2, 1),))
+    pack = invariant_witness_pack(group)
+    if args.t2 is not None:
+        pack = replace(pack, weights=(args.t2,))
+
+    def show_generators(cert):
+        twist = inversion_map(cert.pack.weights, cert.pack.h)
+        pair = orbit_sum(group, (1, 1)).with_vars(twist.vars)
+        print("generators of the twisted invariant algebra:")
+        print(f"  image of orbit(y1)    = {twist.apply(pack.g.with_vars(twist.vars))}")
+        print(f"  image of orbit(y1*y2) = {twist.apply(pair)}")
+        print(f"  image of z            = {twist.image_of('z')}")
+        print()
+
+    return _build_and_write(pack, args, show_generators)
 
 
 def cmd_witness_check(args) -> int:
@@ -83,21 +100,9 @@ def cmd_witness_check(args) -> int:
 
 def cmd_cert_build(args) -> int:
     pack = pack_from_json(load_json_file(args.file))
-    weights = tuple(args.t) if args.t else None
-    try:
-        cert = build_certificate(
-            pack, l_max=args.lmax, weights_override=weights,
-            semigroup_bound=args.bound, member_bound=args.member_bound,
-        )
-    except WitnessInvalid as exc:
-        if exc.report is not None:
-            print(format_report(exc.report))
-        print(f"witness rejected: {exc}", file=sys.stderr)
-        return 2
-    print(format_report(cert.report))
-    write_json_file(args.out, certificate_to_json(cert))
-    print(f"certificate written to {args.out}")
-    return 0
+    if args.t:
+        pack = replace(pack, weights=tuple(args.t))
+    return _build_and_write(pack, args)
 
 
 def cmd_cert_verify(args) -> int:
@@ -133,8 +138,27 @@ def cmd_invariants(args) -> int:
     return 0
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: it exits 3, not argparse's 2,
+    which here means a failed check.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="h14cert",
         description="Build and verify certificates for non-finitely-generated "
                     "intermediate invariant algebras.",
@@ -142,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_demo = sub.add_parser("demo", help="run the built-in two-variable example")
-    p_demo.add_argument("--lmax", type=int, default=DEFAULT_LMAX)
+    p_demo.add_argument("--lmax", type=_nonnegative_int, default=DEFAULT_LMAX)
     p_demo.add_argument("--t2", type=int, default=None,
                         help="override the weight of x2 under the twist")
     p_demo.add_argument("--out", default="demo_certificate.json")
@@ -160,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_sub = p_cert.add_subparsers(dest="cert_command", required=True)
     p_cbuild = c_sub.add_parser("build", help="build a certificate from a pack file")
     p_cbuild.add_argument("file")
-    p_cbuild.add_argument("--lmax", type=int, default=DEFAULT_LMAX)
+    p_cbuild.add_argument("--lmax", type=_nonnegative_int, default=DEFAULT_LMAX)
     p_cbuild.add_argument("--t", type=int, nargs="+", default=None,
                           help="weight vector override (one value per xi, i >= 2)")
     p_cbuild.add_argument("--out", default="certificate.json")

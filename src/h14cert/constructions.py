@@ -211,6 +211,4 @@ def preslice_involution(s: LaurentPoly) -> RingMap:
     idx = exps.index(1)
     lax = VarSet(s.vars.names,
                  tuple(flag or (i == idx) for i, flag in enumerate(s.vars.laurent)))
-    rows = [[int(i == j) for j in range(len(lax))] for i in range(len(lax))]
-    rows[idx][idx] = -1
-    return RingMap(lax, rows)
+    return RingMap(lax, s.vars.names[idx], (0,) * len(lax))

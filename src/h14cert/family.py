@@ -304,7 +304,6 @@ class Certificate:
 
 
 def build_certificate(pack: WitnessPack, l_max: int = 8, *,
-                      weights_override=None,
                       semigroup_bound: int = DEFAULT_SEMIGROUP_BOUND,
                       member_bound: int = DEFAULT_MEMBER_BOUND) -> Certificate:
     """Validate the pack, run the recursion to l_max, assemble q_(l_max)
@@ -318,8 +317,7 @@ def build_certificate(pack: WitnessPack, l_max: int = 8, *,
     same verify as `verify_certificate`, so the report equals that of a
     fresh `verify_certificate` of the certificate."""
     resolved, report = validate_pack(
-        pack, weights_override=weights_override,
-        semigroup_bound=semigroup_bound, member_bound=member_bound,
+        pack, semigroup_bound=semigroup_bound, member_bound=member_bound,
     )
     if resolved is None:
         failures = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())

@@ -1,19 +1,20 @@
 """The two ring maps the pipeline uses: the axis collapse and the twist.
 
 The axis collapse eps fixes x1 (and z) and sends x2, ..., xn to zero; it
-is a term filter.  The twist theta is an automorphism of the form
+is a term filter.  The twist is a RingMap, the inversion of one pivot:
 
-    x_i -> monomial (an invertible integer map on exponents),
-    z   -> z + shift   (shift a Laurent polynomial in x1),
+    pivot -> 1/pivot,   xi -> pivot^{w_i} * xi,   z -> z + shift.
 
-and a RingMap is exactly that.  Distinct monomials have distinct images,
-so applying one maps terms one by one and nothing cancels; only the
-z-part is multiplied out.  The inversion twist, its inverse and the
-preslice involution are the instances.
+On exponents only the pivot's entry changes, to sum_i w_i*e_i - e_pivot:
+an involution under which distinct monomials have distinct images, so
+terms map one by one and only the z-part is multiplied out.  The
+inversion twist (pivot x1), its inverse and the preslice involution (all
+weights 0, no shift) are the instances.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .algebra import Expo, LaurentPoly, VarSet, xz_vars
@@ -21,45 +22,48 @@ from .errors import VariableMismatch, ZeroInput
 
 
 class RingMap:
-    """The automorphism sending each variable to the monomial with exponent
-    vector rows[i] (coefficient 1), and z additionally to z + shift.
+    """The automorphism sending the pivot to 1/pivot, every other variable
+    xi to pivot^{weights[i]} * xi (coefficient 1), and z additionally to
+    z + shift.  The pivot and z carry weight 0.
 
-    The exponent map must be an involution, as for every instance here, so
-    the inverse has the same rows and the shift -apply(shift)."""
+    The exponent map is an involution, so the inverse has the same weights
+    and the shift -apply(shift)."""
 
-    __slots__ = ("vars", "rows", "shift", "_cols", "_z")
+    __slots__ = ("vars", "pivot", "weights", "shift", "_p", "_z")
 
-    def __init__(self, vars: VarSet, rows: Sequence[Expo],
+    def __init__(self, vars: VarSet, pivot: str, weights: Sequence[int],
                  shift: LaurentPoly | None = None):
-        rows = tuple(tuple(int(k) for k in row) for row in rows)
-        width = len(vars)
-        if len(rows) != width or any(len(row) != width for row in rows):
-            raise VariableMismatch("one exponent row per variable required")
-        if any(sum(rows[i][j] * rows[j][k] for j in range(width)) != (i == k)
-               for i in range(width) for k in range(width)):
-            raise VariableMismatch("the exponent map is not an involution")
+        weights = tuple(int(w) for w in weights)
+        if len(weights) != len(vars):
+            raise VariableMismatch("one weight per variable required")
+        if pivot == "z":
+            raise VariableMismatch("z cannot be the pivot")
+        p = vars.index(pivot)
+        if weights[p] or ("z" in vars.names and weights[vars.index("z")]):
+            raise VariableMismatch("the pivot and z must have weight 0")
         z = vars.index("z") if shift is not None else None
         if z is not None and (shift.vars != vars or any(e[z] for e in shift.terms)):
             raise VariableMismatch(
                 "the z-shift must be a z-free polynomial over the map's variables"
             )
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_p", p)
         object.__setattr__(self, "_z", z)
-        # per output position, the (input position, multiplier) pairs of the
-        # exponent map; with a translated z the map covers the x-part only and
-        # powers of z are expanded as powers of its image
-        object.__setattr__(self, "_cols", tuple(
-            tuple((i, row[j]) for i, row in enumerate(rows) if row[j] and i != z)
-            for j in range(width)
-        ))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("RingMap is immutable")
 
     def _mono(self, e: Expo) -> Expo:
-        return tuple(sum(e[i] * m for i, m in col) for col in self._cols)
+        """The image exponent; with a shift, z's exponent is left to the
+        caller, which expands powers of z + shift."""
+        out = list(e)
+        out[self._p] = sum(map(mul, self.weights, e)) - e[self._p]
+        if self._z is not None:
+            out[self._z] = 0
+        return tuple(out)
 
     def _accept(self, p: LaurentPoly):
         if p.vars != self.vars and not self.vars.accepts(p.vars):
@@ -68,8 +72,11 @@ class RingMap:
             )
 
     def image_of(self, name: str) -> LaurentPoly:
-        img = LaurentPoly.monomial(self.vars, self.rows[self.vars.index(name)])
-        return img + self.shift if name == "z" and self.shift is not None else img
+        i = self.vars.index(name)
+        if i == self._z:
+            return LaurentPoly.variable(self.vars, name) + self.shift
+        return LaurentPoly.monomial(
+            self.vars, self._mono(tuple(int(j == i) for j in range(len(self.vars)))))
 
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         """Apply to a polynomial over the same variable names; the input's
@@ -102,13 +109,13 @@ class RingMap:
             raise ZeroInput("order of the zero polynomial")
         if self._z is not None and any(e[self._z] for e in p.terms):
             raise VariableMismatch("x1_order needs a z-free polynomial")
-        col = self._cols[self.vars.index("x1")]
-        return min(sum(e[i] * m for i, m in col) for e in p.terms)
+        x1 = self.vars.index("x1")
+        return min(self._mono(e)[x1] for e in p.terms)
 
     def inverse(self) -> "RingMap":
         if self.shift is None:
             return self
-        return RingMap(self.vars, self.rows, -self.apply(self.shift))
+        return RingMap(self.vars, self.pivot, self.weights, -self.apply(self.shift))
 
 
 def axis_map(p: LaurentPoly) -> LaurentPoly:
@@ -135,10 +142,6 @@ def inversion_map(weights: Sequence[int], shift: LaurentPoly) -> RingMap:
     x1 = shift.vars.index("x1")
     if any(k and (pos != x1 or k < 0) for e in shift.terms for pos, k in enumerate(e)):
         raise VariableMismatch("shift polynomial must lie in k[x1]")
-    rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    rows[0][0] = -1
-    for i, w in enumerate(weights, start=1):
-        rows[i][0] = int(w)
     at_inv = LaurentPoly(vars, {(-e[x1],) + (0,) * n: c for e, c in shift.terms.items()},
                          _clean=False)
-    return RingMap(vars, rows, at_inv)
+    return RingMap(vars, "x1", (0, *weights, 0), at_inv)

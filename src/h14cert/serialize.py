@@ -441,5 +441,9 @@ def load_json_file(path: str) -> Any:
 
 
 def write_json_file(path: str, obj: Any):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    text = dumps(obj)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None

@@ -284,70 +284,45 @@ def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -
 # twist conditions
 
 
-@dataclass(frozen=True)
-class TwistCheck:
-    fgh_polynomial: bool
-    rel_in_x1: bool
-    failing_term: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.fgh_polynomial and self.rel_in_x1
-
-
 def _offending_term(p: LaurentPoly, need_x1: int) -> str:
-    worst = None
     for e in sorted(p.terms):
         if any(k < 0 for k in e) or e[0] < need_x1:
-            worst = e
-            break
-    if worst is None:
-        return ""
-    mono = p._format_monomial(worst) or "1"
-    return f"{p.terms[worst]}*{mono}"
+            return f"{p.terms[e]}*{p._format_monomial(e) or '1'}"
+    return ""
 
 
 def check_twist(twist: RingMap, f: LaurentPoly, g: LaurentPoly,
-                h: LaurentPoly, rel: LaurentPoly) -> TwistCheck:
+                h: LaurentPoly, rel: LaurentPoly) -> str:
     """The two polynomiality conditions on the twisted data: the image of
     f - g*h must be a polynomial, and the image of the relation element must
-    be a polynomial divisible by x1."""
+    be a polynomial divisible by x1.  Returns "" when both hold, else the
+    first failing condition with its offending term."""
     vz = twist.vars
     a = twist.apply((f - g * h).with_vars(vz))
+    if not a.is_polynomial():
+        return f"twist(f - g*h) term {_offending_term(a, 0)}"
     b = twist.apply(rel.with_vars(vz))
-    fgh_ok = a.is_polynomial()
-    rel_ok = (not b.is_zero()) and b.is_polynomial() and b.order_in("x1") >= 1
-    detail = ""
-    if not fgh_ok:
-        detail = f"twist(f - g*h) term {_offending_term(a, 0)}"
-    elif not rel_ok:
-        detail = f"twist(relation) term {_offending_term(b, 1)}"
-    return TwistCheck(fgh_ok, rel_ok, detail)
+    if b.is_zero() or not b.is_polynomial() or b.order_in("x1") < 1:
+        return f"twist(relation) term {_offending_term(b, 1)}"
+    return ""
 
 
 def choose_weights(f: LaurentPoly, g: LaurentPoly, h: LaurentPoly,
                    rel: LaurentPoly) -> tuple[int, ...]:
-    """The uniform weight vector t_i = 1 + max(deg_x1(f - g*h), deg_x1(rel)).
+    """The uniform weight vector t_i = 1 + max(deg_x1(f - g*h), deg_x1(rel), 0).
 
     Both f - g*h and rel must vanish under the axis substitution; then every
     term of either contains some xi (i >= 2), so the chosen weight pushes
-    every twisted term into x1 * k[x].
+    every twisted term into x1 * k[x].  `validate_pack` checks the twist
+    conditions on these weights.
     """
-    n = len(f.vars)
     fgh = f - g * h
     if not axis_map(fgh).is_zero():
         raise WitnessInvalid("f - g*h does not vanish on the axis")
     if rel.is_zero() or not axis_map(rel).is_zero():
         raise WitnessInvalid("relation element must be nonzero and vanish on the axis")
-    dmax = rel.degree_in("x1")
-    if not fgh.is_zero():
-        dmax = max(dmax, fgh.degree_in("x1"))
-    t = 1 + max(dmax, 0)
-    weights = (t,) * (n - 1)
-    result = check_twist(inversion_map(weights, h), f, g, h, rel)
-    if not result.ok:
-        raise WitnessInvalid(f"chosen weights fail the twist conditions: {result.failing_term}")
-    return weights
+    t = 1 + max(rel.degree_in("x1"), fgh.degree_in("x1") if fgh else 0, 0)
+    return (t,) * (len(f.vars) - 1)
 
 
 def clearing_exponent(twist: RingMap, rel: LaurentPoly, f: LaurentPoly, d: int) -> int:
@@ -380,8 +355,7 @@ def _expr_value(expr: LaurentPoly, gens: Sequence[LaurentPoly]) -> LaurentPoly:
     return expr.subst(images)
 
 
-def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None = None,
-                  semigroup_bound: int = DEFAULT_SEMIGROUP_BOUND,
+def validate_pack(pack: WitnessPack, *, semigroup_bound: int = DEFAULT_SEMIGROUP_BOUND,
                   member_bound: int = DEFAULT_MEMBER_BOUND) -> tuple[Resolved | None, Report]:
     """Run every decidable check on a pack and resolve its derived fields.
 
@@ -472,18 +446,16 @@ def validate_pack(pack: WitnessPack, *, weights_override: Sequence[int] | None =
         return None, rep
 
     try:
-        if weights_override is not None:
-            weights = tuple(int(w) for w in weights_override)
-        elif pack.weights is not None:
+        if pack.weights is not None:
             weights = tuple(int(w) for w in pack.weights)
         else:
             weights = choose_weights(pack.f, pack.g, h, rel)
         if len(weights) != pack.n - 1:
             raise WitnessInvalid(f"weight vector must have length {pack.n - 1}")
         twist = inversion_map(weights, h)
-        tw = check_twist(twist, pack.f, pack.g, h, rel)
-        w_ok = tw.ok
-        w_note = f"t = {list(weights)}" if tw.ok else tw.failing_term
+        failing = check_twist(twist, pack.f, pack.g, h, rel)
+        w_ok = not failing
+        w_note = failing or f"t = {list(weights)}"
     except WitnessInvalid as exc:
         weights, twist, w_ok, w_note = None, None, False, str(exc)
     rep.add("weights-twist", w_ok, w_note)

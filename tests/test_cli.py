@@ -10,6 +10,7 @@ import pytest
 
 import h14cert
 from h14cert import (
+    FormatError,
     PermGroupSpec,
     certificate_from_json,
     invariant_generators,
@@ -71,6 +72,63 @@ def test_demo_bad_weight_rejected(tmp_path, capsys):
     assert "witness rejected" in captured.err
     assert "[FAIL] weights-twist" in captured.out
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["demo", "--lmax", "abc"], "argument --lmax: invalid int value: 'abc'"),
+    (["demo", "--lmax", "-1"], "argument --lmax: must be nonnegative, got -1"),
+    (["cert", "build", "pack.json", "--lmax", "-1"],
+     "argument --lmax: must be nonnegative, got -1"),
+    (["cert", "verify"], "the following arguments are required: file"),
+], ids=["lmax-not-int", "demo-lmax-negative", "build-lmax-negative", "missing-file"])
+def test_usage_errors_exit_3(capsys, argv, message):
+    """A bad command line is malformed input: exit 3 at parse time, with
+    argparse's usage line and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.err.startswith("usage: h14cert")
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_3_before_the_build(tmp_path, capsys, monkeypatch, target):
+    """An --out that cannot be written exits 3 before any work is done."""
+    monkeypatch.chdir(tmp_path)
+    pack = write_demo_pack(tmp_path / "pack.json")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a certificate that cannot be written")
+
+    monkeypatch.setattr("h14cert.cli.build_certificate", no_build)
+    for argv in (["demo", "--out", target],
+                 ["cert", "build", str(pack), "--out", target]):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3, argv
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot write {target}: ")
+        assert "Traceback" not in captured.err
+
+
+def test_write_json_file_oserror_is_format_error(tmp_path):
+    with pytest.raises(FormatError, match="cannot write"):
+        write_json_file(str(tmp_path / "missing" / "x.json"), {})
+    with pytest.raises(FormatError, match="cannot write"):
+        write_json_file(str(tmp_path), {})
+
+
+def test_console_script_usage_error_exits_3():
+    proc = subprocess.run(
+        [sys.executable, "-m", "h14cert.cli", "demo", "--lmax", "-1"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 3
+    assert "usage: h14cert demo" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_witness_check_passes(tmp_path, capsys):

@@ -658,7 +658,7 @@ def test_build_report_equals_fresh_verify():
     certs = [build_certificate(invariant_witness_pack(
                  PermGroupSpec(n=n, generators=tuple(map(tuple, gens)))), l_max=3)
              for n, gens in _load_benchmark_groups().values()]
-    certs.append(build_certificate(demo_pack(), l_max=3, weights_override=(6,)))
+    certs.append(build_certificate(replace(demo_pack(), weights=(6,)), l_max=3))
     assert certs[-1].pack.weights == (6,)
     assert len(certs) == 8
     for cert in certs:

@@ -9,6 +9,7 @@ import pytest
 from h14cert import (
     LaurentPoly,
     RingMap,
+    VarSet,
     VariableMismatch,
     axis_map,
     inversion_map,
@@ -61,14 +62,73 @@ def test_apply_accepts_subset_flags():
 
 def test_ringmap_guards():
     with pytest.raises(VariableMismatch):
-        RingMap(V2, [(1, 0)])  # one row short
+        RingMap(V2, "x1", (0,))  # one weight short
     with pytest.raises(VariableMismatch):
-        RingMap(V2, [(1, 1), (0, 1)])  # x1 -> x1*x2 is not an involution
+        RingMap(V2, "x1", (1, 2))  # the pivot carries a weight
+    with pytest.raises(VariableMismatch):
+        RingMap(VZ, "x1", (0, 2, 1))  # so does z
+    with pytest.raises(VariableMismatch):
+        RingMap(VZ, "z", (0, 0, 0))  # z as the pivot
     z = LaurentPoly.variable(VZ, "z")
     with pytest.raises(VariableMismatch):
-        RingMap(VZ, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], z)  # shift involves z
+        RingMap(VZ, "x1", (0, 2, 0), z)  # shift involves z
     with pytest.raises(VariableMismatch):
         inversion_map((2,), LaurentPoly.one(VZ)).x1_order(z)
+
+
+def matrix_image(m, p):
+    """The image of p by the exponent matrix of (pivot, weights): row i is
+    the exponent of the monomial that variable i goes to (the pivot's row
+    is -1 at the pivot, row i has w_i there), a term goes to
+    sum_i e_i * rows[i] over the x's, times the e_z-th power of z's image
+    when the map shifts z."""
+    vars, width = m.vars, len(m.vars)
+    piv = vars.index(m.pivot)
+    rows = [[int(i == j) for j in range(width)] for i in range(width)]
+    for i, w in enumerate(m.weights):
+        rows[i][piv] = -1 if i == piv else w
+    z = vars.index("z") if m.shift is not None else None
+    z_image = (LaurentPoly.monomial(vars, tuple(rows[z])) + m.shift
+               if z is not None else None)
+    for i, name in enumerate(vars.names):
+        img = LaurentPoly.monomial(vars, tuple(rows[i]))
+        assert m.image_of(name) == (z_image if i == z else img)
+    out = LaurentPoly.zero(vars)
+    for e, c in p.terms.items():
+        mono = [sum(e[i] * rows[i][j] for i in range(width) if i != z)
+                for j in range(width)]
+        term = LaurentPoly.monomial(vars, tuple(mono), c)
+        out = out + (term * z_image ** e[z] if z is not None else term)
+    return out
+
+
+def test_pivot_inversion_matches_matrix_route():
+    """Over 2 to 4 variables, with and without z and a z-shift, `apply`
+    equals the exponent-matrix image, and the inverse undoes it."""
+    rng = random.Random(42)
+    for trial in range(60):
+        width = rng.randint(2, 4)
+        with_z = trial % 3 != 0
+        names = tuple(f"x{i}" for i in range(1, width + 1 - with_z)) + ("z",) * with_z
+        xs = names[:len(names) - with_z]
+        pivot = rng.choice(xs)
+        vars = VarSet(names, tuple(name == pivot for name in names))
+        weights = tuple(0 if name in (pivot, "z") else rng.randint(-4, 4)
+                        for name in names)
+        shift = None
+        if with_z and trial % 3 == 2:
+            raw = random_poly(rng, vars, exp_lo=-2)
+            shift = LaurentPoly(vars, {e: c for e, c in raw.terms.items() if not e[-1]})
+        m = RingMap(vars, pivot, weights, shift)
+        for _ in range(5):
+            p = random_poly(rng, vars, exp_lo=-2)
+            image = m.apply(p)
+            assert image == matrix_image(m, p)
+            assert m.inverse().apply(image) == p
+            flat = LaurentPoly(vars, {e: c for e, c in p.terms.items()
+                                      if not (with_z and e[-1])})
+            if flat:
+                assert m.x1_order(flat) == matrix_image(m, flat).order_in("x1")
 
 
 def test_axis_map_images():

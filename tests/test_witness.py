@@ -209,24 +209,19 @@ def test_subalgebra_member_guards():
 
 def test_check_twist_demo_weights():
     h = X1
-    tw = check_twist(inversion_map((5,), h), DEMO_F, DEMO_G, h, DEMO_REL)
-    assert tw.ok
-    assert tw.fgh_polynomial and tw.rel_in_x1
-    assert tw.failing_term == ""
+    assert check_twist(inversion_map((5,), h), DEMO_F, DEMO_G, h, DEMO_REL) == ""
 
 
 def test_check_twist_insufficient_weight():
     h = X1
-    tw = check_twist(inversion_map((4,), h), DEMO_F, DEMO_G, h, DEMO_REL)
-    assert not tw.ok
-    assert tw.failing_term != ""
+    failing = check_twist(inversion_map((4,), h), DEMO_F, DEMO_G, h, DEMO_REL)
+    assert failing == "twist(relation) term -1*x2"
 
 
 def test_check_twist_wrong_quotient():
     zero = LaurentPoly.zero(V2)
-    tw = check_twist(inversion_map((5,), zero), DEMO_F, DEMO_G, zero, DEMO_REL)
-    assert not tw.fgh_polynomial
-    assert "f - g*h" in tw.failing_term
+    failing = check_twist(inversion_map((5,), zero), DEMO_F, DEMO_G, zero, DEMO_REL)
+    assert failing.startswith("twist(f - g*h) term ")
 
 
 def test_choose_weights_demo():
@@ -246,8 +241,7 @@ def test_choose_weights_random_pipeline():
         rw = random_pipeline_data(rng)
         assert len(rw.weights) == rw.n - 1
         assert all(w >= 1 for w in rw.weights)
-        tw = check_twist(rw.twist, rw.f, rw.g, rw.h, rw.rel)
-        assert tw.ok
+        assert check_twist(rw.twist, rw.f, rw.g, rw.h, rw.rel) == ""
 
 
 def test_clearing_exponent_demo():
@@ -306,7 +300,7 @@ def test_validate_pack_stored_fields_checked():
 
 
 def test_validate_pack_weight_override_fails_cleanly():
-    resolved, rep = validate_pack(demo_pack(), weights_override=(4,))
+    resolved, rep = validate_pack(demo_pack(weights=(4,)))
     assert resolved is None
     assert not rep["weights-twist"].ok
     assert rep["weights-twist"].detail != ""
