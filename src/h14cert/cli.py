@@ -33,20 +33,9 @@ from .serialize import (
     poly_to_json,
     write_json_file,
 )
-from .witness import (
-    DEFAULT_MEMBER_BOUND,
-    DEFAULT_SEMIGROUP_BOUND,
-    validate_pack,
-)
+from .witness import validate_pack
 
 DEFAULT_LMAX = 8
-
-
-def _add_bound_options(p: argparse.ArgumentParser):
-    p.add_argument("--bound", type=int, default=DEFAULT_SEMIGROUP_BOUND,
-                   help="order bound for the semigroup table")
-    p.add_argument("--member-bound", type=int, default=DEFAULT_MEMBER_BOUND,
-                   help="degree bound for the subring membership scan")
 
 
 def _build_and_write(pack, args, show=None) -> int:
@@ -57,8 +46,7 @@ def _build_and_write(pack, args, show=None) -> int:
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FormatError(f"cannot write {args.out}: no such directory")
     try:
-        cert = build_certificate(pack, l_max=args.lmax, semigroup_bound=args.bound,
-                                 member_bound=args.member_bound)
+        cert = build_certificate(pack, l_max=args.lmax)
     except WitnessInvalid as exc:
         if exc.report is not None:
             print(format_report(exc.report))
@@ -92,8 +80,7 @@ def cmd_demo(args) -> int:
 
 def cmd_witness_check(args) -> int:
     pack = pack_from_json(load_json_file(args.file))
-    _, report = validate_pack(pack, semigroup_bound=args.bound,
-                              member_bound=args.member_bound)
+    _, report = validate_pack(pack)
     print(format_report(report))
     return 0 if report.ok else 2
 
@@ -107,8 +94,7 @@ def cmd_cert_build(args) -> int:
 
 def cmd_cert_verify(args) -> int:
     cert = certificate_from_json(load_json_file(args.file))
-    report = verify_certificate(cert, semigroup_bound=args.bound,
-                                member_bound=args.member_bound)
+    report = verify_certificate(cert)
     print(format_report(report))
     return 0 if report.ok else 2
 
@@ -170,14 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--t2", type=int, default=None,
                         help="override the weight of x2 under the twist")
     p_demo.add_argument("--out", default="demo_certificate.json")
-    _add_bound_options(p_demo)
     p_demo.set_defaults(func=cmd_demo)
 
     p_witness = sub.add_parser("witness", help="witness pack operations")
     w_sub = p_witness.add_subparsers(dest="witness_command", required=True)
     p_wcheck = w_sub.add_parser("check", help="validate a witness pack file")
     p_wcheck.add_argument("file")
-    _add_bound_options(p_wcheck)
     p_wcheck.set_defaults(func=cmd_witness_check)
 
     p_cert = sub.add_parser("cert", help="certificate operations")
@@ -188,11 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cbuild.add_argument("--t", type=int, nargs="+", default=None,
                           help="weight vector override (one value per xi, i >= 2)")
     p_cbuild.add_argument("--out", default="certificate.json")
-    _add_bound_options(p_cbuild)
     p_cbuild.set_defaults(func=cmd_cert_build)
     p_cverify = c_sub.add_parser("verify", help="re-verify a certificate file")
     p_cverify.add_argument("file")
-    _add_bound_options(p_cverify)
     p_cverify.set_defaults(func=cmd_cert_verify)
 
     p_inv = sub.add_parser("invariants",

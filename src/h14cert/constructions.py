@@ -53,19 +53,6 @@ class PermGroupSpec:
                     frontier.append(nxt)
         return seen
 
-    def index_orbit(self, start: int) -> set[int]:
-        """Orbit of a coordinate index (1-based) under the group."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for gen in self.generators:
-                nxt = gen[cur - 1]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
-
 
 def orbit_sum(group: PermGroupSpec, exps: Expo) -> LaurentPoly:
     """The sum over the orbit of a monomial in the y-coordinates, written
@@ -122,12 +109,12 @@ def invariant_witness_pack(group: PermGroupSpec,
     bound = degree_bound if degree_bound is not None else n
     if bound < 2:
         raise WitnessInvalid("degree bound must be at least 2")
-    if 2 not in group.index_orbit(1):
+    e1 = (1,) + (0,) * (n - 1)
+    if (0, 1) + (0,) * (n - 2) not in group.orbit(e1):
         raise WitnessInvalid(
             "no group element sends the first coordinate to the second"
         )
     gens = invariant_generators(group, bound)
-    e1 = (1,) + (0,) * (n - 1)
     e12 = (1, 1) + (0,) * (n - 2)
     g = orbit_sum(group, e1)
     pair = orbit_sum(group, e12)

@@ -40,8 +40,6 @@ from .errors import (
 )
 from .report import Report
 from .witness import (
-    DEFAULT_MEMBER_BOUND,
-    DEFAULT_SEMIGROUP_BOUND,
     Resolved,
     WitnessPack,
     monic_degree,
@@ -303,9 +301,7 @@ class Certificate:
     report: Report | None = None
 
 
-def build_certificate(pack: WitnessPack, l_max: int = 8, *,
-                      semigroup_bound: int = DEFAULT_SEMIGROUP_BOUND,
-                      member_bound: int = DEFAULT_MEMBER_BOUND) -> Certificate:
+def build_certificate(pack: WitnessPack, l_max: int = 8) -> Certificate:
     """Validate the pack, run the recursion to l_max, assemble q_(l_max)
     and differentiate it down to q_0, and bundle the family with a
     verification report.  Raises WitnessInvalid (with the report attached)
@@ -316,9 +312,7 @@ def build_certificate(pack: WitnessPack, l_max: int = 8, *,
     second validation of it could catch); the family is then checked by the
     same verify as `verify_certificate`, so the report equals that of a
     fresh `verify_certificate` of the certificate."""
-    resolved, report = validate_pack(
-        pack, semigroup_bound=semigroup_bound, member_bound=member_bound,
-    )
+    resolved, report = validate_pack(pack)
     if resolved is None:
         failures = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
         raise WitnessInvalid(f"witness rejected ({failures})", report=report)
@@ -349,9 +343,7 @@ def build_certificate(pack: WitnessPack, l_max: int = 8, *,
 _RESOLVED_NOTE = "pack carries h, annihilator, weights, clearing exponent"
 
 
-def verify_certificate(cert: Certificate, *,
-                       semigroup_bound: int = DEFAULT_SEMIGROUP_BOUND,
-                       member_bound: int = DEFAULT_MEMBER_BOUND) -> Report:
+def verify_certificate(cert: Certificate) -> Report:
     """Recompute every checkable claim of a certificate from its raw data.
 
     The report is deterministic: pack-level checks first (shared with
@@ -368,9 +360,7 @@ def verify_certificate(cert: Certificate, *,
         rep = Report()
         rep.add("resolved-fields", False, _RESOLVED_NOTE)
         return rep
-    resolved, pack_rep = validate_pack(
-        pack, semigroup_bound=semigroup_bound, member_bound=member_bound,
-    )
+    resolved, pack_rep = validate_pack(pack)
     return _verify_resolved(cert, resolved, pack_rep)
 
 

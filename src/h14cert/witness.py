@@ -24,8 +24,8 @@ from .report import Report
 #: the annihilator's variables: T, and G for the coefficients in k[G]
 ANN_VARS = plain_vars("T", "G")
 
-DEFAULT_SEMIGROUP_BOUND = 12
-DEFAULT_MEMBER_BOUND = 12
+#: the least bound of the two validation scans (see `scan_bound`)
+SCAN_BOUND = 12
 
 
 @dataclass
@@ -261,8 +261,8 @@ def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -
     W_d = W_{d-1} + sum_i u_i * (rows new at level d - deg u_i).  Constant
     parts of generators are dropped: the monomials of degree <= d in the
     u_i - c_i span the same space as those in the u_i.  The answer is sound
-    for rejection up to the bound only (the caller chooses the bound);
-    membership is not decided exactly."""
+    for rejection up to the bound only (`validate_pack` scans to
+    `scan_bound`); membership is not decided exactly."""
     hu = _univar_nonneg(h, "membership candidate")
     if hu and max(hu) > bound:
         raise WitnessInvalid(f"candidate degree exceeds the bound {bound}")
@@ -278,6 +278,19 @@ def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -
                     level.append(new)
         levels.append(level)
     return not _reduce(hu, rows, max)
+
+
+def scan_bound(axis_gens: Sequence[LaurentPoly], h: LaurentPoly) -> int:
+    """The one bound B of both scans, worked out from the pack: the least
+    B >= SCAN_BOUND at which no size guard can fire.  B is at least every
+    generator degree (`semigroup_orders`), twice the least positive order
+    of a generator, which is that of k[gens] (`is_normal`), and deg h
+    (`subalgebra_member`)."""
+    units = _units(axis_gens, "semigroup generator")
+    need = [SCAN_BOUND, h.degree_in("x1") if h else 0]
+    if units:
+        need += [max(max(u) for u in units), 2 * min(min(u) for u in units)]
+    return max(need)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +368,13 @@ def _expr_value(expr: LaurentPoly, gens: Sequence[LaurentPoly]) -> LaurentPoly:
     return expr.subst(images)
 
 
-def validate_pack(pack: WitnessPack, *, semigroup_bound: int = DEFAULT_SEMIGROUP_BOUND,
-                  member_bound: int = DEFAULT_MEMBER_BOUND) -> tuple[Resolved | None, Report]:
+def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
     """Run every decidable check on a pack and resolve its derived fields.
 
     Returns (resolved, report); `resolved` is None when a check needed for
     the pipeline fails.  Checks appear in a stable order so reports can be
-    compared verbatim.
+    compared verbatim.  Both scans run to the one bound `scan_bound` works
+    out from the pack, so the report depends on the pack alone.
     """
     rep = Report()
     vars = x_vars(pack.n) if 2 <= pack.n == len(pack.f.vars) else None
@@ -480,8 +493,10 @@ def validate_pack(pack: WitnessPack, *, semigroup_bound: int = DEFAULT_SEMIGROUP
     if not e_ok:
         return None, rep
 
+    axis_gens = [axis_map(gen) for gen in pack.gens]
+    bound = scan_bound(axis_gens, h)
     try:
-        table = semigroup_orders([axis_map(gen) for gen in pack.gens], semigroup_bound)
+        table = semigroup_orders(axis_gens, bound)
         nonnormal = not is_normal(table)
         sg_note = f"orders up to {table.bound}: {table.sorted_orders()}"
     except WitnessInvalid as exc:
@@ -489,10 +504,8 @@ def validate_pack(pack: WitnessPack, *, semigroup_bound: int = DEFAULT_SEMIGROUP
     rep.add("semigroup-non-normal", nonnormal, sg_note)
 
     try:
-        outside = not subalgebra_member(
-            h, [axis_map(gen) for gen in pack.gens], member_bound
-        )
-        mem_note = f"h not spanned by generator monomials up to degree {member_bound}"
+        outside = not subalgebra_member(h, axis_gens, bound)
+        mem_note = f"h not spanned by generator monomials up to degree {bound}"
         if not outside:
             mem_note = "h lies in the collapsed subring within the bound"
     except WitnessInvalid as exc:

@@ -13,6 +13,7 @@ from h14cert import (
     FormatError,
     PermGroupSpec,
     certificate_from_json,
+    format_report,
     invariant_generators,
     invariant_witness_pack,
     load_json_file,
@@ -80,7 +81,16 @@ def test_demo_bad_weight_rejected(tmp_path, capsys):
     (["cert", "build", "pack.json", "--lmax", "-1"],
      "argument --lmax: must be nonnegative, got -1"),
     (["cert", "verify"], "the following arguments are required: file"),
-], ids=["lmax-not-int", "demo-lmax-negative", "build-lmax-negative", "missing-file"])
+] + [
+    # the scan bound is worked out from the pack; no command takes it
+    (command + [flag, "5"], f"unrecognized arguments: {flag} 5")
+    for command in (["demo"], ["witness", "check", "pack.json"],
+                    ["cert", "build", "pack.json"], ["cert", "verify", "cert.json"])
+    for flag in ("--bound", "--member-bound")
+], ids=["lmax-not-int", "demo-lmax-negative", "build-lmax-negative", "missing-file"] + [
+    f"{command}-{flag}" for command in ("demo", "check", "build", "verify")
+    for flag in ("bound", "member-bound")
+])
 def test_usage_errors_exit_3(capsys, argv, message):
     """A bad command line is malformed input: exit 3 at parse time, with
     argparse's usage line and no traceback."""
@@ -91,6 +101,22 @@ def test_usage_errors_exit_3(capsys, argv, message):
     assert captured.err.startswith("usage: h14cert")
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_scan_bound_comes_from_the_pack(tmp_path, capsys):
+    """The swap pack with generators up to degree 7 has axis degrees up to
+    14, above the least scan bound 12: it passes `witness check`, builds
+    and verifies with no flags, and `cert verify` prints the stored report."""
+    pack = tmp_path / "pack.json"
+    write_json_file(str(pack), pack_to_json(invariant_witness_pack(SWAP, degree_bound=7)))
+    out = tmp_path / "cert.json"
+    assert main(["witness", "check", str(pack)]) == 0
+    assert "orders up to 14: [0, 2, 3, 4," in capsys.readouterr().out
+    assert main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["cert", "verify", str(out)]) == 0
+    stored = certificate_from_json(load_json_file(str(out))).report
+    assert capsys.readouterr().out.splitlines() == format_report(stored).splitlines()
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."],
@@ -446,22 +472,6 @@ def child_env():
     src = os.path.dirname(os.path.dirname(h14cert.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
-
-
-def test_witness_check_large_bounds(tmp_path):
-    """Both validation scans at bound 200 finish well inside a timeout; a
-    scan that enumerates generator monomials does not."""
-    path = write_demo_pack(tmp_path / "pack.json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "h14cert.cli", "witness", "check", str(path),
-         "--bound", "200", "--member-bound", "200"],
-        capture_output=True, text=True, env=child_env(), timeout=30,
-    )
-    assert proc.returncode == 0
-    assert "Traceback" not in proc.stdout + proc.stderr
-    assert "[ok ] semigroup-non-normal: orders up to 200: [0, 2, 3, 4," in proc.stdout
-    assert "[ok ] quotient-outside-subring: h not spanned by generator " \
-        "monomials up to degree 200" in proc.stdout
 
 
 def test_console_script_entry_point(tmp_path):

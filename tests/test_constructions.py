@@ -52,8 +52,6 @@ def test_orbits():
     assert SYM3.orbit((2, 1, 0)) == {
         (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2)
     }
-    assert CYCLE3.index_orbit(1) == {1, 2, 3}
-    assert PermGroupSpec(2, ()).index_orbit(1) == {1}
 
 
 # -- the coordinate change and orbit sums ----------------------------------

@@ -2,6 +2,7 @@
 order semigroup, bounded membership, weights, and full pack validation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from h14cert import (
     validate_pack,
     x_vars,
 )
-from h14cert.witness import ANN_VARS, monic_degree
+from h14cert.witness import ANN_VARS, SCAN_BOUND, monic_degree, scan_bound
 from genutil import random_pipeline_data, random_poly, random_univar, univar
 
 V2 = x_vars(2)
@@ -202,6 +203,39 @@ def test_subalgebra_member_guards():
         subalgebra_member(u1({13: 1}), [u1({2: 1})], 12)
     with pytest.raises(WitnessInvalid):
         subalgebra_member(X1 ** -1, [u1({2: 1})], 12)
+
+
+def test_scans_at_large_bound():
+    """Both scans at bound 200 on the demo's axis images finish well inside
+    30 s; a scan that enumerates generator monomials does not."""
+    collapsed = [axis_map(g) for g in DEMO_GENS]
+    start = time.perf_counter()
+    table = semigroup_orders(collapsed, 200)
+    outside = not subalgebra_member(X1, collapsed, 200)
+    assert time.perf_counter() - start < 30
+    assert table.sorted_orders()[:4] == [0, 2, 3, 4]
+    assert outside
+
+
+# -- the scan bound ---------------------------------------------------------
+
+
+def test_scan_bound_is_the_least_at_which_no_guard_fires():
+    collapsed = [axis_map(g) for g in DEMO_GENS]
+    assert scan_bound(collapsed, X1) == SCAN_BOUND == 12
+    assert scan_bound([], LaurentPoly.zero(V2)) == 12
+    cases = [  # (generators, h, B): each one raised by a single guard
+        ([u1({2: 1, 20: 1})], X1, 20),       # a generator degree
+        ([u1({0: 1, 9: 1})], X1, 18),        # twice the least positive order
+        ([u1({2: 1})], u1({13: 1}), 13),     # deg h
+    ]
+    for gens, h, bound in cases:
+        assert scan_bound(gens, h) == bound
+        is_normal(semigroup_orders(gens, bound))       # no guard fires at B
+        subalgebra_member(h, gens, bound)
+        with pytest.raises(WitnessInvalid):            # one fires below B
+            is_normal(semigroup_orders(gens, bound - 1))
+            subalgebra_member(h, gens, bound - 1)
 
 
 # -- weights, twist conditions, clearing exponent -------------------------
