@@ -47,7 +47,6 @@ from .family import (
     annihilator_in_fg,
     build_certificate,
     decompose,
-    realize_fg,
     reduce_by_annihilator,
     tail_coefficients,
     verify_certificate,

@@ -86,10 +86,7 @@ def cmd_witness_check(args) -> int:
 
 
 def cmd_cert_build(args) -> int:
-    pack = pack_from_json(load_json_file(args.file))
-    if args.t:
-        pack = replace(pack, weights=tuple(args.t))
-    return _build_and_write(pack, args)
+    return _build_and_write(pack_from_json(load_json_file(args.file)), args)
 
 
 def cmd_cert_verify(args) -> int:
@@ -169,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cbuild = c_sub.add_parser("build", help="build a certificate from a pack file")
     p_cbuild.add_argument("file")
     p_cbuild.add_argument("--lmax", type=_nonnegative_int, default=DEFAULT_LMAX)
-    p_cbuild.add_argument("--t", type=int, nargs="+", default=None,
-                          help="weight vector override (one value per xi, i >= 2)")
     p_cbuild.add_argument("--out", default="certificate.json")
     p_cbuild.set_defaults(func=cmd_cert_build)
     p_cverify = c_sub.add_parser("verify", help="re-verify a certificate file")

@@ -128,39 +128,6 @@ def decompose(p: LaurentPoly, ann: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
 
 
 # ---------------------------------------------------------------------------
-# realization into actual polynomials
-
-
-def realize_fg(p: LaurentPoly, f: LaurentPoly, g: LaurentPoly,
-               rel: LaurentPoly | None = None,
-               _cache: dict | None = None) -> LaurentPoly:
-    """Evaluate an element with only nonnegative g-powers to a polynomial."""
-    if any(m < 0 for (_, _, m) in p.terms):
-        raise VariableMismatch("element has negative g-powers")
-    if rel is None and any(b > 0 for (_, b, _) in p.terms):
-        raise VariableMismatch("element has rel-powers but no rel value given")
-    cache = _cache if _cache is not None else {}
-
-    def power(tag: str, base: LaurentPoly, k: int) -> LaurentPoly:
-        pows = cache.setdefault(tag, [LaurentPoly.one(base.vars), base])
-        while len(pows) <= k:
-            pows.append(pows[-1] * base)
-        return pows[k]
-
-    acc = LaurentPoly.zero(f.vars)
-    for (a, b, m), c in p.terms.items():
-        term = LaurentPoly.const(f.vars, c)
-        if a:
-            term = term * power("f", f, a)
-        if b:
-            term = term * power("rel", rel, b)
-        if m:
-            term = term * power("g", g, m)
-        acc = acc + term
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # the tail-coefficient recursion
 
 
@@ -168,56 +135,38 @@ def _factorials(n: int) -> list[int]:
     return [math.factorial(i) for i in range(n + 1)]
 
 
-def _tail_order_bound(tail: LaurentPoly, rw: Resolved) -> int:
-    """A lower bound on the x1-order of twist(rel^e * tail), for nonzero
-    f, g and rel.
-
-    The x1-order v of a z-free Laurent polynomial over the domain
-    k[x2..xn] is a valuation, so v(twist(f^a rel^b g^m)) is the sum of the
-    orders of the factors and a sum of terms has at least the smallest
-    order among them; the minimum over the terms of the tail bounds the
-    order from below without realizing anything."""
-    vf, vr, vg = (rw.twist.x1_order(p) for p in (rw.f_xz, rw.rel_xz, rw.g_xz))
-    return min(a * vf + (b + rw.clearing) * vr + m * vg
-               for (a, b, m) in tail.terms)
-
-
 def tail_coefficients(l_max: int, rw: Resolved) -> list[LaurentPoly]:
     """The correction coefficients f_1, ..., f_{l_max}.
 
     Step l forms p = sum_{j=1}^{l} f_{l-j} * (f/g)^j / j!  (with f_0 = 1),
     reduces it against the annihilator, splits off the part that lies in
-    k[f, g], and negates it to obtain f_l.  What remains of p then has only
-    negative g-powers, and multiplying by rel^e makes its twisted image a
-    function with nonnegative x1-order — that is checked here for every
-    step.  The step passes at once when the valuation bound of
-    `_tail_order_bound` is nonnegative; only otherwise is
-    rel^e * remainder * g^K realized and its exact order compared.
+    k[f, g], and negates it to obtain f_l.  What remains of p is a sum of
+    terms f^a * rel^b * g^m with a < d, b >= 0 and m <= -1, and rel^e times
+    it twists to a function of x1-order at least 1.  No step checks this:
+    `validate_pack` has proved it once for every step.  With v the x1-order
+    after the twist, a valuation on the z-free Laurent polynomials,
+
+    * the clearing-exponent line gives e*v(rel) + a*v(f) >= 0 for a < d;
+    * the weights-twist line gives v(rel) >= 1, so b*v(rel) >= 0;
+    * the axis-image-of-g line gives a nonconstant eps(g), whose top axis
+      term twists to a negative power of x1 that no other term of g
+      cancels, so v(g) <= -1 and m*v(g) >= 1.
+
+    So every term of rel^e * remainder has order at least 1, and so has
+    their sum.  The recursion itself reads only rw.ann.
     """
     if l_max < 0:
         raise VariableMismatch("l_max must be nonnegative")
     fact = _factorials(max(l_max, 1))
     one = LaurentPoly.one(FG_VARS)
     tails: list[LaurentPoly] = []
-    powers: dict = {}
     for step in range(1, l_max + 1):
         p = LaurentPoly.zero(FG_VARS)
         for j in range(1, step + 1):
             prev = tails[step - j - 1] if step - j >= 1 else one
             p = p + prev * LaurentPoly.monomial(FG_VARS, (j, 0, -j), Fraction(1, fact[j]))
-        poly_part, neg_tail = decompose(p, rw.ann)
-        tail = -poly_part
-        if neg_tail and _tail_order_bound(neg_tail, rw) < 0:
-            # rel^e * neg_tail = num / g^K with num realized in k[x]
-            k_clear = -min(m for (_, _, m) in neg_tail.terms)
-            num = realize_fg(neg_tail * LaurentPoly.monomial(FG_VARS, (0, rw.clearing, k_clear)),
-                             rw.f_xz, rw.g_xz, rw.rel_xz, _cache=powers)
-            if num and (rw.twist.x1_order(num)
-                        - k_clear * rw.twist.x1_order(rw.g_xz)) < 0:
-                raise ConstructionFailure(
-                    f"step {step}: twisted remainder has negative x1-order"
-                )
-        tails.append(tail)
+        poly_part, _ = decompose(p, rw.ann)
+        tails.append(-poly_part)
     return tails
 
 
@@ -232,7 +181,7 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     (the z-free preimage of s) r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!):
     the sum runs over the small realized tails, and each block costs one
     product with rel^e and one twist.  The blocks r_0..r_l are made in one
-    pass, realizing the tails from one power dict; every r_j is z-free, so
+    pass, realizing each tail by substitution; every r_j is z-free, so
     q_l is laid out by placing r_{l-k} / k! at z-degree k: no product with
     z, and nothing to cancel.  Since the blocks do not depend on l, the
     lower members are derivatives, q_{l-1} = d/dz q_l, and
@@ -249,9 +198,8 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     shift = rw.twist.shift
     h = rw.twist.apply(shift) if shift is not None else LaurentPoly.zero(vz)
     rel_e = rw.rel_xz ** rw.clearing
-    powers: dict = {}
-    plain = [realize_fg(fj, rw.f_xz, rw.g_xz, rw.rel_xz, _cache=powers)
-             for fj in [LaurentPoly.one(FG_VARS), *tails[:l]]]
+    images = {"f": rw.f_xz, "rel": rw.rel_xz, "g": rw.g_xz}
+    plain = [fj.subst(images) for fj in [LaurentPoly.one(FG_VARS), *tails[:l]]]
     hpow = [LaurentPoly.one(vz)]                       # h^m / m!
     z = vz.index("z")
     terms: dict = {}
@@ -307,11 +255,11 @@ def build_certificate(pack: WitnessPack, l_max: int = 8) -> Certificate:
     verification report.  Raises WitnessInvalid (with the report attached)
     when the pack fails validation.
 
-    The pack is validated once.  The stored pack must carry exactly the
-    resolved h, annihilator, weights and clearing exponent (all that a
-    second validation of it could catch); the family is then checked by the
-    same verify as `verify_certificate`, so the report equals that of a
-    fresh `verify_certificate` of the certificate."""
+    The pack is validated once.  The stored pack is that pack with the
+    resolved h, annihilator, weights and clearing exponent filled in, so a
+    second validation of it could catch nothing new; the family is then
+    checked by the same verify as `verify_certificate`, so the report
+    equals that of a fresh `verify_certificate` of the certificate."""
     resolved, report = validate_pack(pack)
     if resolved is None:
         failures = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
@@ -322,14 +270,8 @@ def build_certificate(pack: WitnessPack, l_max: int = 8) -> Certificate:
         members.append(members[-1].deriv("z"))     # q_(l-1) = d/dz q_l
     entries = [CertEntry(l=l, tails=list(tails[:l]), q=q)
                for l, q in enumerate(reversed(members))]
-    stored = resolve_pack_fields(pack, resolved)
-    if (stored.h, stored.ann, stored.weights, stored.clearing) != (
-            resolved.h, resolved.ann, resolved.weights, resolved.clearing):
-        raise ConstructionFailure(
-            "stored pack fields differ from the validated h, annihilator, "
-            "weights and clearing exponent"
-        )
-    cert = Certificate(pack=stored, rel=resolved.rel, d=resolved.d,
+    cert = Certificate(pack=resolve_pack_fields(pack, resolved),
+                       rel=resolved.rel, d=resolved.d,
                        clearing=resolved.clearing, entries=entries)
     cert.report = _verify_resolved(cert, resolved, report)
     if not cert.report.ok:
@@ -385,7 +327,7 @@ def _appell_blocks(tails: list[LaurentPoly],
     values: list[LaurentPoly] = []
     blocks: list[dict] = []
     for j, fj in enumerate([LaurentPoly.one(FG_VARS)] + list(tails)):
-        if any(m < 0 for (_, _, m) in fj.terms):       # worded as realize_fg's
+        if any(m < 0 for (_, _, m) in fj.terms):       # no power list holds g^(-m)
             return blocks, VariableMismatch("element has negative g-powers")
         value = LaurentPoly.zero(vz)
         for exps, c in fj.terms.items():

@@ -106,9 +106,9 @@ def g_clearing(*ps) -> int:
 
 
 def fg_realize_oracle(p: LaurentPoly, f, g, rel, k: int) -> LaurentPoly:
-    """The polynomial p * g^k with f, rel and g substituted: a plain
-    `subst`, sharing no code with `family.realize_fg`.  Identities in
-    k[f, rel, g, 1/g] are compared through it with one k for both sides."""
+    """The polynomial p * g^k with f, rel and g substituted by a plain
+    `subst`.  Identities in k[f, rel, g, 1/g] are compared through it with
+    one k for both sides."""
     cleared = p * LaurentPoly.monomial(FG_VARS, (0, 0, k))
     return cleared.subst({"f": f, "rel": rel, "g": g})
 

@@ -81,13 +81,16 @@ def test_demo_bad_weight_rejected(tmp_path, capsys):
     (["cert", "build", "pack.json", "--lmax", "-1"],
      "argument --lmax: must be nonnegative, got -1"),
     (["cert", "verify"], "the following arguments are required: file"),
+    # the weights are the pack's "t" field
+    (["cert", "build", "pack.json", "--t", "5"], "unrecognized arguments: --t 5"),
 ] + [
     # the scan bound is worked out from the pack; no command takes it
     (command + [flag, "5"], f"unrecognized arguments: {flag} 5")
     for command in (["demo"], ["witness", "check", "pack.json"],
                     ["cert", "build", "pack.json"], ["cert", "verify", "cert.json"])
     for flag in ("--bound", "--member-bound")
-], ids=["lmax-not-int", "demo-lmax-negative", "build-lmax-negative", "missing-file"] + [
+], ids=["lmax-not-int", "demo-lmax-negative", "build-lmax-negative", "missing-file",
+        "build-t"] + [
     f"{command}-{flag}" for command in ("demo", "check", "build", "verify")
     for flag in ("bound", "member-bound")
 ])
@@ -317,18 +320,21 @@ def test_cert_verify_member_without_variables_exits_2(tmp_path, capsys):
 
 
 def test_cert_build_weight_flag(tmp_path, capsys):
-    pack = write_demo_pack(tmp_path / "pack.json")
-    out = tmp_path / "cert.json"
-    rc = main(["cert", "build", str(pack), "--lmax", "1", "--t", "6",
-               "--out", str(out)])
+    """The weights are the pack's "t" field; `cert build` has no flag for them."""
+    pack, out = tmp_path / "pack.json", tmp_path / "cert.json"
+    obj = pack_to_json(invariant_witness_pack(SWAP))
+    obj["t"] = [6]
+    write_json_file(str(pack), obj)
+    rc = main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 0
     assert "t = [6]" in captured.out
     cert = certificate_from_json(load_json_file(str(out)))
     assert cert.pack.weights == (6,)
 
-    rc = main(["cert", "build", str(pack), "--lmax", "1", "--t", "4",
-               "--out", str(out)])
+    obj["t"] = [4]
+    write_json_file(str(pack), obj)
+    rc = main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 2
     assert "witness rejected" in captured.err
