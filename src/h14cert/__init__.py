@@ -44,7 +44,6 @@ from .errors import (
 from .family import (
     CertEntry,
     Certificate,
-    annihilator_in_fg,
     build_certificate,
     decompose,
     reduce_by_annihilator,

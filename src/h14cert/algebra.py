@@ -322,36 +322,42 @@ class LaurentPoly:
         Every variable must have an image and all images must share one
         target VarSet.  A variable occurring with negative exponents needs
         an invertible (single-term) image; otherwise NotInvertible.
+
+        Powers are shared by all terms of the call: each positive one is
+        made from the next lower one that occurs (the k-th from the
+        (k-1)-th, a gap by `**`); negative powers go through `**`.
         """
-        target = None
-        for name in self.vars.names:
+        names = self.vars.names
+        for name in names:
             if name not in images:
                 raise VariableMismatch(f"no image supplied for {name!r}")
-            img = images[name]
-            if target is None:
-                target = img.vars
-            elif img.vars != target:
-                raise VariableMismatch("images live over different variable sets")
-        if target is None:  # no variables: impossible given VarSet >= 1
-            raise VariableMismatch("empty variable set")
+        targets = {images[name].vars for name in names}
+        if len(targets) != 1:
+            raise VariableMismatch("images live over different variable sets"
+                                   if targets else "empty variable set")
+        target = targets.pop()
         if not self.terms:
             return LaurentPoly.zero(target)
 
-        cache: dict[tuple[int, int], LaurentPoly] = {}
-
-        def power(idx: int, k: int) -> LaurentPoly:
-            got = cache.get((idx, k))
-            if got is None:
-                got = cache[(idx, k)] = images[self.vars.names[idx]] ** k
-            return got
+        powers: list[dict[int, LaurentPoly]] = []
+        for idx, name in enumerate(names):
+            img, got, last, last_k = images[name], {}, None, 0
+            for k in sorted({e[idx] for e in self.terms if e[idx] > 0}):
+                step = img if k - last_k == 1 else img ** (k - last_k)
+                last = got[k] = step if last is None else last * step
+                last_k = k
+            powers.append(got)
 
         acc: dict[Expo, Fraction] = {}
         for e, c in self.terms.items():
             prod = LaurentPoly.const(target, c)
             for idx, k in enumerate(e):
-                if k == 0:
+                if not k:
                     continue
-                prod = prod * power(idx, k)
+                got = powers[idx].get(k)
+                if got is None:                        # a negative power
+                    got = powers[idx][k] = images[names[idx]] ** k
+                prod = prod * got
                 if prod.is_zero():
                     break
             for ee, cc in prod.terms.items():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .constructions import PermGroupSpec, invariant_witness_pack, orbit_sum
 from .errors import (
@@ -63,8 +62,6 @@ def _build_and_write(pack, args, show=None) -> int:
 def cmd_demo(args) -> int:
     group = PermGroupSpec(n=2, generators=((2, 1),))
     pack = invariant_witness_pack(group)
-    if args.t2 is not None:
-        pack = replace(pack, weights=(args.t2,))
 
     def show_generators(cert):
         twist = inversion_map(cert.pack.weights, cert.pack.h)
@@ -150,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run the built-in two-variable example")
     p_demo.add_argument("--lmax", type=_nonnegative_int, default=DEFAULT_LMAX)
-    p_demo.add_argument("--t2", type=int, default=None,
-                        help="override the weight of x2 under the twist")
     p_demo.add_argument("--out", default="demo_certificate.json")
     p_demo.set_defaults(func=cmd_demo)
 
@@ -176,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="orbit-sum generators of a permutation-invariant ring")
     p_inv.add_argument("--group", required=True,
                        help="path to a group spec file, or inline JSON")
-    p_inv.add_argument("--degree", type=int, required=True)
+    p_inv.add_argument("--degree", type=_nonnegative_int, required=True)
     p_inv.add_argument("--json", action="store_true",
                        help="emit the generator list as JSON")
     p_inv.set_defaults(func=cmd_invariants)

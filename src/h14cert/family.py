@@ -6,9 +6,11 @@ kept symbolically as Laurent polynomials over FG_VARS, whose term (a, b, m)
 stands for f^a * rel^b * g^m; the monic annihilator gives the rewriting
 rule
 
-    f^d  =  rel - sum_{s<d} c_s(g) * f^s
+    f^d  =  rel - sum_{s<d} c_s(g) * f^s  =  rel - (Pi(f, g) - f^d)
 
-which normalizes every element to f-degree < d.  On top of that sit:
+which normalizes every element to f-degree < d.  The rule is applied by
+kernel products with Pi(f, g) = `realize_annihilator(ann, f, g)`, and
+rel is expanded back by Horner's rule in Pi(f, g).  On top of that sit:
 
 * `decompose`      — split an element into its polynomial part (in f, g)
                      and a tail with only negative g-powers,
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .algebra import LaurentPoly, VarSet
+from .algebra import LaurentPoly, VarSet, coeffs_in
 from .errors import (
     AlgebraError,
     ConstructionFailure,
@@ -43,6 +45,7 @@ from .witness import (
     Resolved,
     WitnessPack,
     monic_degree,
+    realize_annihilator,
     resolve_pack_fields,
     validate_pack,
 )
@@ -61,50 +64,36 @@ def is_fg(p: LaurentPoly) -> bool:
 # rewriting against the annihilator
 
 
-def _ann_rules(ann: LaurentPoly) -> tuple[int, list[tuple[int, int, Fraction]]]:
-    """Degree d plus the replacement data for f^d = rel - sum c_s(g) f^s,
-    flattened to (s, g-power, coefficient) triples."""
+def _relation(ann: LaurentPoly) -> tuple[int, LaurentPoly]:
+    """The degree d of the annihilator and Pi(f, g) = f^d + sum_{s<d}
+    c_s(g) * f^s over FG_VARS, which rel stands for."""
     d = monic_degree(ann)
     if d is None:
         raise VariableMismatch("annihilator must be monic")
     if d < 1:
         raise VariableMismatch("annihilator must have positive degree")
-    return d, [(s, u, gamma) for (s, u), gamma in ann.terms.items() if s < d]
+    f, g = (LaurentPoly.variable(FG_VARS, name) for name in ("f", "g"))
+    return d, realize_annihilator(ann, f, g)
 
 
-def annihilator_in_fg(ann: LaurentPoly) -> LaurentPoly:
-    """The relation element written out in k[f, g]: Ann evaluated at f."""
-    d, rules = _ann_rules(ann)
-    terms = [((d, 0, 0), 1)] + [((s, 0, u), gamma) for s, u, gamma in rules]
-    return LaurentPoly(FG_VARS, terms)
+def _reduce(p: LaurentPoly, d: int, pi: LaurentPoly) -> LaurentPoly:
+    """p rewritten by f^d = rel - (Pi(f, g) - f^d) in passes: adding H / f^d
+    times rel - Pi(f, g), for H the part of f-degree >= d, replaces H by
+    (H / f^d) * (rel - (Pi(f, g) - f^d)) and lowers the top f-degree."""
+    step = LaurentPoly.variable(FG_VARS, "rel") - pi
+    while high := {(a - d, b, m): c for (a, b, m), c in p.terms.items() if a >= d}:
+        p = p + LaurentPoly(FG_VARS, high, _clean=False) * step
+    return p
 
 
 def reduce_by_annihilator(p: LaurentPoly, ann: LaurentPoly) -> LaurentPoly:
-    """Rewrite until every f-exponent is below the annihilator degree.
+    """Rewrite until every f-exponent is below the annihilator degree d.
 
-    Each application of the rule trades f^d for one rel-power plus strictly
-    smaller f-powers, so the multiset of f-exponents descends and the loop
-    terminates.
-    """
-    d, rules = _ann_rules(ann)
-    terms = dict(p.terms)
-    while True:
-        top = max((a for (a, _, _) in terms if a >= d), default=None)
-        if top is None:
-            break
-        for key in [k for k in terms if k[0] == top]:
-            c = terms.pop(key)
-            _, b, m = key
-            updates = [((top - d, b + 1, m), c)]
-            for s, u, gamma in rules:
-                updates.append(((top - d + s, b, m + u), -gamma * c))
-            for k, v in updates:
-                s2 = terms.get(k, Fraction(0)) + v
-                if s2 == 0:
-                    terms.pop(k, None)
-                else:
-                    terms[k] = s2
-    return LaurentPoly(FG_VARS, terms, _clean=False)
+    Pi(f, g) - rel is monic of degree d in f over k[rel, g, 1/g], so the
+    result is the unique normal form over the basis f^a (a < d) of p modulo
+    Pi(f, g) = rel: no order of rewriting can change it, nor the tails and
+    certificate bytes built from it."""
+    return _reduce(p, *_relation(ann))
 
 
 def decompose(p: LaurentPoly, ann: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -113,18 +102,19 @@ def decompose(p: LaurentPoly, ann: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     with strictly negative g-powers.  Their sum equals p in the localized
     algebra; the tests check this by realizing both sides times a power
     of g that clears every denominator."""
-    red = reduce_by_annihilator(p, ann)
-    neg = {k: c for k, c in red.terms.items() if k[2] < 0}
-    rel_fg = annihilator_in_fg(ann)
-    rel_pows = [LaurentPoly.one(FG_VARS)]
+    return _split(p, *_relation(ann))
+
+
+def _split(p: LaurentPoly, d: int, pi: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """`decompose` with Pi(f, g) realized; rel is expanded back by Horner."""
+    parts: tuple[dict, dict] = ({}, {})
+    for e, c in _reduce(p, d, pi).terms.items():
+        parts[e[2] < 0][e] = c
+    pos, neg = (LaurentPoly(FG_VARS, t, _clean=False) for t in parts)
     poly_part = LaurentPoly.zero(FG_VARS)
-    for (a, b, m), c in sorted(red.terms.items()):
-        if m < 0:
-            continue
-        while len(rel_pows) <= b:
-            rel_pows.append(rel_pows[-1] * rel_fg)
-        poly_part = poly_part + rel_pows[b] * LaurentPoly.monomial(FG_VARS, (a, 0, m), c)
-    return poly_part, LaurentPoly(FG_VARS, neg, _clean=False)
+    for coeff in reversed(coeffs_in(pos, "rel") if pos else []):
+        poly_part = poly_part * pi + coeff
+    return poly_part, neg
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +143,21 @@ def tail_coefficients(l_max: int, rw: Resolved) -> list[LaurentPoly]:
       cancels, so v(g) <= -1 and m*v(g) >= 1.
 
     So every term of rel^e * remainder has order at least 1, and so has
-    their sum.  The recursion itself reads only rw.ann.
+    their sum.  The recursion itself reads only rw.ann, and realizes
+    Pi(f, g) from it once for all steps.
     """
     if l_max < 0:
         raise VariableMismatch("l_max must be nonnegative")
     fact = _factorials(max(l_max, 1))
     one = LaurentPoly.one(FG_VARS)
+    d, pi = _relation(rw.ann)
     tails: list[LaurentPoly] = []
     for step in range(1, l_max + 1):
         p = LaurentPoly.zero(FG_VARS)
         for j in range(1, step + 1):
             prev = tails[step - j - 1] if step - j >= 1 else one
             p = p + prev * LaurentPoly.monomial(FG_VARS, (j, 0, -j), Fraction(1, fact[j]))
-        poly_part, _ = decompose(p, rw.ann)
+        poly_part, _ = _split(p, d, pi)
         tails.append(-poly_part)
     return tails
 
@@ -177,8 +169,8 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     member is q_l = sum_i c_{l-i} * (z + s)^i / i!.  Expanding (z + s)^i
     regroups it as q_l = sum_k r_{l-k} * z^k / k!, where the block
     r_j = sum_m c_{j-m} * s^m / m! does not depend on l.  The twist is a
-    ring map and its exponent part an involution, so with h = twist(s)
-    (the z-free preimage of s) r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!):
+    ring map and s = h(1/x1) is the twist of the pack's h, so
+    r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!):
     the sum runs over the small realized tails, and each block costs one
     product with rel^e and one twist.  The blocks r_0..r_l are made in one
     pass, realizing each tail by substitution; every r_j is z-free, so
@@ -195,8 +187,6 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     """
     vz = rw.twist.vars
     fact = _factorials(max(l, 1))
-    shift = rw.twist.shift
-    h = rw.twist.apply(shift) if shift is not None else LaurentPoly.zero(vz)
     rel_e = rw.rel_xz ** rw.clearing
     images = {"f": rw.f_xz, "rel": rw.rel_xz, "g": rw.g_xz}
     plain = [fj.subst(images) for fj in [LaurentPoly.one(FG_VARS), *tails[:l]]]
@@ -205,7 +195,7 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     terms: dict = {}
     for j in range(l + 1):
         if j:
-            hpow.append(hpow[-1] * h * Fraction(1, j))
+            hpow.append(hpow[-1] * rw.h_xz * Fraction(1, j))
         pulled = LaurentPoly.zero(vz)
         for m in range(j + 1):
             pulled = pulled + plain[j - m] * hpow[m]

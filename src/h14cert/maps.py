@@ -18,7 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import Expo, LaurentPoly, VarSet, xz_vars
-from .errors import VariableMismatch, ZeroInput
+from .errors import VariableMismatch
 
 
 class RingMap:
@@ -100,17 +100,6 @@ class RingMap:
     # KeyError: 'apply_rf'.  Drop the method and that span together.
     def apply_rf(self, pair: tuple[LaurentPoly, LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly]:
         return self.apply(pair[0]), self.apply(pair[1])
-
-    def x1_order(self, p: LaurentPoly) -> int:
-        """The x1-order of the image of a nonzero z-free polynomial, read off
-        the exponents: min over terms of the image's x1-exponent."""
-        self._accept(p)
-        if not p.terms:
-            raise ZeroInput("order of the zero polynomial")
-        if self._z is not None and any(e[self._z] for e in p.terms):
-            raise VariableMismatch("x1_order needs a z-free polynomial")
-        x1 = self.vars.index("x1")
-        return min(self._mono(e)[x1] for e in p.terms)
 
     def inverse(self) -> "RingMap":
         if self.shift is None:

@@ -102,6 +102,11 @@ def monic_degree(ann: LaurentPoly) -> int | None:
     return d if top == [(d, 0)] and ann.terms[(d, 0)] == 1 else None
 
 
+def realize_annihilator(ann: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Evaluate Ann at T -> f, G -> g: the relation element of the pair."""
+    return ann.subst({"T": f, "G": g})
+
+
 def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """The polynomial Ann over ANN_VARS, monic in T of degree deg(eps(g)),
     with Ann(eps(f), eps(g)) = 0; computed as the resultant of T - eps(f)
@@ -121,14 +126,9 @@ def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise WitnessInvalid("annihilator leading coefficient is not constant")
     ann = res / res.terms[(m, 0)]
     # sanity: the defining property, checked in k[x1]
-    if not ann.subst({"T": ef, "G": eg}).is_zero():
+    if not realize_annihilator(ann, ef, eg).is_zero():
         raise WitnessInvalid("annihilator fails to annihilate the axis image")
     return ann
-
-
-def realize_annihilator(ann: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Evaluate Ann at T -> f, G -> g: the relation element of the pair."""
-    return ann.subst({"T": f, "G": g})
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +345,10 @@ def clearing_exponent(twist: RingMap, rel: LaurentPoly, f: LaurentPoly, d: int) 
     vz = twist.vars
     if rel.is_zero():
         raise WitnessInvalid("twisted relation element is zero")
-    op = twist.x1_order(rel.with_vars(vz))
+    op = twist.apply(rel.with_vars(vz)).order_in("x1")
     if op < 1:
         raise WitnessInvalid("twisted relation element is not divisible by x1")
-    of = twist.x1_order(f.with_vars(vz)) if not f.is_zero() else 0
+    of = twist.apply(f.with_vars(vz)).order_in("x1") if not f.is_zero() else 0
     e = 1
     while any(e * op + i * of < 0 for i in range(d)):
         e += 1
@@ -433,7 +433,7 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
                 raise WitnessInvalid("stored annihilator is not monic over k[G]")
             if d != eg.degree_in("x1"):
                 raise WitnessInvalid("stored annihilator degree differs from deg eps(g)")
-            if not ann.subst({"T": axis_map(pack.f), "G": eg}).is_zero():
+            if not realize_annihilator(ann, axis_map(pack.f), eg).is_zero():
                 raise WitnessInvalid("stored annihilator does not annihilate eps(f)")
         else:
             ann = build_annihilator(pack.f, pack.g)

@@ -26,7 +26,7 @@ from h14cert import (
     xz_vars,
 )
 from h14cert.algebra import _exact_div, coeffs_in
-from genutil import naive_determinant, random_nonzero_poly, random_poly
+from genutil import naive_determinant, random_fraction, random_nonzero_poly, random_poly
 
 V2 = x_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
@@ -181,6 +181,32 @@ def test_subst_is_a_homomorphism():
         b = random_poly(rng, V2, exp_lo=-2)
         assert (a + b).subst(images) == a.subst(images) + b.subst(images)
         assert (a * b).subst(images) == a.subst(images) * b.subst(images)
+
+
+def test_subst_shared_powers_equal_pow():
+    """Powers shared across the terms of one call, each made from the one
+    below it or by `**` of the gap, give what `**` gives term by term: for
+    all exponents up to 8, alone, contiguous, with gaps, and next to
+    negative powers of a single-term image."""
+    rng = random.Random(808)
+    images = {"x1": LaurentPoly.monomial(V2, (-3, 0), Fraction(-2, 3)),
+              "x2": X1 * X2 - X2 ** 2 + Fraction(1, 2)}
+
+    def by_pow(p):
+        return sum((c * images["x1"] ** a * images["x2"] ** b
+                    for (a, b), c in p.terms.items()), LaurentPoly.zero(V2))
+
+    singles = [LaurentPoly.monomial(V2, (a, b), 1 + a - b)
+               for a in range(-2, 9) for b in range(9)]
+    for p in singles:
+        assert p.subst(images) == by_pow(p)
+    total = sum(singles, LaurentPoly.zero(V2))
+    assert total.subst(images) == by_pow(total)
+    for _ in range(60):
+        exps = rng.sample(range(-3, 9), rng.randint(1, 5))
+        p = LaurentPoly(V2, {(a, rng.choice(range(9))): random_fraction(rng) or 1
+                             for a in exps})
+        assert p.subst(images) == by_pow(p)
 
 
 def test_subst_identity_and_errors():

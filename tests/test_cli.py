@@ -66,8 +66,14 @@ def test_demo_default_output_name(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "demo_certificate.json").exists()
 
 
-def test_demo_bad_weight_rejected(tmp_path, capsys):
-    rc = main(["demo", "--t2", "4", "--out", str(tmp_path / "x.json")])
+def test_cert_build_bad_weight_rejected(tmp_path, capsys):
+    """A pack whose "t" is too small to make the twisted data polynomial is
+    rejected at validation, and nothing is written."""
+    pack = tmp_path / "pack.json"
+    obj = pack_to_json(invariant_witness_pack(SWAP))
+    obj["t"] = [4]
+    write_json_file(str(pack), obj)
+    rc = main(["cert", "build", str(pack), "--out", str(tmp_path / "x.json")])
     captured = capsys.readouterr()
     assert rc == 2
     assert "witness rejected" in captured.err
@@ -83,6 +89,9 @@ def test_demo_bad_weight_rejected(tmp_path, capsys):
     (["cert", "verify"], "the following arguments are required: file"),
     # the weights are the pack's "t" field
     (["cert", "build", "pack.json", "--t", "5"], "unrecognized arguments: --t 5"),
+    (["demo", "--t2", "4"], "unrecognized arguments: --t2 4"),
+    (["invariants", "--group", '{"n": 2, "generators": [[2, 1]]}', "--degree", "-1"],
+     "argument --degree: must be nonnegative, got -1"),
 ] + [
     # the scan bound is worked out from the pack; no command takes it
     (command + [flag, "5"], f"unrecognized arguments: {flag} 5")
@@ -90,7 +99,7 @@ def test_demo_bad_weight_rejected(tmp_path, capsys):
                     ["cert", "build", "pack.json"], ["cert", "verify", "cert.json"])
     for flag in ("--bound", "--member-bound")
 ], ids=["lmax-not-int", "demo-lmax-negative", "build-lmax-negative", "missing-file",
-        "build-t"] + [
+        "build-t", "demo-t2", "invariants-degree-negative"] + [
     f"{command}-{flag}" for command in ("demo", "check", "build", "verify")
     for flag in ("bound", "member-bound")
 ])

@@ -21,7 +21,6 @@ from h14cert import (
     VariableMismatch,
     WitnessInvalid,
     WitnessPack,
-    annihilator_in_fg,
     axis_map,
     build_annihilator,
     build_certificate,
@@ -146,10 +145,72 @@ def test_fgpoly_sorted_and_str():
 # -- rewriting against the annihilator -----------------------------------
 
 
-def test_annihilator_in_fg_demo():
+def test_realize_annihilator_over_fg_vars_demo():
     # Ann(T) = T^2 - G^3 written out: f^2 - g^3
-    p = annihilator_in_fg(DEMO_ANN)
+    f, g = (LaurentPoly.variable(FG_VARS, name) for name in ("f", "g"))
+    p = realize_annihilator(DEMO_ANN, f, g)
     assert p.terms == {(2, 0, 0): Fraction(1), (0, 0, 3): Fraction(-1)}
+
+
+def dict_loop_reduce(p, ann):
+    """The rule-by-rule rewriting of the earlier releases, kept as an
+    oracle: each step trades every term of the top f-degree a >= d for
+    f^(a-d) * rel minus the (s, u, gamma) replacement triples of
+    f^d = rel - sum gamma * g^u * f^s, in a dict of terms."""
+    d = ann.degree_in("T")
+    rules = [(s, u, gamma) for (s, u), gamma in ann.terms.items() if s < d]
+    terms = dict(p.terms)
+    while True:
+        top = max((a for (a, _, _) in terms if a >= d), default=None)
+        if top is None:
+            break
+        for key in [k for k in terms if k[0] == top]:
+            c = terms.pop(key)
+            _, b, m = key
+            updates = [((top - d, b + 1, m), c)]
+            for s, u, gamma in rules:
+                updates.append(((top - d + s, b, m + u), -gamma * c))
+            for k, v in updates:
+                s2 = terms.get(k, Fraction(0)) + v
+                if s2 == 0:
+                    terms.pop(k, None)
+                else:
+                    terms[k] = s2
+    return terms
+
+
+def dict_loop_decompose(p, ann):
+    """The earlier `decompose` as an oracle: rel^b expanded from a list of
+    powers of the written-out relation element, term by term."""
+    rel_fg = LaurentPoly(FG_VARS, [((s, 0, u), gamma) for (s, u), gamma in ann.terms.items()])
+    rel_pows = [ONE]
+    poly_part, neg = LaurentPoly.zero(FG_VARS), {}
+    for (a, b, m), c in sorted(dict_loop_reduce(p, ann).items()):
+        if m < 0:
+            neg[(a, b, m)] = c
+            continue
+        while len(rel_pows) <= b:
+            rel_pows.append(rel_pows[-1] * rel_fg)
+        poly_part = poly_part + rel_pows[b] * fg(a, 0, m, c)
+    return poly_part.terms, neg
+
+
+def test_reduce_and_decompose_match_the_dict_loops():
+    """The pass-wise reduction and the Horner expansion give the term maps
+    of the rule-by-rule loops, on the demo annihilator and on 24 random
+    ones, for inputs with rel-powers and negative g-powers."""
+    rng = random.Random(1515)
+    anns = [DEMO_ANN] + [random_pipeline_data(rng, n=2 + i % 2).ann for i in range(24)]
+    degrees = set()
+    for ann in anns:
+        d = ann.degree_in("T")
+        degrees.add(d)
+        for _ in range(6):
+            p = random_fgpoly(rng, max_terms=6, lo=(0, 0, -3), hi=(2 * d + 2, 2, 3))
+            assert reduce_by_annihilator(p, ann).terms == dict_loop_reduce(p, ann)
+            poly_part, tail = decompose(p, ann)
+            assert (poly_part.terms, tail.terms) == dict_loop_decompose(p, ann)
+    assert degrees >= {1, 2}
 
 
 def test_reduce_by_annihilator_demo():
