@@ -6,6 +6,11 @@ exponents; everything else is an ordinary polynomial variable.  All values
 are immutable by convention (operations return fresh objects), coefficients
 are `fractions.Fraction`, and equality is exact equality of term maps.
 No floating point appears anywhere in this package.
+
+The product packs each exponent tuple into one int, less the operand's
+minima, with a bit field per variable sized per product to hold the sum
+of the two operands' spans: adding two keys never carries from one field
+into the next, so the int sum is exactly the packed exponent sum.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, sub
+from operator import add, lshift, sub
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -227,30 +232,53 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
+        a = self.terms
+        if isinstance(other, LaurentPoly):
+            b = self._coerce(other).terms
+        else:                                   # a scalar is a constant term
             c = qq(other)
-            if c == 0:
-                return LaurentPoly.zero(self.vars)
-            return LaurentPoly(
-                self.vars, {e: k * c for e, k in self.terms.items()}, _clean=False
-            )
-        other = self._coerce(other)
-        if not self.terms or not other.terms:
+            b = {(0,) * len(self.vars): c} if c else {}
+        if not a or not b:
             return LaurentPoly.zero(self.vars)
-        # Convolve over the integers: per-pair Fraction normalization is the
-        # dominant cost on large products, so clear denominators up front and
-        # build one Fraction per output term.
-        da = math.lcm(*(c.denominator for c in self.terms.values()))
-        db = math.lcm(*(c.denominator for c in other.terms.values()))
-        ia = [(e, c.numerator * (da // c.denominator)) for e, c in self.terms.items()]
-        ib = [(e, c.numerator * (db // c.denominator)) for e, c in other.terms.items()]
-        out: dict[Expo, int] = {}
-        for e1, c1 in ia:
-            for e2, c2 in ib:
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+        if len(a) == 1 or len(b) == 1:
+            # a shift keeps distinct exponents distinct: nothing accumulates
+            (e0, c0), = (b if len(b) == 1 else a).items()
+            many = a if len(b) == 1 else b
+            n0, d0 = c0.numerator, c0.denominator
+            if any(e0):
+                many = {tuple(map(add, e, e0)): c for e, c in many.items()}
+            if n0 != d0:
+                many = {e: Fraction(c.numerator * n0, c.denominator * d0)
+                        for e, c in many.items()}
+            return LaurentPoly(self.vars, many, _clean=False)
+        # Each operand is packed less its own minima, variable i in a field
+        # of (span_a + span_b).bit_length() bits (span: max - min exponent of
+        # i); sized per product, a field holds any sum, so nothing carries
+        # across fields.  Keys are unbounded ints, not 64-bit words.  Each
+        # distinct sum is unpacked once, with one Fraction.
+        lo_a, lo_b = list(map(min, *a)), list(map(min, *b))
+        shifts, fields, at = [], [], 0
+        for lo, hi in zip(map(add, lo_a, lo_b), map(add, map(max, *a), map(max, *b))):
+            bits = (hi - lo).bit_length()
+            shifts.append(at)
+            fields.append((at, (1 << bits) - 1, lo))
+            at += bits
+        base_a, base_b = sum(map(lshift, lo_a, shifts)), sum(map(lshift, lo_b, shifts))
+        da = math.lcm(*(c.denominator for c in a.values()))
+        db = math.lcm(*(c.denominator for c in b.values()))
+        ia = [(sum(map(lshift, e, shifts)) - base_a, c.numerator * (da // c.denominator))
+              for e, c in a.items()]
+        ib = [(sum(map(lshift, e, shifts)) - base_b, c.numerator * (db // c.denominator))
+              for e, c in b.items()]
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in ia:
+            for k2, c2 in ib:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
         scale = da * db
-        terms = {e: Fraction(v, scale) for e, v in out.items() if v}
+        terms = {tuple([(k >> s & m) + lo for s, m, lo in fields]): Fraction(v, scale)
+                 for k, v in out.items() if v}
         return LaurentPoly(self.vars, terms, _clean=False)
 
     __rmul__ = __mul__
@@ -307,10 +335,11 @@ class LaurentPoly:
 
     def deriv(self, name: str) -> "LaurentPoly":
         # e -> e - 1 on one coordinate is injective: no two terms collide;
-        # a factor of 1 is skipped, since a Fraction product is not free
+        # a factor of 1 is skipped, and any other scales the numerator alone
         i = self.vars.index(name)
         return LaurentPoly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]:
-                                       c if e[i] == 1 else c * e[i]
+                                       c if e[i] == 1 else
+                                       Fraction(c.numerator * e[i], c.denominator)
                                        for e, c in self.terms.items() if e[i]},
                            _clean=False)
 

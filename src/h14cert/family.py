@@ -200,9 +200,10 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
         for m in range(j + 1):
             pulled = pulled + plain[j - m] * hpow[m]
         k = l - j
-        scale = Fraction(1, fact[k])
+        fk = fact[k]
         for e, c in rw.twist.apply(rel_e * pulled).terms.items():
-            terms[e[:z] + (k,) + e[z + 1:]] = c * scale if k > 1 else c
+            terms[e[:z] + (k,) + e[z + 1:]] = (Fraction(c.numerator, c.denominator * fk)
+                                               if k > 1 else c)
     return LaurentPoly(vz, terms, _clean=False)
 
 

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: seeded random data, shape tests on
-tails, and independent oracles (naive Sylvester determinant, realization
-of an element of k[f, rel, g, 1/g] times a clearing power of g)."""
+tails, and independent oracles (the per-pair product, naive Sylvester
+determinant, realization of an element of k[f, rel, g, 1/g] times a
+clearing power of g)."""
 
 from fractions import Fraction
+from operator import add
 
 from h14cert import (
     LaurentPoly,
@@ -44,6 +46,24 @@ def random_nonzero_poly(rng, vars, **kw):
         p = random_poly(rng, vars, **kw)
         if not p.is_zero():
             return p
+
+
+def reference_product(p, q):
+    """p * q by the per-pair convolution: one tuple sum and one Fraction
+    product per pair of terms, terms in order of first appearance."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return LaurentPoly(p.vars, {e: c for e, c in out.items() if c}, _clean=False)
+
+
+def reference_deriv(p, name):
+    """d/d(name) of p with one Fraction product c * k per term."""
+    i = p.vars.index(name)
+    return LaurentPoly(p.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                for e, c in p.terms.items() if e[i]}, _clean=False)
 
 
 def univar(vars, coeffs):

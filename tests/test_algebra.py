@@ -1,6 +1,7 @@
 """Core exact-arithmetic layer: Laurent polynomials, exact division, and
 the fraction-free resultant that eliminates a named variable."""
 
+import operator
 import os
 import random
 import subprocess
@@ -26,7 +27,14 @@ from h14cert import (
     xz_vars,
 )
 from h14cert.algebra import _exact_div, coeffs_in
-from genutil import naive_determinant, random_fraction, random_nonzero_poly, random_poly
+from genutil import (
+    naive_determinant,
+    random_fraction,
+    random_nonzero_poly,
+    random_poly,
+    reference_deriv,
+    reference_product,
+)
 
 V2 = x_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
@@ -166,6 +174,63 @@ def test_derivative_rules():
             assert (a + b).deriv(name) == a.deriv(name) + b.deriv(name)
     assert (X1 ** -1).deriv("x1") == -(X1 ** -2)
     assert (X1 ** 3 * X2).deriv("x1") == 3 * X1 ** 2 * X2
+
+
+def random_varset(rng, width):
+    return VarSet(tuple(f"v{i}" for i in range(width)),
+                  tuple(rng.random() < 0.5 for _ in range(width)))
+
+
+def random_operand(rng, vars, shape, scale):
+    """A random operand over `vars` of the given shape ("zero", "one term"
+    or "many"), every exponent multiplied by `scale`."""
+    if shape == "zero":
+        return LaurentPoly.zero(vars)
+    p = random_nonzero_poly(rng, vars, max_terms=1 if shape == "one term" else 6,
+                            exp_lo=-3, exp_hi=3)
+    return LaurentPoly(vars, {tuple(k * scale for k in e): c for e, c in p.terms.items()})
+
+
+def test_packed_product_matches_per_pair_reference():
+    """The packed-exponent product gives the per-pair convolution's terms
+    in the same order, and `**` its powers: widths 1-6 with random Laurent
+    flags and negative exponents on the Laurent slots, a one-term or zero
+    operand on either side, a scalar, cross terms that cancel, and
+    exponents scaled by 2^40 + 1, whose packed keys pass 64 bits."""
+    rng = random.Random(1640)
+    shapes = ("many", "many", "many", "one term", "zero")
+    cancelled = wide = 0
+    for trial in range(900):
+        vars = random_varset(rng, 1 + trial % 6)
+        scale = 2 ** 40 + 1 if trial % 3 == 0 else 1
+        a = random_operand(rng, vars, rng.choice(shapes), scale)
+        b = random_operand(rng, vars, rng.choice(shapes), scale)
+        pairs = [(a, b), (b, a), (a + b, a - b)]      # the last: a^2 - b^2
+        for p, q in pairs:
+            got, want = p * q, reference_product(p, q)
+            assert list(got.terms.items()) == list(want.terms.items())
+        sums = {tuple(map(operator.add, e1, e2))
+                for e1 in (a + b).terms for e2 in (a - b).terms}
+        cancelled += len(got.terms) < len(sums)
+        s = random_fraction(rng)
+        for got in (a * s, s * a):
+            assert list(got.terms.items()) == [(e, c * s) for e, c in a.terms.items() if s]
+        wide += scale > 1 and len(a.terms) > 1 and len(b.terms) > 1
+        want = LaurentPoly.one(vars)
+        for k in range(4):
+            assert a ** k == want
+            want = reference_product(want, a)
+    assert cancelled > 100 and wide > 40
+
+
+def test_deriv_matches_coefficient_product():
+    rng = random.Random(1641)
+    for trial in range(300):
+        vars = random_varset(rng, 1 + trial % 6)
+        p = random_poly(rng, vars, max_terms=8, exp_lo=-4, exp_hi=5)
+        for name in vars.names:
+            got, want = p.deriv(name), reference_deriv(p, name)
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_subst_is_a_homomorphism():
