@@ -539,6 +539,7 @@ def determinant_fraction_free(matrix: list[list[LaurentPoly]], vars: VarSet) -> 
     a = [row[:] for row in matrix]
     sign = 1
     prev = LaurentPoly.one(vars)
+    zero = LaurentPoly.zero(vars)
     for k in range(n - 1):
         if a[k][k].is_zero():
             for r in range(k + 1, n):
@@ -547,13 +548,18 @@ def determinant_fraction_free(matrix: list[list[LaurentPoly]], vars: VarSet) -> 
                     sign = -sign
                     break
             else:
-                return LaurentPoly.zero(vars)
+                return zero
         pivot = a[k][k]
         for i in range(k + 1, n):
+            aik = a[i][k]
             for j in range(k + 1, n):
-                num = a[i][j] * pivot - a[i][k] * a[k][j]
-                a[i][j] = _exact_div(num, prev)
-            a[i][k] = LaurentPoly.zero(vars)
+                # a banded (Sylvester) matrix has many zero entries: a product
+                # with a zero factor, or a zero numerator, is skipped
+                num = a[i][j] * pivot if a[i][j] else zero
+                if aik and a[k][j]:
+                    num = num - aik * a[k][j]
+                a[i][j] = _exact_div(num, prev) if num else num
+            a[i][k] = zero
         prev = pivot
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det

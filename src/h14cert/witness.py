@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .algebra import LaurentPoly, _exact_div, plain_vars, resultant, x_vars
@@ -154,45 +155,67 @@ def _univar_nonneg(p: LaurentPoly, what: str) -> dict[int, Fraction]:
     return u
 
 
-def _units(gens: Sequence[LaurentPoly], what: str) -> list[dict[int, Fraction]]:
-    """The distinct non-constant generators, without their constant parts,
-    as {exponent: coefficient}."""
-    units: dict[frozenset, dict[int, Fraction]] = {}
+def _content_free(v: dict[int, int], lead) -> dict[int, int]:
+    """The nonzero integer row v over its content, signed so that its entry
+    at the `lead` of its exponents is positive."""
+    g = gcd(*v.values())
+    if v[lead(v)] < 0:
+        g = -g
+    return {k: a // g for k, a in v.items()} if g != 1 else v
+
+
+def _primitive(u: dict[int, Fraction]) -> dict[int, int]:
+    """The nonzero row u as the integer row on its Q-line with coprime
+    entries and a positive entry at its highest exponent."""
+    den = lcm(*(c.denominator for c in u.values()))
+    return _content_free({k: c.numerator * (den // c.denominator)
+                          for k, c in u.items()}, max)
+
+
+def _units(gens: Sequence[LaurentPoly], what: str) -> list[dict[int, int]]:
+    """The non-constant generators, without their constant parts, as
+    primitive integer rows {exponent: coefficient}, one per Q-line."""
+    units: dict[frozenset, dict[int, int]] = {}
     for gen in gens:
         u = _univar_nonneg(gen, what)
         u.pop(0, None)
         if u:
+            u = _primitive(u)
             units[frozenset(u.items())] = u
     return list(units.values())
 
 
-def _mul_trunc(u: dict[int, Fraction], v: dict[int, Fraction], bound: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _mul_trunc(u: dict[int, int], v: dict[int, int], bound: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
     for a, ca in u.items():
         for b, cb in v.items():
             k = a + b
-            if k > bound:
-                continue
-            s = out.get(k, Fraction(0)) + ca * cb
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
+            if k <= bound:
+                out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
-def _reduce(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]], lead) -> dict[int, Fraction]:
-    """Reduce v in place against sparse echelon rows over Q, each keyed by its
-    pivot (the `lead` of its exponents, min or max) with coefficient 1 there;
-    return the remainder, empty when v lies in their span."""
+def _reduce(v: dict[int, int], rows: dict[int, dict[int, int]], lead) -> dict[int, int]:
+    """Reduce the integer row v in place against sparse echelon rows of
+    primitive integers, each keyed by its pivot (the `lead` of its
+    exponents, min or max), fraction-free: v <- b*v - a*row, with a and b
+    the pivot entries of v and the row over their gcd.  Return the
+    remainder, a nonzero multiple of the one over Q, empty when v lies in
+    the rows' span."""
     while v:
         p = lead(v)
         row = rows.get(p)
         if row is None:
             break
-        c = v[p]
+        a, b = v[p], row[p]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if b != 1:
+            for k in v:
+                v[k] *= b
         for k, r in row.items():
-            s = v.get(k, 0) - c * r
+            s = v.get(k, 0) - a * r
             if s:
                 v[k] = s
             else:
@@ -200,15 +223,14 @@ def _reduce(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]], lead) 
     return v
 
 
-def _add_row(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]], lead) -> dict[int, Fraction] | None:
-    """Insert the remainder of v as a new row; return it, or None if v lies
-    in the span of the rows already there."""
+def _add_row(v: dict[int, int], rows: dict[int, dict[int, int]], lead) -> dict[int, int] | None:
+    """Insert the remainder of the integer row v, divided by its content,
+    as a new row; return it, or None if v lies in the span of the rows
+    already there."""
     v = _reduce(v, rows, lead)
     if not v:
         return None
-    p = lead(v)
-    c = v[p]
-    rows[p] = row = {k: a / c for k, a in v.items()}
+    rows[lead(v)] = row = _content_free(v, lead)
     return row
 
 
@@ -217,16 +239,17 @@ def semigroup_orders(gens: Sequence[LaurentPoly], bound: int) -> SemigroupTable:
     bound.  Truncation mod x1^(bound+1) is a ring map, so the space computed
     is the truncated image of k[gens]: the closure of span{1} under
     multiplication by each generator, built as a sparse row echelon form
-    over Q with pivot = lowest exponent.  The orders are its pivots.
-    Constant parts of generators are dropped (they do not change the
-    algebra)."""
+    of primitive integer rows with pivot = lowest exponent; each row spans
+    the Q-line of the row over Q, so the answer stays exact.  The orders
+    are its pivots.  Constant parts of generators are dropped (they do not
+    change the algebra)."""
     units = _units(gens, "semigroup generator")
     if units and bound < max(max(u) for u in units):
         raise WitnessInvalid(
             f"semigroup bound {bound} is below a generator degree"
         )
-    rows: dict[int, dict[int, Fraction]] = {}
-    fresh = [_add_row({0: Fraction(1)}, rows, min)] if bound >= 0 else []
+    rows: dict[int, dict[int, int]] = {}
+    fresh = [_add_row({0: 1}, rows, min)] if bound >= 0 else []
     while fresh:
         row = fresh.pop()
         for u in units:
@@ -257,7 +280,8 @@ def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -
     """Bounded membership: is h a linear combination of monomials in the
     generators of total degree <= bound, a generator's degree being its
     x1-degree?  That span W_bound is built by levels as a sparse row echelon
-    form over Q with pivot = highest exponent: W_0 = span{1} and
+    form of primitive integer rows with pivot = highest exponent, each
+    spanning the Q-line of the row over Q: W_0 = span{1} and
     W_d = W_{d-1} + sum_i u_i * (rows new at level d - deg u_i).  Constant
     parts of generators are dropped: the monomials of degree <= d in the
     u_i - c_i span the same space as those in the u_i.  The answer is sound
@@ -267,8 +291,8 @@ def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -
     if hu and max(hu) > bound:
         raise WitnessInvalid(f"candidate degree exceeds the bound {bound}")
     units = [(max(u), u) for u in _units(gens, "subalgebra generator")]
-    rows: dict[int, dict[int, Fraction]] = {}
-    levels = [[_add_row({0: Fraction(1)}, rows, max)]]
+    rows: dict[int, dict[int, int]] = {}
+    levels = [[_add_row({0: 1}, rows, max)]]
     for d in range(1, bound + 1):
         level = []
         for deg, u in units:
@@ -277,7 +301,7 @@ def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -
                 if new is not None:
                     level.append(new)
         levels.append(level)
-    return not _reduce(hu, rows, max)
+    return not hu or not _reduce(_primitive(hu), rows, max)
 
 
 def scan_bound(axis_gens: Sequence[LaurentPoly], h: LaurentPoly) -> int:

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random data, shape tests on
 tails, and independent oracles (the per-pair product, naive Sylvester
-determinant, realization of an element of k[f, rel, g, 1/g] times a
-clearing power of g)."""
+determinant, the unskipped Bareiss elimination, the Fraction-row scans,
+realization of an element of k[f, rel, g, 1/g] times a clearing power of
+g)."""
 
 from fractions import Fraction
 from operator import add
@@ -9,6 +10,8 @@ from operator import add
 from h14cert import (
     LaurentPoly,
     Resolved,
+    SemigroupTable,
+    VariableMismatch,
     WitnessInvalid,
     axis_quotient,
     build_annihilator,
@@ -18,6 +21,7 @@ from h14cert import (
     realize_annihilator,
     x_vars,
 )
+from h14cert.algebra import _exact_div
 from h14cert.family import FG_VARS
 
 
@@ -117,6 +121,138 @@ def naive_determinant(matrix):
         return total
 
     return minor(0, tuple(range(n)))
+
+
+def reference_determinant(matrix, vars):
+    """Bareiss one-step elimination computing every product and every
+    exact division, zero or not."""
+    n = len(matrix)
+    if n == 0:
+        return LaurentPoly.one(vars)
+    a = [row[:] for row in matrix]
+    sign = 1
+    prev = LaurentPoly.one(vars)
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not a[r][k].is_zero():
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPoly.zero(vars)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * pivot - a[i][k] * a[k][j]
+                a[i][j] = _exact_div(num, prev)
+            a[i][k] = LaurentPoly.zero(vars)
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+# -- the order-semigroup and membership scans over Fraction rows ----------
+
+
+def _reference_univar(p, what):
+    if any(any(e[1:]) for e in p.terms):
+        raise VariableMismatch(f"{p} involves a variable other than 'x1'")
+    u = {e[0]: c for e, c in p.terms.items()}
+    if min(u, default=0) < 0:
+        raise WitnessInvalid(f"{what} has a pole at x1 = 0")
+    return u
+
+
+def _reference_units(gens, what):
+    units = {}
+    for gen in gens:
+        u = _reference_univar(gen, what)
+        u.pop(0, None)
+        if u:
+            units[frozenset(u.items())] = u
+    return list(units.values())
+
+
+def _reference_mul_trunc(u, v, bound):
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            k = a + b
+            if k > bound:
+                continue
+            s = out.get(k, Fraction(0)) + ca * cb
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def _reference_reduce(v, rows, lead):
+    """Reduce v against echelon rows with coefficient 1 at their pivot."""
+    while v:
+        p = lead(v)
+        row = rows.get(p)
+        if row is None:
+            break
+        c = v[p]
+        for k, r in row.items():
+            s = v.get(k, 0) - c * r
+            if s:
+                v[k] = s
+            else:
+                del v[k]
+    return v
+
+
+def _reference_add_row(v, rows, lead):
+    v = _reference_reduce(v, rows, lead)
+    if not v:
+        return None
+    p = lead(v)
+    c = v[p]
+    rows[p] = row = {k: a / c for k, a in v.items()}
+    return row
+
+
+def reference_semigroup_orders(gens, bound):
+    """`semigroup_orders` over rows of Fractions with pivot coefficient 1,
+    the same guards raising the same messages."""
+    units = _reference_units(gens, "semigroup generator")
+    if units and bound < max(max(u) for u in units):
+        raise WitnessInvalid(
+            f"semigroup bound {bound} is below a generator degree"
+        )
+    rows = {}
+    fresh = [_reference_add_row({0: Fraction(1)}, rows, min)] if bound >= 0 else []
+    while fresh:
+        row = fresh.pop()
+        for u in units:
+            new = _reference_add_row(_reference_mul_trunc(row, u, bound), rows, min)
+            if new is not None:
+                fresh.append(new)
+    return SemigroupTable(bound=bound, orders=frozenset(rows))
+
+
+def reference_subalgebra_member(h, gens, bound):
+    """`subalgebra_member` over rows of Fractions with pivot coefficient 1,
+    the same guards raising the same messages."""
+    hu = _reference_univar(h, "membership candidate")
+    if hu and max(hu) > bound:
+        raise WitnessInvalid(f"candidate degree exceeds the bound {bound}")
+    units = [(max(u), u) for u in _reference_units(gens, "subalgebra generator")]
+    rows = {}
+    levels = [[_reference_add_row({0: Fraction(1)}, rows, max)]]
+    for d in range(1, bound + 1):
+        level = []
+        for deg, u in units:
+            for row in levels[d - deg] if deg <= d else ():
+                new = _reference_add_row(_reference_mul_trunc(row, u, bound), rows, max)
+                if new is not None:
+                    level.append(new)
+        levels.append(level)
+    return not _reference_reduce(hu, rows, max)
 
 
 def g_clearing(*ps) -> int:

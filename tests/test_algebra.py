@@ -32,6 +32,7 @@ from genutil import (
     random_fraction,
     random_nonzero_poly,
     random_poly,
+    reference_determinant,
     reference_deriv,
     reference_product,
 )
@@ -404,6 +405,23 @@ def test_determinant_matches_naive_oracle():
         m = [[random_poly(rng, V2, max_terms=2, exp_hi=2) for _ in range(n)]
              for _ in range(n)]
         assert determinant_fraction_free(m, V2) == naive_determinant(m)
+
+
+def test_resultant_matches_unskipped_elimination_on_banded_matrices():
+    """Skipping products with a zero factor and zero numerators leaves the
+    determinant of a Sylvester matrix, zero bands and all, unchanged."""
+    rng = random.Random(4002)
+    for _ in range(40):
+        a, b = (in_t(*[random_poly(rng, V2, max_terms=2, exp_lo=-1, exp_hi=2)
+                       if rng.random() < 0.7 else 0
+                       for _ in range(rng.randint(2, 5))])
+                for _ in range(2))
+        if not (a and b) or a.degree_in("T") < 1 or b.degree_in("T") < 1:
+            continue
+        m = sylvester_matrix(a, b, "T")
+        want = reference_determinant(m, VT)
+        assert determinant_fraction_free(m, VT) == want
+        assert resultant(a, b, "T") == want
 
 
 def test_sylvester_shape():
