@@ -286,7 +286,8 @@ def verify_certificate(cert: Certificate) -> Report:
     Tampering with any single field flips at least one line, except in
     `witness.R_gens`: a generator unused by f_expr/g_expr enters only
     through the semigroup and membership scans of its axis image, which a
-    changed coefficient can leave as they were.
+    changed coefficient can leave as they were; and except in `report`,
+    which is recomputed here and never compared with the stored one.
     """
     pack = cert.pack
     if any(x is None for x in (pack.h, pack.ann, pack.weights, pack.clearing)):
@@ -342,24 +343,16 @@ def _appell_blocks(tails: list[LaurentPoly],
     return blocks, None
 
 
-def _member_matches(q: LaurentPoly, l: int, blocks: list[dict], fact: list[int]) -> bool:
-    """True iff every z^k block of q equals B_(l-k) / k! and no term lies
-    above z^l; coefficients are compared by integer cross-multiplication."""
-    counts = [0] * (l + 1)
-    for e, c in q.terms.items():
-        k = e[-1]                                      # z is the last variable
-        if not 0 <= k <= l:
+def _block_matches(got: dict, block: dict, scale: int) -> bool:
+    """True iff the z-free block `got` equals block / scale, coefficients
+    compared by integer cross-multiplication."""
+    if len(got) != len(block):
+        return False
+    for e, c in got.items():
+        b = block.get(e)
+        if b is None or c.numerator * scale * b.denominator != b.numerator * c.denominator:
             return False
-        b = blocks[l - k].get(e[:-1])
-        if b is None:
-            return False
-        if k < 2:
-            if c != b:
-                return False
-        elif c.numerator * fact[k] * b.denominator != b.numerator * c.denominator:
-            return False
-        counts[k] += 1
-    return all(counts[k] == len(blocks[l - k]) for k in range(l + 1))
+    return True
 
 
 def _verify_resolved(cert: Certificate, resolved: Resolved | None,
@@ -402,38 +395,39 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
 
     # the tails are prefix-consistent, so the last entry's serve every member
     blocks, failure = _appell_blocks(cert.entries[-1].tails, resolved)
-    vz, n = resolved.f_xz.vars, resolved.n
+    vz = resolved.f_xz.vars
     fact = _factorials(max(len(cert.entries), 1))
-    rel_t_pow = twisted_rel ** cert.clearing
     for entry in cert.entries:
         l = entry.l
         tag = f"member-{l}"
-        shape_ok = all(is_fg(t) for t in entry.tails)
-        rep.add(f"{tag}-tails-in-fg", shape_ok,
+        rep.add(f"{tag}-tails-in-fg", all(is_fg(t) for t in entry.tails),
                 "tail coefficients lie in k[f, g]")
-        same_vars = entry.q.vars == vz
+        # one pass over the stored terms: group them into z^k blocks (z is
+        # the last variable), and test for a negative exponent and for a
+        # non-constant term of the axis image (the terms free of x2..xn)
+        same_vars = poly_ok = entry.q.vars == vz
+        axis_ok, by_z = True, {}
+        for e, c in entry.q.terms.items() if same_vars else ():
+            x = e[:-1]
+            by_z.setdefault(e[-1], {})[x] = c
+            if min(e) < 0:
+                poly_ok = False
+            if not any(x[1:]) and any(e):
+                axis_ok = False
+        # the z^l block of l! * q_l is B_0 = twist(rel^e), the relation power
+        lead_ok = _block_matches(by_z.get(l, {}), blocks[0], fact[l])
         if l >= len(blocks):
             recompute_ok, recompute_note = False, f"recomputation failed: {failure}"
         else:
-            recompute_ok = same_vars and _member_matches(entry.q, l, blocks, fact)
+            recompute_ok = (same_vars and lead_ok and by_z.keys() <= set(range(l + 1))
+                            and all(_block_matches(by_z.get(k, {}), blocks[l - k], fact[k])
+                                    for k in range(l)))
             recompute_note = "stored member equals the recomputed twist image"
         rep.add(f"{tag}-recomputed", recompute_ok, recompute_note)
-        poly_ok = same_vars and entry.q.is_polynomial()
         rep.add(f"{tag}-polynomial", poly_ok, "member lies in k[x1..xn, z]")
         if not poly_ok:
             continue
-        # z is the last variable.  l! * q_l - rel_t_pow * z^l has z-degree
-        # < l exactly when the z^l block matches and no term goes past z^l.
-        lead_ok, top, lead_terms = True, 0, 0
-        for e, c in entry.q.terms.items():
-            top = max(top, e[-1])
-            if e[-1] != l:
-                continue
-            lead_terms += 1
-            b = rel_t_pow.terms.get(e[:-1] + (0,))
-            if b is None or c.numerator * fact[l] * b.denominator != b.numerator * c.denominator:
-                lead_ok = False
-        lead_ok = lead_ok and lead_terms == len(rel_t_pow.terms)
+        top = max(by_z, default=0)
         if l == 0:
             rep.add(f"{tag}-leading", lead_ok and top == 0,
                     "member 0 equals the twisted relation power")
@@ -442,11 +436,7 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
                     "z^l coefficient of l! * member equals the twisted relation power")
             rep.add(f"{tag}-degree-drop", lead_ok and top <= l,
                     "l! * member minus the leading block has z-degree < l")
-        # the axis image keeps the terms free of x2..xn; it is a constant
-        # when the only such term, if any, is the constant one
-        rep.add(f"{tag}-axis-constant",
-                all(any(e[1:n]) or not any(e) for e in entry.q.terms),
-                "axis image of the member is a constant")
+        rep.add(f"{tag}-axis-constant", axis_ok, "axis image of the member is a constant")
 
     sizes = [len(cert.entries[-1].tails[i].terms) for i in range(len(cert.entries[-1].tails))]
     rep.add("tail-growth", True, f"tail term counts by step: {sizes}")

@@ -309,12 +309,11 @@ def scan_bound(axis_gens: Sequence[LaurentPoly], h: LaurentPoly) -> int:
     B >= SCAN_BOUND at which no size guard can fire.  B is at least every
     generator degree (`semigroup_orders`), twice the least positive order
     of a generator, which is that of k[gens] (`is_normal`), and deg h
-    (`subalgebra_member`)."""
-    units = _units(axis_gens, "semigroup generator")
-    need = [SCAN_BOUND, h.degree_in("x1") if h else 0]
-    if units:
-        need += [max(max(u) for u in units), 2 * min(min(u) for u in units)]
-    return max(need)
+    (`subalgebra_member`); the first two are read off the positive
+    x1-exponents of the axis images."""
+    degs = [e[0] for gen in axis_gens for e in gen.terms if e[0] > 0]
+    return max(SCAN_BOUND, h.degree_in("x1") if h else 0,
+               max(degs, default=0), 2 * min(degs, default=0))
 
 
 # ---------------------------------------------------------------------------

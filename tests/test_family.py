@@ -2,6 +2,7 @@
 FG_VARS, the tail-coefficient recursion, the polynomial family, and
 certificate build/verify."""
 
+import hashlib
 import importlib.util
 import math
 import random
@@ -24,7 +25,9 @@ from h14cert import (
     axis_map,
     build_annihilator,
     build_certificate,
+    certificate_to_json,
     decompose,
+    dumps,
     format_report,
     invariant_witness_pack,
     realize_annihilator,
@@ -437,6 +440,22 @@ def demo_pack():
     return WitnessPack(n=2, gens=list(DEMO_GENS), f=DEMO_F, g=DEMO_G)
 
 
+def pair_pack(g, f):
+    return WitnessPack(n=2, gens=[g, f], f=f, g=g)
+
+
+# Two packs beyond Pi = T^2 - G^3, each built at l_max 3, with the sha256
+# of its certificate's canonical bytes:
+#   Pi = T^3 - G^4, h = x1, t = 10, e = 8;
+#   Pi = T^3 - 3*T*G^3 - G^5 - G^4, h = x1^2 + x1, t = 13, e = 10.
+WIDE_PACKS = [
+    (pair_pack(X1 ** 3 + X2, X1 ** 4 + X1 * X2 + X2 ** 2),
+     "73da05fddf3905888943f86c1b8472da250c192f67632d7e3af5d3de659eb622"),
+    (pair_pack(X1 ** 3 + X2, X1 ** 3 * (X1 ** 2 + X1) + X1 * X2),
+     "f758572fcd1fac1600d4679aed4c067b28783da477a12b069e86a035ff0f6611"),
+]
+
+
 def test_build_certificate_demo():
     cert = build_certificate(demo_pack(), l_max=4)
     assert [e.l for e in cert.entries] == [0, 1, 2, 3, 4]
@@ -523,50 +542,51 @@ def whole_member_checks(cert):
 
 
 def test_member_checks_match_whole_member_route():
-    cert = build_certificate(demo_pack(), l_max=4)
-    vz = cert.entries[0].q.vars
-
-    def edited(l, edit):
-        terms = dict(cert.entries[l].q.terms)
-        edit(terms)
-        entries = [CertEntry(l=e.l, tails=list(e.tails),
-                             q=LaurentPoly(vz, terms) if e.l == l else e.q)
-                   for e in cert.entries]
-        return replace(cert, entries=entries, report=None)
-
-    def bump(z_deg):
-        def edit(terms):
-            e = max(k for k in terms if k[-1] == z_deg)
-            terms[e] += 1
-        return edit
-
-    def extra(exps):
-        return lambda terms: terms.__setitem__(exps, Fraction(3))
-
-    cases = {
-        "untouched": cert,
-        "z^l coefficient": edited(2, bump(2)),
-        "extra z^(l+1) term": edited(2, extra((1, 0, 3))),
-        "lower z-degree coefficient": edited(2, bump(1)),
-        "member set to zero": edited(3, dict.clear),
-        "member 0 coefficient": edited(0, bump(0)),
-        "member 0 with a z term": edited(0, extra((0, 0, 1))),
-        "top member coefficient": edited(4, bump(4)),
-        "negative x1 exponent": edited(1, extra((-1, 0, 0))),
-        "extra x1-only term": edited(2, extra((1, 0, 0))),
-    }
     seen = set()
-    for name, tampered in cases.items():
-        lines = [(c.name, c.ok, c.detail) for c in verify_certificate(tampered).checks
-                 if c.name.startswith("member-")]
-        assert lines == whole_member_checks(tampered), name
-        seen.update((n.split("-", 2)[2], ok) for n, ok, _ in lines)
+    for pack, l_max in [(demo_pack(), 4)] + [(pack, 3) for pack, _ in WIDE_PACKS]:
+        cert = build_certificate(pack, l_max=l_max)
+        vz = cert.entries[0].q.vars
+
+        def edited(l, edit):
+            terms = dict(cert.entries[l].q.terms)
+            edit(terms)
+            entries = [CertEntry(l=e.l, tails=list(e.tails),
+                                 q=LaurentPoly(vz, terms) if e.l == l else e.q)
+                       for e in cert.entries]
+            return replace(cert, entries=entries, report=None)
+
+        def bump(z_deg):
+            def edit(terms):
+                e = max(k for k in terms if k[-1] == z_deg)
+                terms[e] += 1
+            return edit
+
+        def extra(exps):
+            return lambda terms: terms.__setitem__(exps, Fraction(3))
+
+        cases = {
+            "untouched": cert,
+            "z^l coefficient": edited(2, bump(2)),
+            "extra z^(l+1) term": edited(2, extra((1, 0, 3))),
+            "lower z-degree coefficient": edited(2, bump(1)),
+            "member set to zero": edited(3, dict.clear),
+            "member 0 coefficient": edited(0, bump(0)),
+            "member 0 with a z term": edited(0, extra((0, 0, 1))),
+            "top member coefficient": edited(l_max, bump(l_max)),
+            "negative x1 exponent": edited(1, extra((-1, 0, 0))),
+            "extra x1-only term": edited(2, extra((1, 0, 0))),
+        }
+        for name, tampered in cases.items():
+            lines = [(c.name, c.ok, c.detail) for c in verify_certificate(tampered).checks
+                     if c.name.startswith("member-")]
+            assert lines == whole_member_checks(tampered), (cert.clearing, name)
+            seen.update((n.split("-", 2)[2], ok) for n, ok, _ in lines)
+        drop = verify_certificate(cases["extra z^(l+1) term"])
+        assert drop["member-2-leading"].ok and not drop["member-2-degree-drop"].ok
     # both outcomes of the three rewritten checks occur
     assert {("leading", True), ("leading", False),
             ("degree-drop", True), ("degree-drop", False),
             ("axis-constant", True), ("axis-constant", False)} <= seen
-    drop = verify_certificate(cases["extra z^(l+1) term"])
-    assert drop["member-2-leading"].ok and not drop["member-2-degree-drop"].ok
 
 
 def test_verifier_catches_builder_dropping_a_factorial(monkeypatch):
@@ -634,7 +654,12 @@ def test_build_report_equals_fresh_verify():
              for n, gens in _load_benchmark_groups().values()]
     certs.append(build_certificate(replace(demo_pack(), weights=(6,)), l_max=3))
     assert certs[-1].pack.weights == (6,)
-    assert len(certs) == 8
+    for pack, sha in WIDE_PACKS:
+        certs.append(build_certificate(pack, l_max=3))
+        data = dumps(certificate_to_json(certs[-1])).encode()
+        assert hashlib.sha256(data).hexdigest() == sha
+    assert [cert.clearing for cert in certs[-2:]] == [8, 10]
+    assert len(certs) == 10
     for cert in certs:
         assert cert.report.ok
         assert report_lines(cert.report) == report_lines(verify_certificate(cert))
