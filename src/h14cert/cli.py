@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 when a mathematical check fails, 3 on
 malformed input: a bad command line, an unreadable or malformed input
-file, or an --out path that cannot be written.  All output is
+file, or an --out path that cannot be written; 3 also when standard
+output is closed before all of it is written.  All output is
 deterministic for fixed inputs.
 """
 
@@ -182,7 +183,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()      # a closed pipe fails here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull,
+        # so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: standard output was closed", file=sys.stderr)
+        return 3
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import Expo, LaurentPoly, VarSet, x_vars
 from .errors import UnsupportedCase, VariableMismatch, WitnessInvalid
@@ -56,29 +57,58 @@ class PermGroupSpec:
 
 def orbit_sum(group: PermGroupSpec, exps: Expo) -> LaurentPoly:
     """The sum over the orbit of a monomial in the y-coordinates, written
-    out in x-coordinates."""
+    out in x-coordinates: y1 = x1, y2 = x2 - x1 + x1^2, y_i = x_i (i >= 3).
+
+    Each orbit point y^e is the e2-th power of the y2 image shifted by
+    x1^e1 * x3^e3 * ...; the powers come from one table, each made from the
+    one below, and the shifted copies are summed by one constructor call.
+    """
     if len(exps) != group.n or any(k < 0 for k in exps):
         raise VariableMismatch("monomial exponents must be nonnegative, length n")
-    if group.n < 2:
+    return _orbit_sum(group.orbit(exps), _y2_powers(group.n, max(exps)))
+
+
+def _y2_powers(n: int, top: int) -> list[LaurentPoly]:
+    """(x2 - x1 + x1^2)^k over x1..xn for k = 0..top."""
+    if n < 2:
         raise VariableMismatch("need at least two variables")
-    vars = x_vars(group.n)
-    formal = LaurentPoly(vars, {e: Fraction(1) for e in group.orbit(exps)})
-    # the coordinate change y1 = x1, y2 = x2 - x1 + x1^2, y_i = x_i (i >= 3)
-    coords = {name: LaurentPoly.variable(vars, name) for name in vars.names}
-    x1 = coords["x1"]
-    coords["x2"] = coords["x2"] - x1 + x1 ** 2
-    return formal.subst(coords)
+    vars = x_vars(n)
+    x1 = LaurentPoly.variable(vars, "x1")
+    y2 = LaurentPoly.variable(vars, "x2") - x1 + x1 * x1
+    powers = [LaurentPoly.one(vars)]
+    for _ in range(top):
+        powers.append(powers[-1] * y2)
+    return powers
+
+
+def _orbit_sum(orbit: set[Expo], powers: list[LaurentPoly]) -> LaurentPoly:
+    """Sum of y^e over the orbit, from the powers of the y2 image."""
+    vars = powers[0].vars
+    one = Fraction(1)
+    return LaurentPoly(vars, chain.from_iterable(
+        (powers[e[1]] * LaurentPoly(vars, {(e[0], 0) + e[2:]: one}, _clean=False)
+         ).terms.items() for e in orbit))
 
 
 def invariant_generators(group: PermGroupSpec, max_degree: int) -> list[LaurentPoly]:
     """Orbit sums of all monomials of total degree 1..max_degree, one per
     orbit, in a deterministic order (degree, then descending exponents)."""
-    gens = []
+    return _invariant_generators(group, max_degree)[1]
+
+
+def _invariant_generators(group: PermGroupSpec, max_degree: int
+                          ) -> tuple[list[Expo], list[LaurentPoly]]:
+    """The lex-largest point of each orbit that `invariant_generators`
+    enumerates and, in the same order, its orbit sum."""
+    reps, orbits = [], []
     for degree in range(1, max_degree + 1):
         for exps in _monomials(group.n, degree):
-            if exps == max(group.orbit(exps)):
-                gens.append(orbit_sum(group, exps))
-    return gens
+            orbit = group.orbit(exps)
+            if exps == max(orbit):
+                reps.append(exps)
+                orbits.append(orbit)
+    powers = _y2_powers(group.n, max_degree) if orbits else []
+    return reps, [_orbit_sum(orbit, powers) for orbit in orbits]
 
 
 def _monomials(n: int, degree: int):
@@ -114,11 +144,12 @@ def invariant_witness_pack(group: PermGroupSpec,
         raise WitnessInvalid(
             "no group element sends the first coordinate to the second"
         )
-    gens = invariant_generators(group, bound)
-    e12 = (1, 1) + (0,) * (n - 2)
-    g = orbit_sum(group, e1)
-    pair = orbit_sum(group, e12)
-    f = g + pair
+    reps, gens = _invariant_generators(group, bound)
+    # e1 and e12 are the lex-largest points of their orbits: both generators
+    idx_g = reps.index(e1)
+    idx_pair = reps.index((1, 1) + (0,) * (n - 2))
+    g = gens[idx_g]
+    f = g + gens[idx_pair]
 
     vars = x_vars(n)
     x1sq = LaurentPoly.monomial(vars, (2,) + (0,) * (n - 1))
@@ -128,11 +159,6 @@ def invariant_witness_pack(group: PermGroupSpec,
     if axis_quotient(f, g) != LaurentPoly.variable(vars, "x1"):
         raise WitnessInvalid("axis quotient of the invariant pair is not x1")
 
-    try:
-        idx_g = next(i for i, p in enumerate(gens) if p == g)
-        idx_pair = next(i for i, p in enumerate(gens) if p == pair)
-    except StopIteration:
-        raise WitnessInvalid("orbit sums of y1 and y1*y2 missing from the generators")
     u_vars = VarSet(tuple(f"u{i}" for i in range(len(gens))),
                     (False,) * len(gens))
     f_expr = (LaurentPoly.variable(u_vars, f"u{idx_g}")

@@ -1,11 +1,15 @@
 """Shared helpers for the test suite: seeded random data, shape tests on
-tails, and independent oracles (the per-pair product, naive Sylvester
-determinant, the unskipped Bareiss elimination, the Fraction-row scans,
-realization of an element of k[f, rel, g, 1/g] times a clearing power of
-g)."""
+tails, the benchmark's groups, and independent oracles (the per-pair
+product, naive Sylvester determinant, the unskipped Bareiss elimination,
+the Fraction-row scans, orbit sums by substitution, realization of an
+element of k[f, rel, g, 1/g] times a clearing power of g)."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from itertools import product
 from operator import add
+from pathlib import Path
 
 from h14cert import (
     LaurentPoly,
@@ -150,6 +154,48 @@ def reference_determinant(matrix, vars):
         prev = pivot
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+# -- orbit sums by one substitution per orbit ------------------------------
+
+
+def benchmark_groups():
+    """{name: (n, generators)} of the benchmark's packs, read from
+    perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.GROUPS
+
+
+def reference_orbit_sum(group, exps):
+    """The orbit sum of y^exps, written as the formal sum over the orbit and
+    substituted into y1 = x1, y2 = x2 - x1 + x1^2, y_i = x_i (i >= 3)."""
+    vars = x_vars(group.n)
+    formal = LaurentPoly(vars, {e: Fraction(1) for e in group.orbit(exps)})
+    coords = {name: LaurentPoly.variable(vars, name) for name in vars.names}
+    x1 = coords["x1"]
+    coords["x2"] = coords["x2"] - x1 + x1 ** 2
+    return formal.subst(coords)
+
+
+def reference_invariant_generators(group, max_degree):
+    """One reference orbit sum per orbit of the monomials of degree
+    1..max_degree, by degree, then by descending exponents; an orbit is
+    taken at its lex-largest point."""
+    gens = []
+    for degree in range(1, max_degree + 1):
+        monomials = sorted((e for e in product(range(degree + 1), repeat=group.n)
+                            if sum(e) == degree), reverse=True)
+        for exps in monomials:
+            if exps == max(group.orbit(exps)):
+                gens.append(reference_orbit_sum(group, exps))
+    return gens
 
 
 # -- the order-semigroup and membership scans over Fraction rows ----------

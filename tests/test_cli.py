@@ -489,6 +489,23 @@ def child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+def test_closed_stdout_exits_3_without_traceback(tmp_path):
+    """A reader that closes the pipe early ends the run with one line on
+    stderr and exit 3; the 85 kB of output fill more than a pipe buffer,
+    so the writer meets the closed pipe whatever the timing."""
+    group = '{"n": 5, "generators": [[2, 1, 3, 4, 5], [1, 2, 4, 5, 3]]}'
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "h14cert.cli", "invariants", "--group", group,
+             "--degree", "5", "--json"],
+            stdout=subprocess.PIPE, stderr=err, env=child_env(),
+        )
+        proc.stdout.close()
+        rc = proc.wait(timeout=60)
+    assert rc == 3
+    assert (tmp_path / "err").read_text() == "output error: standard output was closed\n"
+
+
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "cert.json"
     proc = subprocess.run(

@@ -2,6 +2,7 @@
 nilpotent derivation helpers with the preslice involution."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,12 @@ from h14cert import (
     validate_pack,
     x_vars,
 )
-from genutil import random_poly
+from genutil import (
+    benchmark_groups,
+    random_poly,
+    reference_invariant_generators,
+    reference_orbit_sum,
+)
 
 V2 = x_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
@@ -62,10 +68,18 @@ def test_orbit_sum_frozen():
     assert orbit_sum(SWAP, (1, 0)) == X1 ** 2 + X2
     # singleton orbit of y1*y2: x1^3 - x1^2 + x1*x2
     assert orbit_sum(SWAP, (1, 1)) == X1 ** 3 - X1 ** 2 + X1 * X2
-    with pytest.raises(VariableMismatch):
-        orbit_sum(SWAP, (1, 0, 0))
-    with pytest.raises(VariableMismatch):
-        orbit_sum(SWAP, (-1, 0))
+    assert orbit_sum(SWAP, (0, 0)) == LaurentPoly.one(V2)
+    for exps in ((1, 0, 0), (-1, 0)):
+        with pytest.raises(VariableMismatch,
+                           match="^monomial exponents must be nonnegative, length n$"):
+            orbit_sum(SWAP, exps)
+    # one letter has no y2: no orbit sum, but the empty generator list
+    one_letter = PermGroupSpec(1, ())
+    assert invariant_generators(one_letter, 0) == []
+    for call in (lambda: invariant_generators(one_letter, 1),
+                 lambda: orbit_sum(one_letter, (1,))):
+        with pytest.raises(VariableMismatch, match="^need at least two variables$"):
+            call()
 
 
 def test_orbit_sums_are_invariant():
@@ -92,6 +106,65 @@ def test_invariant_generators_swap():
         - 2 * X1 * X2 + X2 ** 2,
         X1 ** 3 - X1 ** 2 + X1 * X2,
     ]
+
+
+BENCH_GROUPS = benchmark_groups()
+
+
+def assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.vars == q.vars
+        assert p.terms == q.terms
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@pytest.mark.parametrize("name", BENCH_GROUPS)
+def test_generators_match_substitution_on_benchmark_groups(name):
+    """The power-table orbit sums equal one substitution per orbit, and the
+    pack takes g and the y1*y2 orbit sum from the generator list."""
+    n, gens = BENCH_GROUPS[name]
+    group = PermGroupSpec(n, tuple(map(tuple, gens)))
+    want = reference_invariant_generators(group, n)
+    assert_same_terms(invariant_generators(group, n), want)
+    pack = invariant_witness_pack(group)
+    assert_same_terms(pack.gens, want)
+    g = reference_orbit_sum(group, (1,) + (0,) * (n - 1))
+    pair = reference_orbit_sum(group, (1, 1) + (0,) * (n - 2))
+    idx_g, idx_pair = want.index(g), want.index(pair)
+    assert pack.g == g and pack.f == g + pair
+    assert pack.g_expr.terms == {tuple(int(i == idx_g) for i in range(len(want))): 1}
+    assert pack.f_expr.terms == {tuple(int(i == idx) for i in range(len(want))): 1
+                                 for idx in (idx_g, idx_pair)}
+
+
+def test_generators_match_substitution_on_random_subgroups():
+    """Seeded subgroups of S_n (n <= 6) by 0-3 random generators, bounds up
+    to 6: the trivial group reaches y2^6 itself."""
+    rng = random.Random(1906)
+    cases = [PermGroupSpec(n, ()) for n in (2, 6)]
+    while len(cases) < 40:
+        n = rng.randint(2, 6)
+        perms = tuple(tuple(rng.sample(range(1, n + 1), n))
+                      for _ in range(rng.randint(0, 3)))
+        cases.append(PermGroupSpec(n, perms))
+    for group in cases:
+        bound = 6 if not group.generators else rng.randint(0, 6)
+        want = reference_invariant_generators(group, bound)
+        assert_same_terms(invariant_generators(group, bound), want)
+        for _ in range(3):
+            exps = tuple(rng.randint(0, 6 // group.n + 1) for _ in range(group.n))
+            assert_same_terms([orbit_sum(group, exps)], [reference_orbit_sum(group, exps)])
+
+
+def test_orbit_sums_make_no_substitution(monkeypatch):
+    def refuse(self, images):
+        raise AssertionError("LaurentPoly.subst called")
+
+    monkeypatch.setattr(LaurentPoly, "subst", refuse)
+    orbit_sum(SYM3, (2, 1, 0))
+    invariant_generators(SYM3, 4)
+    invariant_witness_pack(CYCLE3)
 
 
 # -- witness packs from invariant rings -------------------------------------

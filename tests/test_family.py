@@ -3,13 +3,10 @@ FG_VARS, the tail-coefficient recursion, the polynomial family, and
 certificate build/verify."""
 
 import hashlib
-import importlib.util
 import math
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -41,6 +38,7 @@ from h14cert import (
 from h14cert import family
 from h14cert.family import FG_VARS, _assemble_witness_poly, is_fg
 from genutil import (
+    benchmark_groups,
     fg_realize_oracle,
     g_clearing,
     is_negative_tail,
@@ -311,7 +309,7 @@ def test_every_step_remainder_twists_to_positive_order():
     cases = []
     for pack in [demo_pack()] + [
             invariant_witness_pack(PermGroupSpec(n=n, generators=tuple(map(tuple, gens))))
-            for n, gens in _load_benchmark_groups().values()]:
+            for n, gens in benchmark_groups().values()]:
         rw, rep = validate_pack(pack)
         assert rw is not None, format_report(rep)
         cases.append((rw, 8))
@@ -630,18 +628,6 @@ def test_verify_does_not_reach_the_builder(monkeypatch):
     assert verify_certificate(cert).ok
 
 
-def _load_benchmark_groups():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.GROUPS
-
-
 def report_lines(report):
     return [(c.name, c.ok, c.detail) for c in report.checks]
 
@@ -651,7 +637,7 @@ def test_build_report_equals_fresh_verify():
     report must be the one a fresh `verify_certificate` computes."""
     certs = [build_certificate(invariant_witness_pack(
                  PermGroupSpec(n=n, generators=tuple(map(tuple, gens)))), l_max=3)
-             for n, gens in _load_benchmark_groups().values()]
+             for n, gens in benchmark_groups().values()]
     certs.append(build_certificate(replace(demo_pack(), weights=(6,)), l_max=3))
     assert certs[-1].pack.weights == (6,)
     for pack, sha in WIDE_PACKS:
