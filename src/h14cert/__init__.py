@@ -82,6 +82,7 @@ from .witness import (
     check_twist,
     choose_weights,
     clearing_exponent,
+    generator_rows,
     is_normal,
     realize_annihilator,
     resolve_pack_fields,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
 from .algebra import Expo, LaurentPoly, VarSet, x_vars
 from .errors import UnsupportedCase, VariableMismatch, WitnessInvalid
@@ -102,9 +102,13 @@ def _invariant_generators(group: PermGroupSpec, max_degree: int
     enumerates and, in the same order, its orbit sum."""
     reps, orbits = [], []
     for degree in range(1, max_degree + 1):
+        seen: set[Expo] = set()
         for exps in _monomials(group.n, degree):
-            orbit = group.orbit(exps)
-            if exps == max(orbit):
+            # the monomials come in descending order, so the first point
+            # met of an orbit is its lex-largest; the orbit is walked once
+            if exps not in seen:
+                orbit = group.orbit(exps)
+                seen |= orbit
                 reps.append(exps)
                 orbits.append(orbit)
     powers = _y2_powers(group.n, max_degree) if orbits else []
@@ -112,14 +116,13 @@ def _invariant_generators(group: PermGroupSpec, max_degree: int
 
 
 def _monomials(n: int, degree: int):
-    """All exponent tuples of the given total degree, descending lex."""
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining, -1, -1):
-            yield from rec(prefix + (k,), remaining - k, slots - 1)
-    yield from rec((), degree, n)
+    """All exponent tuples of the given total degree, descending lex: the
+    multisets of `degree` letters in lex order, as counts per letter."""
+    for letters in combinations_with_replacement(range(n), degree):
+        exps = [0] * n
+        for i in letters:
+            exps[i] += 1
+        yield tuple(exps)
 
 
 def invariant_witness_pack(group: PermGroupSpec,

@@ -12,13 +12,14 @@ polynomiality conditions on the twisted images.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .algebra import LaurentPoly, _exact_div, plain_vars, resultant, x_vars
-from .errors import NotDivisible, VariableMismatch, WitnessInvalid
+from .errors import NotDivisible, NotInvertible, VariableMismatch, WitnessInvalid
 from .maps import RingMap, axis_map, inversion_map
 from .report import Report
 
@@ -145,16 +146,6 @@ class SemigroupTable:
         return sorted(self.orders)
 
 
-def _univar_nonneg(p: LaurentPoly, what: str) -> dict[int, Fraction]:
-    """p in k[x1], x1 being its first variable, as {exponent: coefficient}."""
-    if any(any(e[1:]) for e in p.terms):
-        raise VariableMismatch(f"{p} involves a variable other than 'x1'")
-    u = {e[0]: c for e, c in p.terms.items()}
-    if min(u, default=0) < 0:
-        raise WitnessInvalid(f"{what} has a pole at x1 = 0")
-    return u
-
-
 def _content_free(v: dict[int, int], lead) -> dict[int, int]:
     """The nonzero integer row v over its content, signed so that its entry
     at the `lead` of its exponents is positive."""
@@ -172,17 +163,21 @@ def _primitive(u: dict[int, Fraction]) -> dict[int, int]:
                           for k, c in u.items()}, max)
 
 
-def _units(gens: Sequence[LaurentPoly], what: str) -> list[dict[int, int]]:
-    """The non-constant generators, without their constant parts, as
-    primitive integer rows {exponent: coefficient}, one per Q-line."""
-    units: dict[frozenset, dict[int, int]] = {}
+def generator_rows(gens: Sequence[LaurentPoly]) -> list[dict[int, int]]:
+    """The one reading of the generators that `scan_bound` and both scans
+    take: each generator's axis image (its terms free of x2..xn, x1 being
+    its first variable) without its constant part, as a primitive integer
+    row {x1-exponent: coefficient}; one row per Q-line, and none for a
+    generator whose image is constant."""
+    rows: dict[frozenset, dict[int, int]] = {}
     for gen in gens:
-        u = _univar_nonneg(gen, what)
-        u.pop(0, None)
+        u = {e[0]: c for e, c in gen.terms.items() if e[0] and not any(e[1:])}
         if u:
+            if min(u) < 0:
+                raise WitnessInvalid("generator has a pole at x1 = 0")
             u = _primitive(u)
-            units[frozenset(u.items())] = u
-    return list(units.values())
+            rows[frozenset(u.items())] = u
+    return list(rows.values())
 
 
 def _mul_trunc(u: dict[int, int], v: dict[int, int], bound: int) -> dict[int, int]:
@@ -234,29 +229,27 @@ def _add_row(v: dict[int, int], rows: dict[int, dict[int, int]], lead) -> dict[i
     return row
 
 
-def semigroup_orders(gens: Sequence[LaurentPoly], bound: int) -> SemigroupTable:
-    """All x1-orders realized by the subalgebra k[gens] of k[x1], up to the
-    bound.  Truncation mod x1^(bound+1) is a ring map, so the space computed
-    is the truncated image of k[gens]: the closure of span{1} under
-    multiplication by each generator, built as a sparse row echelon form
-    of primitive integer rows with pivot = lowest exponent; each row spans
-    the Q-line of the row over Q, so the answer stays exact.  The orders
-    are its pivots.  Constant parts of generators are dropped (they do not
-    change the algebra)."""
-    units = _units(gens, "semigroup generator")
-    if units and bound < max(max(u) for u in units):
+def semigroup_orders(rows: Sequence[dict[int, int]], bound: int) -> SemigroupTable:
+    """All x1-orders realized by the subalgebra of k[x1] that the generator
+    rows (`generator_rows`) generate, up to the bound.  Truncation mod
+    x1^(bound+1) is a ring map, so the space computed is the truncated image
+    of that algebra: the closure of span{1} under multiplication by each
+    row, built as a sparse row echelon form of primitive integer rows with
+    pivot = lowest exponent; each row spans the Q-line of the row over Q,
+    so the answer stays exact.  The orders are its pivots."""
+    if rows and bound < max(max(u) for u in rows):
         raise WitnessInvalid(
             f"semigroup bound {bound} is below a generator degree"
         )
-    rows: dict[int, dict[int, int]] = {}
-    fresh = [_add_row({0: 1}, rows, min)] if bound >= 0 else []
+    echelon: dict[int, dict[int, int]] = {}
+    fresh = [_add_row({0: 1}, echelon, min)] if bound >= 0 else []
     while fresh:
         row = fresh.pop()
-        for u in units:
-            new = _add_row(_mul_trunc(row, u, bound), rows, min)
+        for u in rows:
+            new = _add_row(_mul_trunc(row, u, bound), echelon, min)
             if new is not None:
                 fresh.append(new)
-    return SemigroupTable(bound=bound, orders=frozenset(rows))
+    return SemigroupTable(bound=bound, orders=frozenset(echelon))
 
 
 def is_normal(table: SemigroupTable) -> bool:
@@ -276,44 +269,48 @@ def is_normal(table: SemigroupTable) -> bool:
     return set(table.orders) == expected
 
 
-def subalgebra_member(h: LaurentPoly, gens: Sequence[LaurentPoly], bound: int) -> bool:
+def subalgebra_member(h: LaurentPoly, rows: Sequence[dict[int, int]], bound: int) -> bool:
     """Bounded membership: is h a linear combination of monomials in the
-    generators of total degree <= bound, a generator's degree being its
-    x1-degree?  That span W_bound is built by levels as a sparse row echelon
-    form of primitive integer rows with pivot = highest exponent, each
-    spanning the Q-line of the row over Q: W_0 = span{1} and
-    W_d = W_{d-1} + sum_i u_i * (rows new at level d - deg u_i).  Constant
-    parts of generators are dropped: the monomials of degree <= d in the
-    u_i - c_i span the same space as those in the u_i.  The answer is sound
-    for rejection up to the bound only (`validate_pack` scans to
-    `scan_bound`); membership is not decided exactly."""
-    hu = _univar_nonneg(h, "membership candidate")
+    generator rows (`generator_rows`) of total degree <= bound, a row's
+    degree being its highest exponent?  That span W_bound is built by
+    levels as a sparse row echelon form of primitive integer rows with
+    pivot = highest exponent, each spanning the Q-line of the row over Q:
+    W_0 = span{1} and W_d = W_{d-1} + sum_i u_i * (rows new at level
+    d - deg u_i).  The rows carry no constant parts: the monomials of
+    degree <= d in the u_i - c_i span the same space as those in the u_i.
+    The answer is sound for rejection up to the bound only (`validate_pack`
+    scans to `scan_bound`); membership is not decided exactly."""
+    if any(any(e[1:]) for e in h.terms):
+        raise VariableMismatch(f"{h} involves a variable other than 'x1'")
+    hu = {e[0]: c for e, c in h.terms.items()}
+    if min(hu, default=0) < 0:
+        raise WitnessInvalid("membership candidate has a pole at x1 = 0")
     if hu and max(hu) > bound:
         raise WitnessInvalid(f"candidate degree exceeds the bound {bound}")
-    units = [(max(u), u) for u in _units(gens, "subalgebra generator")]
-    rows: dict[int, dict[int, int]] = {}
-    levels = [[_add_row({0: 1}, rows, max)]]
+    units = [(max(u), u) for u in rows]
+    echelon: dict[int, dict[int, int]] = {}
+    levels = [[_add_row({0: 1}, echelon, max)]]
     for d in range(1, bound + 1):
         level = []
         for deg, u in units:
             for row in levels[d - deg] if deg <= d else ():
-                new = _add_row(_mul_trunc(row, u, bound), rows, max)
+                new = _add_row(_mul_trunc(row, u, bound), echelon, max)
                 if new is not None:
                     level.append(new)
         levels.append(level)
-    return not hu or not _reduce(_primitive(hu), rows, max)
+    return not hu or not _reduce(_primitive(hu), echelon, max)
 
 
-def scan_bound(axis_gens: Sequence[LaurentPoly], h: LaurentPoly) -> int:
+def scan_bound(rows: Sequence[dict[int, int]], h: LaurentPoly) -> int:
     """The one bound B of both scans, worked out from the pack: the least
     B >= SCAN_BOUND at which no size guard can fire.  B is at least every
     generator degree (`semigroup_orders`), twice the least positive order
     of a generator, which is that of k[gens] (`is_normal`), and deg h
-    (`subalgebra_member`); the first two are read off the positive
-    x1-exponents of the axis images."""
-    degs = [e[0] for gen in axis_gens for e in gen.terms if e[0] > 0]
+    (`subalgebra_member`); the first two are read off the exponents of the
+    generator rows."""
     return max(SCAN_BOUND, h.degree_in("x1") if h else 0,
-               max(degs, default=0), 2 * min(degs, default=0))
+               max((max(u) for u in rows), default=0),
+               2 * min((min(u) for u in rows), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -391,158 +388,130 @@ def _expr_value(expr: LaurentPoly, gens: Sequence[LaurentPoly]) -> LaurentPoly:
     return expr.subst(images)
 
 
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise WitnessInvalid(message)
+
+
+class _Line:
+    """One stage of `validate_pack`: a `with` block that adds its report
+    line, passing with the `detail` the block sets, or failing with the
+    message of the WitnessInvalid the block raises, which goes on up."""
+
+    def __init__(self, rep: Report, name: str):
+        self.rep, self.name, self.detail = rep, name, ""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is None:
+            self.rep.add(self.name, True, self.detail)
+        elif issubclass(kind, WitnessInvalid):
+            self.rep.add(self.name, False, str(exc))
+
+
 def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
     """Run every decidable check on a pack and resolve its derived fields.
 
-    Returns (resolved, report); `resolved` is None when a check needed for
-    the pipeline fails.  Checks appear in a stable order so reports can be
-    compared verbatim.  Both scans run to the one bound `scan_bound` works
-    out from the pack, so the report depends on the pack alone.
+    Returns (resolved, report); `resolved` is None when a check fails.
+    Checks appear in a stable order so reports can be compared verbatim.
+    Each stage adds one line, and the first failing one ends validation,
+    except that both scans always run.  They read the generator rows once,
+    to the one bound `scan_bound` works out from the pack, so the report
+    depends on the pack alone.
     """
     rep = Report()
-    vars = x_vars(pack.n) if 2 <= pack.n == len(pack.f.vars) else None
-    shape_ok = (
-        vars is not None
-        and len(pack.gens) >= 1
-        and pack.f.vars == vars
-        and pack.g.vars == vars
-        and all(gen.vars == vars for gen in pack.gens)
-    )
-    rep.add("pack-shape", shape_ok,
-            f"n={pack.n}, {len(pack.gens)} generators")
-    if not shape_ok:
-        return None, rep
-
-    poly_ok = (pack.f.is_polynomial() and not pack.f.is_zero()
-               and pack.g.is_polynomial() and not pack.g.is_zero()
-               and all(gen.is_polynomial() for gen in pack.gens))
-    rep.add("f-g-polynomial", poly_ok)
-    if not poly_ok:
-        return None, rep
-
-    if pack.f_expr is not None or pack.g_expr is not None:
-        try:
-            expr_ok = (pack.f_expr is None or _expr_value(pack.f_expr, pack.gens) == pack.f) and \
-                      (pack.g_expr is None or _expr_value(pack.g_expr, pack.gens) == pack.g)
-            detail = ""
-        except (WitnessInvalid, VariableMismatch) as exc:
-            expr_ok, detail = False, str(exc)
-        rep.add("generator-expressions", expr_ok, detail)
-        if not expr_ok:
-            return None, rep
-
-    eg = axis_map(pack.g)
-    eg_ok = not eg.is_zero() and not eg.is_constant()
-    rep.add("axis-image-of-g", eg_ok, f"eps(g) = {eg}")
-    if not eg_ok:
-        return None, rep
-
     try:
-        h = axis_quotient(pack.f, pack.g)
-        h_ok, h_note = True, f"h = {h}"
-        if pack.h is not None and pack.h.with_vars(vars) != h:
-            h_ok, h_note = False, "stored h disagrees with eps(f)/eps(g)"
-    except WitnessInvalid as exc:
-        h, h_ok, h_note = None, False, str(exc)
-    rep.add("axis-quotient", h_ok, h_note)
-    if not h_ok:
+        with _Line(rep, "pack-shape") as line:
+            vars = x_vars(pack.n) if 2 <= pack.n == len(pack.f.vars) else None
+            line.detail = f"n={pack.n}, {len(pack.gens)} generators"
+            _require(vars is not None and pack.gens and all(
+                p.vars == vars for p in (pack.f, pack.g, *pack.gens)), line.detail)
+
+        with _Line(rep, "f-g-polynomial"):
+            _require(pack.f and pack.g and all(
+                p.is_polynomial() for p in (pack.f, pack.g, *pack.gens)), "")
+
+        if pack.f_expr is not None or pack.g_expr is not None:
+            with _Line(rep, "generator-expressions"):
+                try:
+                    same = all(expr is None or _expr_value(expr, pack.gens) == value
+                               for expr, value in ((pack.f_expr, pack.f),
+                                                   (pack.g_expr, pack.g)))
+                except (VariableMismatch, NotInvertible) as exc:
+                    raise WitnessInvalid(str(exc)) from None
+                _require(same, "")
+
+        with _Line(rep, "axis-image-of-g") as line:
+            eg = axis_map(pack.g)
+            line.detail = f"eps(g) = {eg}"
+            _require(not eg.is_constant(), line.detail)
+
+        with _Line(rep, "axis-quotient") as line:
+            h = axis_quotient(pack.f, pack.g)
+            try:
+                same = pack.h is None or pack.h.with_vars(vars) == h
+            except VariableMismatch:            # a stored h over other variables
+                same = False
+            _require(same, "stored h disagrees with eps(f)/eps(g)")
+            line.detail = f"h = {h}"
+
+        with _Line(rep, "annihilator") as line:
+            if pack.ann is None:
+                ann = build_annihilator(pack.f, pack.g)
+                d = ann.degree_in("T")
+            else:
+                ann, d = pack.ann, monic_degree(pack.ann)
+                _require(d is not None, "stored annihilator is not monic over k[G]")
+                _require(d == eg.degree_in("x1"),
+                         "stored annihilator degree differs from deg eps(g)")
+                _require(realize_annihilator(ann, axis_map(pack.f), eg).is_zero(),
+                         "stored annihilator does not annihilate eps(f)")
+            line.detail = f"degree {d}"
+
+        with _Line(rep, "relation-nonzero"):
+            rel = realize_annihilator(ann, pack.f, pack.g)
+            _require(not rel.is_zero(), "Ann(f) vanishes identically; pair rejected")
+
+        with _Line(rep, "kernel-membership") as line:
+            line.detail = "f - g*h and the relation element vanish on the axis"
+            _require(axis_map(pack.f - pack.g * h).is_zero() and axis_map(rel).is_zero(),
+                     line.detail)
+
+        with _Line(rep, "weights-twist") as line:
+            weights = (choose_weights(pack.f, pack.g, h, rel) if pack.weights is None
+                       else tuple(int(w) for w in pack.weights))
+            _require(len(weights) == pack.n - 1,
+                     f"weight vector must have length {pack.n - 1}")
+            twist = inversion_map(weights, h)
+            failing = check_twist(twist, pack.f, pack.g, h, rel)
+            _require(not failing, failing)
+            line.detail = f"t = {list(weights)}"
+
+        with _Line(rep, "clearing-exponent") as line:
+            e_min = clearing_exponent(twist, rel, pack.f, d)
+            e = e_min if pack.clearing is None else int(pack.clearing)
+            _require(e >= e_min, f"stored clearing exponent {e} violates the order "
+                                 f"conditions (minimum is {e_min})")
+            line.detail = f"e = {e} (minimum {e_min})"
+    except WitnessInvalid:
         return None, rep
 
-    try:
-        if pack.ann is not None:
-            ann = pack.ann
-            d = ann.degree_in("T")
-            if monic_degree(ann) is None:
-                raise WitnessInvalid("stored annihilator is not monic over k[G]")
-            if d != eg.degree_in("x1"):
-                raise WitnessInvalid("stored annihilator degree differs from deg eps(g)")
-            if not realize_annihilator(ann, axis_map(pack.f), eg).is_zero():
-                raise WitnessInvalid("stored annihilator does not annihilate eps(f)")
-        else:
-            ann = build_annihilator(pack.f, pack.g)
-            d = ann.degree_in("T")
-        ann_ok, ann_note = True, f"degree {d}"
-    except WitnessInvalid as exc:
-        ann, d, ann_ok, ann_note = None, None, False, str(exc)
-    rep.add("annihilator", ann_ok, ann_note)
-    if not ann_ok:
-        return None, rep
-
-    rel = realize_annihilator(ann, pack.f, pack.g)
-    rel_ok = not rel.is_zero()
-    rep.add("relation-nonzero", rel_ok,
-            "" if rel_ok else "Ann(f) vanishes identically; pair rejected")
-    if not rel_ok:
-        return None, rep
-
-    kernel_ok = axis_map(pack.f - pack.g * h).is_zero() and axis_map(rel).is_zero()
-    rep.add("kernel-membership", kernel_ok,
-            "f - g*h and the relation element vanish on the axis")
-    if not kernel_ok:
-        return None, rep
-
-    try:
-        if pack.weights is not None:
-            weights = tuple(int(w) for w in pack.weights)
-        else:
-            weights = choose_weights(pack.f, pack.g, h, rel)
-        if len(weights) != pack.n - 1:
-            raise WitnessInvalid(f"weight vector must have length {pack.n - 1}")
-        twist = inversion_map(weights, h)
-        failing = check_twist(twist, pack.f, pack.g, h, rel)
-        w_ok = not failing
-        w_note = failing or f"t = {list(weights)}"
-    except WitnessInvalid as exc:
-        weights, twist, w_ok, w_note = None, None, False, str(exc)
-    rep.add("weights-twist", w_ok, w_note)
-    if not w_ok:
-        return None, rep
-
-    try:
-        e_min = clearing_exponent(twist, rel, pack.f, d)
-        if pack.clearing is not None:
-            e = int(pack.clearing)
-            if e < e_min:
-                raise WitnessInvalid(
-                    f"stored clearing exponent {e} violates the order conditions "
-                    f"(minimum is {e_min})"
-                )
-        else:
-            e = e_min
-        e_ok, e_note = True, f"e = {e} (minimum {e_min})"
-    except WitnessInvalid as exc:
-        e, e_ok, e_note = None, False, str(exc)
-    rep.add("clearing-exponent", e_ok, e_note)
-    if not e_ok:
-        return None, rep
-
-    axis_gens = [axis_map(gen) for gen in pack.gens]
-    bound = scan_bound(axis_gens, h)
-    try:
-        table = semigroup_orders(axis_gens, bound)
-        nonnormal = not is_normal(table)
-        sg_note = f"orders up to {table.bound}: {table.sorted_orders()}"
-    except WitnessInvalid as exc:
-        table, nonnormal, sg_note = None, False, str(exc)
-    rep.add("semigroup-non-normal", nonnormal, sg_note)
-
-    try:
-        outside = not subalgebra_member(h, axis_gens, bound)
-        mem_note = f"h not spanned by generator monomials up to degree {bound}"
-        if not outside:
-            mem_note = "h lies in the collapsed subring within the bound"
-    except WitnessInvalid as exc:
-        outside, mem_note = False, str(exc)
-    rep.add("quotient-outside-subring", outside, mem_note)
-
+    rows = generator_rows(pack.gens)
+    bound = scan_bound(rows, h)
+    with suppress(WitnessInvalid), _Line(rep, "semigroup-non-normal") as line:
+        table = semigroup_orders(rows, bound)
+        line.detail = f"orders up to {table.bound}: {table.sorted_orders()}"
+        _require(not is_normal(table), line.detail)
+    with suppress(WitnessInvalid), _Line(rep, "quotient-outside-subring") as line:
+        _require(not subalgebra_member(h, rows, bound),
+                 "h lies in the collapsed subring within the bound")
+        line.detail = f"h not spanned by generator monomials up to degree {bound}"
     if not rep.ok:
         return None, rep
-
-    resolved = Resolved(
-        n=pack.n, f=pack.f, g=pack.g, h=h, ann=ann, rel=rel, d=d,
-        weights=weights, clearing=e, twist=twist,
-    )
-    return resolved, rep
+    return Resolved(n=pack.n, f=pack.f, g=pack.g, h=h, ann=ann, rel=rel, d=d,
+                    weights=weights, clearing=e, twist=twist), rep
 
 
 def resolve_pack_fields(pack: WitnessPack, resolved: Resolved) -> WitnessPack:

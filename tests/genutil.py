@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: seeded random data, shape tests on
 tails, the benchmark's groups, and independent oracles (the per-pair
 product, naive Sylvester determinant, the unskipped Bareiss elimination,
-the Fraction-row scans, orbit sums by substitution, realization of an
-element of k[f, rel, g, 1/g] times a clearing power of g)."""
+the Fraction-row scans, pack validation as one hand-written block per
+check over them, orbit sums by substitution, realization of an element of
+k[f, rel, g, 1/g] times a clearing power of g)."""
 
 import importlib.util
 import sys
@@ -13,20 +14,25 @@ from pathlib import Path
 
 from h14cert import (
     LaurentPoly,
+    Report,
     Resolved,
     SemigroupTable,
     VariableMismatch,
     WitnessInvalid,
+    axis_map,
     axis_quotient,
     build_annihilator,
+    check_twist,
     choose_weights,
     clearing_exponent,
     inversion_map,
+    is_normal,
     realize_annihilator,
     x_vars,
 )
 from h14cert.algebra import _exact_div
 from h14cert.family import FG_VARS
+from h14cert.witness import SCAN_BOUND, monic_degree
 
 
 def random_fraction(rng, max_num=9, max_den=4):
@@ -159,9 +165,9 @@ def reference_determinant(matrix, vars):
 # -- orbit sums by one substitution per orbit ------------------------------
 
 
-def benchmark_groups():
-    """{name: (n, generators)} of the benchmark's packs, read from
-    perfbench/workloads.py."""
+def benchmark_workloads():
+    """The module perfbench/workloads.py: the benchmark's groups, workloads
+    and pack writer."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
@@ -170,7 +176,12 @@ def benchmark_groups():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.GROUPS
+    return module
+
+
+def benchmark_groups():
+    """{name: (n, generators)} of the benchmark's packs."""
+    return benchmark_workloads().GROUPS
 
 
 def reference_orbit_sum(group, exps):
@@ -210,10 +221,14 @@ def _reference_univar(p, what):
     return u
 
 
-def _reference_units(gens, what):
+def _reference_units(gens):
+    """The axis images of the generators (their terms free of x2..xn)
+    without constant parts, one per distinct row."""
     units = {}
     for gen in gens:
-        u = _reference_univar(gen, what)
+        u = {e[0]: c for e, c in gen.terms.items() if not any(e[1:])}
+        if min(u, default=0) < 0:
+            raise WitnessInvalid("generator has a pole at x1 = 0")
         u.pop(0, None)
         if u:
             units[frozenset(u.items())] = u
@@ -263,9 +278,9 @@ def _reference_add_row(v, rows, lead):
 
 
 def reference_semigroup_orders(gens, bound):
-    """`semigroup_orders` over rows of Fractions with pivot coefficient 1,
-    the same guards raising the same messages."""
-    units = _reference_units(gens, "semigroup generator")
+    """`semigroup_orders` of `generator_rows(gens)` over rows of Fractions
+    with pivot coefficient 1, the same guards raising the same messages."""
+    units = _reference_units(gens)
     if units and bound < max(max(u) for u in units):
         raise WitnessInvalid(
             f"semigroup bound {bound} is below a generator degree"
@@ -282,12 +297,13 @@ def reference_semigroup_orders(gens, bound):
 
 
 def reference_subalgebra_member(h, gens, bound):
-    """`subalgebra_member` over rows of Fractions with pivot coefficient 1,
-    the same guards raising the same messages."""
+    """`subalgebra_member` of h over `generator_rows(gens)` over rows of
+    Fractions with pivot coefficient 1, the same guards raising the same
+    messages (the generators are read first)."""
+    units = [(max(u), u) for u in _reference_units(gens)]
     hu = _reference_univar(h, "membership candidate")
     if hu and max(hu) > bound:
         raise WitnessInvalid(f"candidate degree exceeds the bound {bound}")
-    units = [(max(u), u) for u in _reference_units(gens, "subalgebra generator")]
     rows = {}
     levels = [[_reference_add_row({0: Fraction(1)}, rows, max)]]
     for d in range(1, bound + 1):
@@ -299,6 +315,170 @@ def reference_subalgebra_member(h, gens, bound):
                     level.append(new)
         levels.append(level)
     return not _reference_reduce(hu, rows, max)
+
+
+# -- pack validation, one hand-written block per check ---------------------
+
+
+def _reference_expr_value(expr, gens):
+    if len(expr.vars) != len(gens):
+        raise WitnessInvalid("expression arity does not match the generators")
+    return expr.subst({name: gen for name, gen in zip(expr.vars.names, gens)})
+
+
+def reference_validate_pack(pack):
+    """`validate_pack` as one hand-written try/compute/add-line block per
+    check, each followed by its own early return, over a list of axis
+    images that both reference scans read on their own.  A stored h over
+    other variables, an empty stored Pi and an f_expr that needs the
+    inverse of a generator raise an AlgebraError here (VariableMismatch,
+    ZeroInput, NotInvertible) instead of failing their lines."""
+    rep = Report()
+    vars = x_vars(pack.n) if 2 <= pack.n == len(pack.f.vars) else None
+    shape_ok = (
+        vars is not None
+        and len(pack.gens) >= 1
+        and pack.f.vars == vars
+        and pack.g.vars == vars
+        and all(gen.vars == vars for gen in pack.gens)
+    )
+    rep.add("pack-shape", shape_ok, f"n={pack.n}, {len(pack.gens)} generators")
+    if not shape_ok:
+        return None, rep
+
+    poly_ok = (pack.f.is_polynomial() and not pack.f.is_zero()
+               and pack.g.is_polynomial() and not pack.g.is_zero()
+               and all(gen.is_polynomial() for gen in pack.gens))
+    rep.add("f-g-polynomial", poly_ok)
+    if not poly_ok:
+        return None, rep
+
+    if pack.f_expr is not None or pack.g_expr is not None:
+        try:
+            expr_ok = (pack.f_expr is None
+                       or _reference_expr_value(pack.f_expr, pack.gens) == pack.f) and \
+                      (pack.g_expr is None
+                       or _reference_expr_value(pack.g_expr, pack.gens) == pack.g)
+            detail = ""
+        except (WitnessInvalid, VariableMismatch) as exc:
+            expr_ok, detail = False, str(exc)
+        rep.add("generator-expressions", expr_ok, detail)
+        if not expr_ok:
+            return None, rep
+
+    eg = axis_map(pack.g)
+    eg_ok = not eg.is_zero() and not eg.is_constant()
+    rep.add("axis-image-of-g", eg_ok, f"eps(g) = {eg}")
+    if not eg_ok:
+        return None, rep
+
+    try:
+        h = axis_quotient(pack.f, pack.g)
+        h_ok, h_note = True, f"h = {h}"
+        if pack.h is not None and pack.h.with_vars(vars) != h:
+            h_ok, h_note = False, "stored h disagrees with eps(f)/eps(g)"
+    except WitnessInvalid as exc:
+        h, h_ok, h_note = None, False, str(exc)
+    rep.add("axis-quotient", h_ok, h_note)
+    if not h_ok:
+        return None, rep
+
+    try:
+        if pack.ann is not None:
+            ann = pack.ann
+            d = ann.degree_in("T")
+            if monic_degree(ann) is None:
+                raise WitnessInvalid("stored annihilator is not monic over k[G]")
+            if d != eg.degree_in("x1"):
+                raise WitnessInvalid("stored annihilator degree differs from deg eps(g)")
+            if not realize_annihilator(ann, axis_map(pack.f), eg).is_zero():
+                raise WitnessInvalid("stored annihilator does not annihilate eps(f)")
+        else:
+            ann = build_annihilator(pack.f, pack.g)
+            d = ann.degree_in("T")
+        ann_ok, ann_note = True, f"degree {d}"
+    except WitnessInvalid as exc:
+        ann, d, ann_ok, ann_note = None, None, False, str(exc)
+    rep.add("annihilator", ann_ok, ann_note)
+    if not ann_ok:
+        return None, rep
+
+    rel = realize_annihilator(ann, pack.f, pack.g)
+    rel_ok = not rel.is_zero()
+    rep.add("relation-nonzero", rel_ok,
+            "" if rel_ok else "Ann(f) vanishes identically; pair rejected")
+    if not rel_ok:
+        return None, rep
+
+    kernel_ok = axis_map(pack.f - pack.g * h).is_zero() and axis_map(rel).is_zero()
+    rep.add("kernel-membership", kernel_ok,
+            "f - g*h and the relation element vanish on the axis")
+    if not kernel_ok:
+        return None, rep
+
+    try:
+        if pack.weights is not None:
+            weights = tuple(int(w) for w in pack.weights)
+        else:
+            weights = choose_weights(pack.f, pack.g, h, rel)
+        if len(weights) != pack.n - 1:
+            raise WitnessInvalid(f"weight vector must have length {pack.n - 1}")
+        twist = inversion_map(weights, h)
+        failing = check_twist(twist, pack.f, pack.g, h, rel)
+        w_ok = not failing
+        w_note = failing or f"t = {list(weights)}"
+    except WitnessInvalid as exc:
+        weights, twist, w_ok, w_note = None, None, False, str(exc)
+    rep.add("weights-twist", w_ok, w_note)
+    if not w_ok:
+        return None, rep
+
+    try:
+        e_min = clearing_exponent(twist, rel, pack.f, d)
+        if pack.clearing is not None:
+            e = int(pack.clearing)
+            if e < e_min:
+                raise WitnessInvalid(
+                    f"stored clearing exponent {e} violates the order conditions "
+                    f"(minimum is {e_min})"
+                )
+        else:
+            e = e_min
+        e_ok, e_note = True, f"e = {e} (minimum {e_min})"
+    except WitnessInvalid as exc:
+        e, e_ok, e_note = None, False, str(exc)
+    rep.add("clearing-exponent", e_ok, e_note)
+    if not e_ok:
+        return None, rep
+
+    axis_gens = [axis_map(gen) for gen in pack.gens]
+    degs = [e[0] for gen in axis_gens for e in gen.terms if e[0] > 0]
+    bound = max(SCAN_BOUND, h.degree_in("x1") if h else 0,
+                max(degs, default=0), 2 * min(degs, default=0))
+    try:
+        table = reference_semigroup_orders(axis_gens, bound)
+        nonnormal = not is_normal(table)
+        sg_note = f"orders up to {table.bound}: {table.sorted_orders()}"
+    except WitnessInvalid as exc:
+        table, nonnormal, sg_note = None, False, str(exc)
+    rep.add("semigroup-non-normal", nonnormal, sg_note)
+
+    try:
+        outside = not reference_subalgebra_member(h, axis_gens, bound)
+        mem_note = f"h not spanned by generator monomials up to degree {bound}"
+        if not outside:
+            mem_note = "h lies in the collapsed subring within the bound"
+    except WitnessInvalid as exc:
+        outside, mem_note = False, str(exc)
+    rep.add("quotient-outside-subring", outside, mem_note)
+
+    if not rep.ok:
+        return None, rep
+    return Resolved(n=pack.n, f=pack.f, g=pack.g, h=h, ann=ann, rel=rel, d=d,
+                    weights=weights, clearing=e, twist=twist), rep
+
+
+# -- tails in k[f, rel, g, 1/g] and random pipeline data -------------------
 
 
 def g_clearing(*ps) -> int:

@@ -24,6 +24,7 @@ from h14cert import (
     decompose,
     find_preslice,
     frac_to_str,
+    generator_rows,
     inversion_map,
     invariant_witness_pack,
     is_normal,
@@ -107,7 +108,7 @@ def test_criterion_2_axis_images_and_order_semigroup():
              - LaurentPoly.monomial(vars, (2, 0)))
     if images[1] != cubic:
         failures.append(f"axis image of orbit(y1*y2) is {images[1]}")
-    table = semigroup_orders(images, 12)
+    table = semigroup_orders(generator_rows(images), 12)
     if table.sorted_orders() != [0] + list(range(2, 13)):
         failures.append(f"order table is {table.sorted_orders()}")
     if is_normal(table):

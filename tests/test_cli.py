@@ -389,17 +389,22 @@ def test_malformed_inputs_exit_3(tmp_path, capsys):
     assert "input error: witness.f.laurent: names must be strings" in captured.err
 
 
-def check_with_stored_pi(tmp_path, capsys, edit):
+def check_with_edited_field(tmp_path, capsys, key, edit):
     """`witness check` on the resolved demo pack after `edit` has changed
-    the stored Pi, the list of its T-coefficients, in place; returns
-    (rc, out, err)."""
+    its field `key` in place; returns (rc, out, err)."""
     path = write_demo_pack(tmp_path / "pack.json", resolved=True)
     obj = load_json_file(str(path))
-    edit(obj["Pi"])
+    edit(obj[key])
     write_json_file(str(path), obj)
     rc = main(["witness", "check", str(path)])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def check_with_stored_pi(tmp_path, capsys, edit):
+    """`check_with_edited_field` on the stored Pi, the list of its
+    T-coefficients."""
+    return check_with_edited_field(tmp_path, capsys, "Pi", edit)
 
 
 def _set_all(key, value):
@@ -430,7 +435,29 @@ def test_stored_pi_with_mixed_variable_sets_exits_3(tmp_path, capsys):
 def test_empty_stored_pi_exits_2(tmp_path, capsys):
     rc, out, err = check_with_stored_pi(tmp_path, capsys, lambda coeffs: coeffs.clear())
     assert rc == 2
-    assert "check failed: degree of the zero polynomial" in err
+    assert "[FAIL] annihilator: stored annihilator is not monic over k[G]" in out
+    assert "result: FAIL (6 checks)" in out
+    assert err == ""
+
+
+def test_stored_h_over_other_variables_fails_its_line(tmp_path, capsys):
+    rc, out, err = check_with_edited_field(
+        tmp_path, capsys, "h", lambda h: h.update(vars=["y1", "y2"], laurent=[]))
+    assert rc == 2
+    assert "[FAIL] axis-quotient: stored h disagrees with eps(f)/eps(g)" in out
+    assert "result: FAIL (5 checks)" in out
+    assert err == ""
+
+
+def test_f_expr_with_inverse_generator_fails_its_line(tmp_path, capsys):
+    def invert_u0(expr):
+        expr["laurent"] = ["u0"]
+        expr["terms"][0]["e"][0] = -1      # u0^-1 + u2; u0 = x1^2 + x2
+    rc, out, err = check_with_edited_field(tmp_path, capsys, "f_expr", invert_u0)
+    assert rc == 2
+    assert "[FAIL] generator-expressions: not a single term: x1^2 + x2" in out
+    assert "result: FAIL (3 checks)" in out
+    assert err == ""
 
 
 def test_stored_pi_coefficient_variable_named_t_exits_3(tmp_path, capsys):
@@ -448,6 +475,17 @@ def test_invariants_inline_group(capsys):
     assert rc == 0
     lines = captured.out.strip().splitlines()
     assert lines == [str(p) for p in invariant_generators(SWAP, 2)]
+
+
+def test_invariants_on_many_letters(capsys):
+    """Monomials are enumerated by a loop, not one recursion per letter."""
+    rc = main(["invariants", "--group", '{"n": 1500, "generators": []}',
+               "--degree", "1"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1500
+    assert lines[:3] == ["x1", "x1^2 - x1 + x2", "x3"] and lines[-1] == "x1500"
 
 
 def test_invariants_json_output(tmp_path, capsys):

@@ -157,6 +157,18 @@ def test_generators_match_substitution_on_random_subgroups():
             assert_same_terms([orbit_sum(group, exps)], [reference_orbit_sum(group, exps)])
 
 
+def test_each_orbit_is_walked_once(monkeypatch):
+    walks = []
+    walk = PermGroupSpec.orbit
+    monkeypatch.setattr(PermGroupSpec, "orbit",
+                        lambda self, exps: walks.append(exps) or walk(self, exps))
+    n, gens = BENCH_GROUPS["swap-cycle5"]
+    group = PermGroupSpec(n, tuple(map(tuple, gens)))
+    generators = invariant_generators(group, 5)
+    assert len(walks) == len(generators) == 65
+    assert all(exps == max(walk(group, exps)) for exps in walks)
+
+
 def test_orbit_sums_make_no_substitution(monkeypatch):
     def refuse(self, images):
         raise AssertionError("LaurentPoly.subst called")

@@ -18,6 +18,7 @@ from h14cert import (
     choose_weights,
     clearing_exponent,
     format_report,
+    generator_rows,
     inversion_map,
     is_normal,
     realize_annihilator,
@@ -128,90 +129,101 @@ def test_realize_annihilator_demo():
 
 
 def test_semigroup_orders_two_generators():
-    table = semigroup_orders([u1({2: 1}), u1({3: 1})], 12)
+    table = semigroup_orders(generator_rows([u1({2: 1}), u1({3: 1})]), 12)
     assert table.sorted_orders() == [0] + list(range(2, 13))
     assert not is_normal(table)
 
 
 def test_semigroup_orders_single_generator_is_normal():
-    table = semigroup_orders([u1({2: 1})], 8)
+    table = semigroup_orders(generator_rows([u1({2: 1})]), 8)
     assert table.sorted_orders() == [0, 2, 4, 6, 8]
     assert is_normal(table)
 
 
 def test_semigroup_orders_binomial_generator():
     # k[x1^2 + x1^3] realizes only the even orders below 9
-    table = semigroup_orders([u1({2: 1, 3: 1})], 8)
+    table = semigroup_orders(generator_rows([u1({2: 1, 3: 1})]), 8)
     assert table.sorted_orders() == [0, 2, 4, 6, 8]
     assert is_normal(table)
 
 
 def test_semigroup_demo_generators_not_normal():
-    table = semigroup_orders([axis_map(g) for g in DEMO_GENS], 12)
+    table = semigroup_orders(generator_rows([axis_map(g) for g in DEMO_GENS]), 12)
     orders = table.sorted_orders()
     assert 2 in orders and 3 in orders
     assert not is_normal(table)
 
 
 def test_semigroup_constant_parts_do_not_matter():
-    with_const = semigroup_orders([u1({0: 5, 2: 1})], 8)
-    without = semigroup_orders([u1({2: 1})], 8)
+    with_const = semigroup_orders(generator_rows([u1({0: 5, 2: 1})]), 8)
+    without = semigroup_orders(generator_rows([u1({2: 1})]), 8)
     assert with_const.orders == without.orders
 
 
 def test_semigroup_bound_guards():
     with pytest.raises(WitnessInvalid):
-        semigroup_orders([u1({3: 1})], 2)  # bound below a generator degree
-    table = semigroup_orders([u1({4: 1, 5: 1})], 6)
+        semigroup_orders(generator_rows([u1({3: 1})]), 2)  # bound below a generator degree
+    table = semigroup_orders(generator_rows([u1({4: 1, 5: 1})]), 6)
     with pytest.raises(WitnessInvalid):
         is_normal(table)  # bound 6 cannot probe 2 * min-order = 8
-    with pytest.raises(WitnessInvalid):
-        semigroup_orders([X1 ** -1], 4)  # poles rejected
+    with pytest.raises(WitnessInvalid, match="^generator has a pole at x1 = 0$"):
+        generator_rows([X1 ** -1])  # poles rejected
 
 
 def test_is_normal_trivial_cases():
-    assert is_normal(semigroup_orders([], 4))
-    assert is_normal(semigroup_orders([u1({0: 3})], 4))  # constants only
+    assert is_normal(semigroup_orders(generator_rows([]), 4))
+    assert is_normal(semigroup_orders(generator_rows([u1({0: 3})]), 4))  # constants only
+
+
+def test_generator_rows_read_the_axis_images():
+    """The rows keep each generator's terms free of x2 (the axis collapse),
+    drop constant parts, and keep one primitive integer row per Q-line."""
+    assert generator_rows(DEMO_GENS) == generator_rows([axis_map(g) for g in DEMO_GENS]) \
+        == [{2: 1}, {2: 2, 3: -2, 4: 1}, {2: -1, 3: 1}]
+    assert generator_rows([X2, u1({0: 3}), X1 * X2]) == []
+    assert generator_rows([u1({2: Fraction(1, 2), 3: 3}), u1({0: 5, 2: -1, 3: -6})]) \
+        == [{2: 1, 3: 6}]
 
 
 # -- bounded membership ---------------------------------------------------
 
 
 def test_subalgebra_member_positive():
-    gens = [u1({2: 1}), u1({3: 1})]
-    assert subalgebra_member(u1({2: 1, 3: 1}), gens, 12)
-    assert subalgebra_member(u1({6: 1}), gens, 12)
-    assert subalgebra_member(u1({0: 7}), gens, 12)
-    assert subalgebra_member(LaurentPoly.zero(V2), gens, 12)
+    rows = generator_rows([u1({2: 1}), u1({3: 1})])
+    assert subalgebra_member(u1({2: 1, 3: 1}), rows, 12)
+    assert subalgebra_member(u1({6: 1}), rows, 12)
+    assert subalgebra_member(u1({0: 7}), rows, 12)
+    assert subalgebra_member(LaurentPoly.zero(V2), rows, 12)
 
 
 def test_subalgebra_member_negative():
-    gens = [u1({2: 1}), u1({3: 1})]
-    assert not subalgebra_member(X1, gens, 12)
-    assert not subalgebra_member(u1({5: 1}), [u1({2: 1})], 12)
+    rows = generator_rows([u1({2: 1}), u1({3: 1})])
+    assert not subalgebra_member(X1, rows, 12)
+    assert not subalgebra_member(u1({5: 1}), generator_rows([u1({2: 1})]), 12)
 
 
 def test_subalgebra_member_demo_quotient_outside():
     collapsed = [axis_map(g) for g in DEMO_GENS]
-    assert not subalgebra_member(X1, collapsed, 12)
+    rows = generator_rows(DEMO_GENS)
+    assert not subalgebra_member(X1, rows, 12)
     for g in collapsed:
-        assert subalgebra_member(g, collapsed, 12)
+        assert subalgebra_member(g, rows, 12)
 
 
 def test_subalgebra_member_guards():
     with pytest.raises(WitnessInvalid):
-        subalgebra_member(u1({13: 1}), [u1({2: 1})], 12)
+        subalgebra_member(u1({13: 1}), generator_rows([u1({2: 1})]), 12)
     with pytest.raises(WitnessInvalid):
-        subalgebra_member(X1 ** -1, [u1({2: 1})], 12)
+        subalgebra_member(X1 ** -1, generator_rows([u1({2: 1})]), 12)
 
 
 def test_scans_at_large_bound():
     """Both scans at bound 200 on the demo's axis images finish well inside
     30 s; a scan that enumerates generator monomials does not."""
-    collapsed = [axis_map(g) for g in DEMO_GENS]
+    rows = generator_rows(DEMO_GENS)
     start = time.perf_counter()
-    table = semigroup_orders(collapsed, 200)
-    outside = not subalgebra_member(X1, collapsed, 200)
+    table = semigroup_orders(rows, 200)
+    outside = not subalgebra_member(X1, rows, 200)
     assert time.perf_counter() - start < 30
     assert table.sorted_orders()[:4] == [0, 2, 3, 4]
     assert outside
@@ -221,8 +233,7 @@ def test_scans_at_large_bound():
 
 
 def test_scan_bound_is_the_least_at_which_no_guard_fires():
-    collapsed = [axis_map(g) for g in DEMO_GENS]
-    assert scan_bound(collapsed, X1) == SCAN_BOUND == 12
+    assert scan_bound(generator_rows(DEMO_GENS), X1) == SCAN_BOUND == 12
     assert scan_bound([], LaurentPoly.zero(V2)) == 12
     cases = [  # (generators, h, B): each one raised by a single guard
         ([u1({2: 1, 20: 1})], X1, 20),       # a generator degree
@@ -230,12 +241,13 @@ def test_scan_bound_is_the_least_at_which_no_guard_fires():
         ([u1({2: 1})], u1({13: 1}), 13),     # deg h
     ]
     for gens, h, bound in cases:
-        assert scan_bound(gens, h) == bound
-        is_normal(semigroup_orders(gens, bound))       # no guard fires at B
-        subalgebra_member(h, gens, bound)
+        rows = generator_rows(gens)
+        assert scan_bound(rows, h) == bound
+        is_normal(semigroup_orders(rows, bound))       # no guard fires at B
+        subalgebra_member(h, rows, bound)
         with pytest.raises(WitnessInvalid):            # one fires below B
-            is_normal(semigroup_orders(gens, bound - 1))
-            subalgebra_member(h, gens, bound - 1)
+            is_normal(semigroup_orders(rows, bound - 1))
+            subalgebra_member(h, rows, bound - 1)
 
 
 # -- weights, twist conditions, clearing exponent -------------------------
