@@ -10,6 +10,7 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -36,6 +37,10 @@ from .serialize import (
 from .witness import validate_pack
 
 DEFAULT_LMAX = 8
+
+#: the most letters x monomials `invariants` enumerates, n * (C(n + D, D) - 1)
+#: for n letters to degree D (2,250,000 for 1,500 letters at degree 1)
+INVARIANTS_LIMIT = 5_000_000
 
 
 def _build_and_write(pack, args, show=None) -> int:
@@ -109,7 +114,13 @@ def cmd_invariants(args) -> int:
     else:
         obj = load_json_file(spec)
     group = group_from_json(obj)
-    gens = invariant_generators(group, args.degree)
+    n, degree = group.n, args.degree
+    # n * max(n, D) <= the count for D >= 1: it bounds the work of math.comb
+    if degree and (n * max(n, degree) > INVARIANTS_LIMIT
+                   or n * (math.comb(n + degree, degree) - 1) > INVARIANTS_LIMIT):
+        raise FormatError(f"{n} letters to degree {degree} exceed the limit of "
+                          f"{INVARIANTS_LIMIT:,} letters x monomials")
+    gens = invariant_generators(group, degree)
     if args.json:
         from .serialize import dumps
         print(dumps([poly_to_json(p) for p in gens]), end="")

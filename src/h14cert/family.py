@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .algebra import LaurentPoly, VarSet, coeffs_in
+from .algebra import LaurentPoly, VarSet, coeffs_in, xz_vars
 from .errors import (
     AlgebraError,
     ConstructionFailure,
@@ -163,20 +163,19 @@ def tail_coefficients(l_max: int, rw: Resolved) -> list[LaurentPoly]:
 
 
 def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> LaurentPoly:
-    """q_l = twist(P_l(z)) assembled from z-free blocks; no validity checks.
+    """q_l = theta(P_l(z)) assembled from z-free blocks; no validity checks.
 
-    With c_j = twist(rel^e * f_j) (f_0 = 1) and twist(z) = z + s, the
-    member is q_l = sum_i c_{l-i} * (z + s)^i / i!.  Expanding (z + s)^i
-    regroups it as q_l = sum_k r_{l-k} * z^k / k!, where the block
-    r_j = sum_m c_{j-m} * s^m / m! does not depend on l.  The twist is a
-    ring map and s = h(1/x1) is the twist of the pack's h, so
-    r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!):
-    the sum runs over the small realized tails, and each block costs one
-    product with rel^e and one twist.  The blocks r_0..r_l are made in one
-    pass, realizing each tail by substitution; every r_j is z-free, so
-    q_l is laid out by placing r_{l-k} / k! at z-degree k: no product with
-    z, and nothing to cancel.  Since the blocks do not depend on l, the
-    lower members are derivatives, q_{l-1} = d/dz q_l, and
+    With theta = `inversion_map(t, h)`, c_j = theta(rel^e * f_j) (f_0 = 1)
+    and theta(z) = z + s, q_l = sum_i c_{l-i} * (z + s)^i / i!.  Expanding
+    (z + s)^i regroups it as q_l = sum_k r_{l-k} * z^k / k!, where the block
+    r_j = sum_m c_{j-m} * s^m / m! does not depend on l.  theta is a ring
+    map, s = theta(h), and on z-free data theta is rw.twist, so
+    r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!), all over x1..xn: each
+    block costs one product with rel^e and one twist.  The blocks r_0..r_l
+    are made in one pass, realizing each tail by substitution; z enters
+    only as q_l is laid out over x1..xn, z, with r_{l-k} / k! at z-degree
+    k: no product with z, and nothing to cancel.  Since the blocks do not
+    depend on l, the lower members are derivatives, q_{l-1} = d/dz q_l, and
     `build_certificate` assembles only q_{l_max}.
 
     Only the builder assembles members.  `verify_certificate` checks each
@@ -185,26 +184,24 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     here, or in the derivatives, fails the build's verification instead of
     confirming itself.
     """
-    vz = rw.twist.vars
+    vars = rw.twist.vars
     fact = _factorials(max(l, 1))
-    rel_e = rw.rel_xz ** rw.clearing
-    images = {"f": rw.f_xz, "rel": rw.rel_xz, "g": rw.g_xz}
+    rel_e = rw.rel ** rw.clearing
+    images = {"f": rw.f, "rel": rw.rel, "g": rw.g}
     plain = [fj.subst(images) for fj in [LaurentPoly.one(FG_VARS), *tails[:l]]]
-    hpow = [LaurentPoly.one(vz)]                       # h^m / m!
-    z = vz.index("z")
+    hpow = [LaurentPoly.one(vars)]                     # h^m / m!
     terms: dict = {}
     for j in range(l + 1):
         if j:
-            hpow.append(hpow[-1] * rw.h_xz * Fraction(1, j))
-        pulled = LaurentPoly.zero(vz)
+            hpow.append(hpow[-1] * rw.h * Fraction(1, j))
+        pulled = LaurentPoly.zero(vars)
         for m in range(j + 1):
             pulled = pulled + plain[j - m] * hpow[m]
         k = l - j
         fk = fact[k]
         for e, c in rw.twist.apply(rel_e * pulled).terms.items():
-            terms[e[:z] + (k,) + e[z + 1:]] = (Fraction(c.numerator, c.denominator * fk)
-                                               if k > 1 else c)
-    return LaurentPoly(vz, terms, _clean=False)
+            terms[e + (k,)] = Fraction(c.numerator, c.denominator * fk) if k > 1 else c
+    return LaurentPoly(xz_vars(rw.n), terms, _clean=False)
 
 
 def witness_poly(l: int, rw: Resolved, tails: list[LaurentPoly]) -> LaurentPoly:
@@ -306,24 +303,23 @@ def _appell_blocks(tails: list[LaurentPoly],
     AlgebraError comes second.
 
     The members satisfy q_l = sum_k B_(l-k) * z^k / k!.  Everything here is
-    recomputed apart from the builder: F_j (F_0 = 1) is realized from
+    over x1..xn and apart from the builder: F_j (F_0 = 1) is realized from
     power lists of f, rel and g made for this call, h is the pack's own h
     (so no shift is twisted), and the twist of a z-free block is the
     exponent map x1 -> 1/x1, xi -> x1^(t_i) * xi read off the weights."""
-    vz = rw.f_xz.vars
-    n, weights = rw.n, rw.weights
-    bases = (rw.f_xz, rw.rel_xz, rw.g_xz)
-    pows = [[LaurentPoly.one(vz)] for _ in bases]
-    rel_e = rw.rel_xz ** rw.clearing
-    hpow = [LaurentPoly.one(vz)]                       # h^m / m!
+    vars, weights = rw.f.vars, rw.weights
+    bases = (rw.f, rw.rel, rw.g)
+    pows = [[LaurentPoly.one(vars)] for _ in bases]
+    rel_e = rw.rel ** rw.clearing
+    hpow = [LaurentPoly.one(vars)]                     # h^m / m!
     values: list[LaurentPoly] = []
     blocks: list[dict] = []
     for j, fj in enumerate([LaurentPoly.one(FG_VARS)] + list(tails)):
         if any(m < 0 for (_, _, m) in fj.terms):       # no power list holds g^(-m)
             return blocks, VariableMismatch("element has negative g-powers")
-        value = LaurentPoly.zero(vz)
+        value = LaurentPoly.zero(vars)
         for exps, c in fj.terms.items():
-            term = LaurentPoly.const(vz, c)
+            term = LaurentPoly.const(vars, c)
             for base, pw, k in zip(bases, pows, exps):
                 if k:
                     while len(pw) <= k:
@@ -332,12 +328,12 @@ def _appell_blocks(tails: list[LaurentPoly],
             value = value + term
         values.append(value)
         if j:
-            hpow.append(hpow[-1] * rw.h_xz * Fraction(1, j))
-        pulled = LaurentPoly.zero(vz)
+            hpow.append(hpow[-1] * rw.h * Fraction(1, j))
+        pulled = LaurentPoly.zero(vars)
         for m in range(j + 1):
             pulled = pulled + values[j - m] * hpow[m]
         blocks.append({
-            (sum(map(mul, weights, e[1:n])) - e[0],) + e[1:n]: c
+            (sum(map(mul, weights, e[1:])) - e[0],) + e[1:]: c
             for e, c in (rel_e * pulled).terms.items()
         })
     return blocks, None
@@ -371,7 +367,7 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
             f"stored degree {cert.d}")
     rep.add("clearing-matches", cert.clearing == resolved.clearing,
             f"stored clearing exponent {cert.clearing}")
-    twisted_rel = resolved.twist.apply(resolved.rel_xz)
+    twisted_rel = resolved.twist.apply(resolved.rel)
     rep.add("relation-x1-witness",
             (not twisted_rel.is_zero()) and twisted_rel.is_polynomial()
             and twisted_rel.order_in("x1") >= 1,
@@ -395,7 +391,6 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
 
     # the tails are prefix-consistent, so the last entry's serve every member
     blocks, failure = _appell_blocks(cert.entries[-1].tails, resolved)
-    vz = resolved.f_xz.vars
     fact = _factorials(max(len(cert.entries), 1))
     for entry in cert.entries:
         l = entry.l
@@ -405,7 +400,7 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
         # one pass over the stored terms: group them into z^k blocks (z is
         # the last variable), and test for a negative exponent and for a
         # non-constant term of the axis image (the terms free of x2..xn)
-        same_vars = poly_ok = entry.q.vars == vz
+        same_vars = poly_ok = entry.q.vars == xz_vars(resolved.n)
         axis_ok, by_z = True, {}
         for e, c in entry.q.terms.items() if same_vars else ():
             x = e[:-1]

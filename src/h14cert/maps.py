@@ -8,8 +8,9 @@ is a term filter.  The twist is a RingMap, the inversion of one pivot:
 On exponents only the pivot's entry changes, to sum_i w_i*e_i - e_pivot:
 an involution under which distinct monomials have distinct images, so
 terms map one by one and only the z-part is multiplied out.  The
-inversion twist (pivot x1), its inverse and the preslice involution (all
-weights 0, no shift) are the instances.
+pipeline's twist (pivot x1 over x1..xn, no shift), `inversion_map`, its
+inverse and the preslice involution (all weights 0, no shift) are the
+instances.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def inversion_map(weights: Sequence[int], shift: LaurentPoly) -> RingMap:
 
         x1 -> 1/x1,   xi -> x1^{w_i} * xi  (i >= 2),   z -> z + shift(1/x1).
 
-    Its inverse (same weights) translates z by -shift(x1) instead.
+    Its inverse (same weights) translates z by -shift(x1) instead.  The
+    pipeline twists z-free data only; this map serves `demo` and the tests.
     """
     n = len(weights) + 1
     vars = xz_vars(n)

@@ -13,14 +13,14 @@ polynomiality conditions on the twisted images.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .algebra import LaurentPoly, _exact_div, plain_vars, resultant, x_vars
 from .errors import NotDivisible, NotInvertible, VariableMismatch, WitnessInvalid
-from .maps import RingMap, axis_map, inversion_map
+from .maps import RingMap, axis_map
 from .report import Report
 
 #: the annihilator's variables: T, and G for the coefficients in k[G]
@@ -48,7 +48,9 @@ class WitnessPack:
 
 @dataclass
 class Resolved:
-    """A witness pack with every derived object computed and validated."""
+    """A witness pack with every derived object computed and validated,
+    all over x1..xn: `twist` is x1 -> 1/x1, xi -> x1^(t_i) * xi, the
+    inversion on z-free data; z enters only as members are laid out."""
 
     n: int
     f: LaurentPoly
@@ -59,18 +61,7 @@ class Resolved:
     d: int
     weights: tuple[int, ...]
     clearing: int
-    twist: RingMap               # over x1..xn,z
-    f_xz: LaurentPoly = field(init=False)
-    g_xz: LaurentPoly = field(init=False)
-    h_xz: LaurentPoly = field(init=False)
-    rel_xz: LaurentPoly = field(init=False)
-
-    def __post_init__(self):
-        vz = self.twist.vars
-        self.f_xz = self.f.with_vars(vz)
-        self.g_xz = self.g.with_vars(vz)
-        self.h_xz = self.h.with_vars(vz)
-        self.rel_xz = self.rel.with_vars(vz)
+    twist: RingMap               # over x1..xn, no z and no shift
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +321,10 @@ def check_twist(twist: RingMap, f: LaurentPoly, g: LaurentPoly,
     f - g*h must be a polynomial, and the image of the relation element must
     be a polynomial divisible by x1.  Returns "" when both hold, else the
     first failing condition with its offending term."""
-    vz = twist.vars
-    a = twist.apply((f - g * h).with_vars(vz))
+    a = twist.apply(f - g * h)
     if not a.is_polynomial():
         return f"twist(f - g*h) term {_offending_term(a, 0)}"
-    b = twist.apply(rel.with_vars(vz))
+    b = twist.apply(rel)
     if b.is_zero() or not b.is_polynomial() or b.order_in("x1") < 1:
         return f"twist(relation) term {_offending_term(b, 1)}"
     return ""
@@ -362,13 +352,12 @@ def clearing_exponent(twist: RingMap, rel: LaurentPoly, f: LaurentPoly, d: int) 
     """The least e >= 1 with ord_x1(twist(rel))*e + ord_x1(twist(f))*i >= 0
     for all 0 <= i < d; exists because the twisted relation is divisible
     by x1."""
-    vz = twist.vars
     if rel.is_zero():
         raise WitnessInvalid("twisted relation element is zero")
-    op = twist.apply(rel.with_vars(vz)).order_in("x1")
+    op = twist.apply(rel).order_in("x1")
     if op < 1:
         raise WitnessInvalid("twisted relation element is not divisible by x1")
-    of = twist.apply(f.with_vars(vz)).order_in("x1") if not f.is_zero() else 0
+    of = twist.apply(f).order_in("x1") if not f.is_zero() else 0
     e = 1
     while any(e * op + i * of < 0 for i in range(d)):
         e += 1
@@ -484,7 +473,7 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
                        else tuple(int(w) for w in pack.weights))
             _require(len(weights) == pack.n - 1,
                      f"weight vector must have length {pack.n - 1}")
-            twist = inversion_map(weights, h)
+            twist = RingMap(vars, "x1", (0, *weights))
             failing = check_twist(twist, pack.f, pack.g, h, rel)
             _require(not failing, failing)
             line.detail = f"t = {list(weights)}"
@@ -494,6 +483,7 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
             e = e_min if pack.clearing is None else int(pack.clearing)
             _require(e >= e_min, f"stored clearing exponent {e} violates the order "
                                  f"conditions (minimum is {e_min})")
+            _require(e == e_min, f"stored clearing exponent {e} exceeds the minimum {e_min}")
             line.detail = f"e = {e} (minimum {e_min})"
     except WitnessInvalid:
         return None, rep

@@ -16,6 +16,7 @@ from h14cert import (
     LaurentPoly,
     Report,
     Resolved,
+    RingMap,
     SemigroupTable,
     VariableMismatch,
     WitnessInvalid,
@@ -423,7 +424,7 @@ def reference_validate_pack(pack):
             weights = choose_weights(pack.f, pack.g, h, rel)
         if len(weights) != pack.n - 1:
             raise WitnessInvalid(f"weight vector must have length {pack.n - 1}")
-        twist = inversion_map(weights, h)
+        twist = RingMap(x_vars(pack.n), "x1", (0, *weights))
         failing = check_twist(twist, pack.f, pack.g, h, rel)
         w_ok = not failing
         w_note = failing or f"t = {list(weights)}"
@@ -442,6 +443,8 @@ def reference_validate_pack(pack):
                     f"stored clearing exponent {e} violates the order conditions "
                     f"(minimum is {e_min})"
                 )
+            if e > e_min:
+                raise WitnessInvalid(f"stored clearing exponent {e} exceeds the minimum {e_min}")
         else:
             e = e_min
         e_ok, e_note = True, f"e = {e} (minimum {e_min})"
@@ -504,6 +507,15 @@ def max_f_exponent(p: LaurentPoly) -> int:
     return max((a for (a, _, _) in p.terms), default=-1)
 
 
+def theta_over_xz(rw):
+    """The paper's inversion theta over x1..xn, z for resolved data (z ->
+    z + h(1/x1)), with f, g, h and rel over its variables: the route of
+    the tests that move z, against which the pipeline's z-free twist and
+    its z-free blocks are compared."""
+    theta = inversion_map(rw.weights, rw.h)
+    return (theta, *(p.with_vars(theta.vars) for p in (rw.f, rw.g, rw.h, rw.rel)))
+
+
 def random_pipeline_data(rng, n=2, max_gdeg=2, max_hdeg=2):
     """Random data on which every derived construction is well defined:
     pick the axis images first (so divisibility holds by construction),
@@ -528,7 +540,7 @@ def random_pipeline_data(rng, n=2, max_gdeg=2, max_hdeg=2):
             if rel.is_zero():
                 continue
             weights = choose_weights(f, g, h, rel)
-            twist = inversion_map(weights, h)
+            twist = RingMap(vars, "x1", (0, *weights))
             e = clearing_exponent(twist, rel, f, ann.degree_in("T"))
         except WitnessInvalid:
             continue

@@ -50,6 +50,7 @@ from genutil import (
     random_pipeline_data,
     random_poly,
     random_univar,
+    theta_over_xz,
 )
 
 SWAP = PermGroupSpec(n=2, generators=((2, 1),))
@@ -168,8 +169,9 @@ def test_criterion_4_witness_family_through_l_8():
     rw = demo_resolved()
     if rw.weights != (5,):
         failures.append(f"weights resolved to {rw.weights}")
-    xz = rw.twist.vars
-    rel_pow = rw.twist.apply(rw.rel_xz) ** rw.clearing
+    theta, _, _, _, rel = theta_over_xz(rw)
+    xz = theta.vars
+    rel_pow = theta.apply(rel) ** rw.clearing
     try:
         tails = tail_coefficients(8, rw)
         factorial = 1

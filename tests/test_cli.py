@@ -460,6 +460,37 @@ def test_f_expr_with_inverse_generator_fails_its_line(tmp_path, capsys):
     assert err == ""
 
 
+def _drop_last_variable(poly):
+    poly["vars"].pop()
+    for term in poly["terms"]:
+        term["e"].pop()
+
+
+@pytest.mark.parametrize("edit, rc, line", [
+    # f_expr over u0, u1 for the three generators u0, u1, u2
+    (lambda obj: _drop_last_variable(obj["f_expr"]), 2,
+     "[FAIL] generator-expressions: expression arity does not match the generators"),
+    (lambda obj: obj["g"].update(vars=["x1", "x1"]), 3,
+     "input error: witness.g: duplicate variable names"),
+    # the stored e must be the least one, 3; a larger one is not raised to
+    (lambda obj: obj.update(e=4), 2,
+     "[FAIL] clearing-exponent: stored clearing exponent 4 exceeds the minimum 3"),
+    (lambda obj: obj.update(e=120), 2,
+     "[FAIL] clearing-exponent: stored clearing exponent 120 exceeds the minimum 3"),
+], ids=["f-expr-arity", "g-duplicate-names", "e-above-minimum", "e-far-above-minimum"])
+def test_hostile_pack_fields(tmp_path, capsys, edit, rc, line):
+    """`witness check` on the resolved demo pack with one field made
+    hostile: a failed line (exit 2) or one input error (exit 3)."""
+    path = write_demo_pack(tmp_path / "pack.json", resolved=True)
+    obj = load_json_file(str(path))
+    edit(obj)
+    write_json_file(str(path), obj)
+    assert main(["witness", "check", str(path)]) == rc
+    captured = capsys.readouterr()
+    assert line in (captured.out if rc == 2 else captured.err)
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_stored_pi_coefficient_variable_named_t_exits_3(tmp_path, capsys):
     """Pi is read over T followed by its coefficients' variables, so a
     coefficient variable named T is an input error."""
@@ -486,6 +517,24 @@ def test_invariants_on_many_letters(capsys):
     lines = captured.out.splitlines()
     assert len(lines) == 1500
     assert lines[:3] == ["x1", "x1^2 - x1 + x2", "x3"] and lines[-1] == "x1500"
+
+
+@pytest.mark.parametrize("n, degree", [(1500, 2), (2, 10 ** 8), (10 ** 11, 1)],
+                         ids=["many-letters-degree-2", "huge-degree", "huge-n"])
+def test_invariants_over_the_limit_exit_3_before_enumerating(capsys, monkeypatch,
+                                                             n, degree):
+    """letters x monomials is counted first; above INVARIANTS_LIMIT the
+    command exits 3 without enumerating one monomial."""
+    def unreachable(*args):
+        raise AssertionError("enumerated the monomials")
+
+    monkeypatch.setattr("h14cert.constructions._monomials", unreachable)
+    rc = main(["invariants", "--group", '{"n": %d, "generators": []}' % n,
+               "--degree", str(degree)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == (f"input error: {n} letters to degree {degree} exceed the "
+                            "limit of 5,000,000 letters x monomials\n")
 
 
 def test_invariants_json_output(tmp_path, capsys):

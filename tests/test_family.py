@@ -34,6 +34,7 @@ from h14cert import (
     verify_certificate,
     witness_poly,
     x_vars,
+    xz_vars,
 )
 from h14cert import family
 from h14cert.family import FG_VARS, _assemble_witness_poly, is_fg
@@ -45,6 +46,7 @@ from genutil import (
     max_f_exponent,
     random_fraction,
     random_pipeline_data,
+    theta_over_xz,
 )
 
 V2 = x_vars(2)
@@ -287,11 +289,11 @@ def exact_tail_order(tail, rw):
     rel^e * tail = num / g^K, so the order is that of twist(num) less that
     of twist(g^K).  None for a zero value."""
     k = g_clearing(tail)
-    num = fg_realize_oracle(tail * fg(0, rw.clearing, 0), rw.f_xz, rw.g_xz, rw.rel_xz, k)
+    num = fg_realize_oracle(tail * fg(0, rw.clearing, 0), rw.f, rw.g, rw.rel, k)
     if num.is_zero():
         return None
     return (rw.twist.apply(num).order_in("x1")
-            - rw.twist.apply(rw.g_xz ** k).order_in("x1"))
+            - rw.twist.apply(rw.g ** k).order_in("x1"))
 
 
 def at_ratio(i, tails):
@@ -334,8 +336,8 @@ def test_witness_poly_base_member():
     rw = demo_resolved()
     tails = tail_coefficients(0, rw)
     q0 = witness_poly(0, rw, tails)
-    trel = rw.twist.apply(rw.rel_xz)
-    assert q0 == trel ** rw.clearing
+    theta, _, _, _, rel = theta_over_xz(rw)
+    assert q0 == theta.apply(rel) ** rw.clearing
     assert q0.is_polynomial()
 
 
@@ -361,13 +363,14 @@ def test_witness_poly_detects_broken_tails():
 
 
 def direct_member(l, tails, rw):
-    """q_l = sum_i twist(rel^e * f_{l-i}) * twist(z)^i / i!, multiplied out."""
-    rel_e = rw.rel_xz ** rw.clearing
-    z_img = rw.twist.image_of("z")
-    q = LaurentPoly.zero(rw.twist.vars)
+    """q_l = sum_i theta(rel^e * f_{l-i}) * theta(z)^i / i!, multiplied out."""
+    theta, f, g, _, rel = theta_over_xz(rw)
+    rel_e = rel ** rw.clearing
+    z_img = theta.image_of("z")
+    q = LaurentPoly.zero(theta.vars)
     for i in range(l + 1):
         fj = tails[l - i - 1] if l - i >= 1 else ONE
-        c = rw.twist.apply(rel_e * fg_realize_oracle(fj, rw.f_xz, rw.g_xz, rw.rel_xz, 0))
+        c = theta.apply(rel_e * fg_realize_oracle(fj, f, g, rel, 0))
         q = q + c * z_img ** i * Fraction(1, math.factorial(i))
     return q
 
@@ -377,7 +380,7 @@ def test_assembly_matches_direct_route():
     compared = non_monomial = 0
     for n in (2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3):
         rw = random_pipeline_data(rng, n=n, max_hdeg=2)
-        non_monomial += len(rw.twist.shift.terms) > 1
+        non_monomial += len(rw.h.terms) > 1
         tails = tail_coefficients(5, rw)
         for l in range(6):
             assert _assemble_witness_poly(l, tails, rw) == direct_member(l, tails, rw)
@@ -395,7 +398,7 @@ def test_members_are_z_derivatives_of_the_top_member():
     compared = non_monomial = 0
     for n in (2, 2, 2, 2, 2, 3, 3, 3, 3, 3):
         rw = random_pipeline_data(rng, n=n, max_hdeg=2)
-        non_monomial += len(rw.twist.shift.terms) > 1
+        non_monomial += len(rw.h.terms) > 1
         tails = tail_coefficients(L, rw)
         q = witness_poly(L, rw, tails)
         for l in range(L, -1, -1):
@@ -417,17 +420,18 @@ def test_taylor_shift_identity():
     identity q_l * twist(g)^l = sum_i twist(N_(l-i)) * (z*twist(g) - twist(f - g*h))^i / i!."""
     rw = demo_resolved()
     tails = tail_coefficients(3, rw)
-    vz = rw.twist.vars
-    tg = rw.twist.apply(rw.g_xz)
-    w = LaurentPoly.variable(vz, "z") * tg - rw.twist.apply(rw.f_xz - rw.g_xz * rw.h_xz)
+    theta, f, g, h, rel = theta_over_xz(rw)
+    vz = theta.vars
+    tg = theta.apply(g)
+    w = LaurentPoly.variable(vz, "z") * tg - theta.apply(f - g * h)
     for l in range(4):
         lhs = witness_poly(l, rw, tails) * tg ** l
         rhs = LaurentPoly.zero(vz)
         for i in range(l + 1):
             j = l - i
             num = fg_realize_oracle(at_ratio(j, tails) * fg(0, rw.clearing, 0),
-                                    rw.f_xz, rw.g_xz, rw.rel_xz, j)
-            rhs = rhs + rw.twist.apply(num) * w ** i * Fraction(1, math.factorial(i))
+                                    f, g, rel, j)
+            rhs = rhs + theta.apply(num) * w ** i * Fraction(1, math.factorial(i))
         assert lhs == rhs
 
 
@@ -506,8 +510,9 @@ def whole_member_checks(cert):
     minus twist(rel)^e * z^l, cleaned).  The reference for the verifier,
     which reads the z^l block and the top z-degree off the stored terms."""
     rw, _ = validate_pack(cert.pack)
-    vz = rw.twist.vars
-    rel_t_pow = rw.twist.apply(rw.rel_xz) ** cert.clearing
+    theta, _, _, _, rel = theta_over_xz(rw)
+    vz = theta.vars
+    rel_t_pow = theta.apply(rel) ** cert.clearing
     lines = []
     for entry in cert.entries:
         l, tag = entry.l, f"member-{entry.l}"
@@ -655,7 +660,7 @@ def test_witness_poly_names_the_lowest_negative_term(monkeypatch):
     """The unsorted scan only detects a negative exponent; the message
     still names the z-degree of the first offending term in sorted order."""
     rw = demo_resolved()
-    vz = rw.twist.vars
+    vz = xz_vars(rw.n)
     bad = LaurentPoly(vz, {(-1, 0, 2): 1, (-2, 0, 1): 1, (0, 0, 0): 1})
     monkeypatch.setattr("h14cert.family._assemble_witness_poly",
                         lambda l, tails, rw: bad)

@@ -106,7 +106,6 @@ STORED_VARIANTS = {
     # valid
     "as resolved": (None, lambda o: None),
     "larger weights": ("t", lambda t: t.__setitem__(0, t[0] + 3)),
-    "larger clearing": (None, lambda o: o.update(e=o["e"] + 2)),
     "no h": (None, lambda o: o.pop("h")),
     "no Pi": (None, lambda o: o.pop("Pi")),
     "no t, no e": (None, lambda o: (o.pop("t"), o.pop("e"))),
@@ -121,6 +120,7 @@ STORED_VARIANTS = {
     "t too small": ("t", lambda t: t.__setitem__(0, 1)),
     "t too long": ("t", lambda t: t.append(5)),
     "e too small": (None, lambda o: o.update(e=0)),
+    "larger clearing": (None, lambda o: o.update(e=o["e"] + 2)),
     "f_expr needs u0^-1": ("f_expr", lambda x: (x.update(laurent=["u0"]),
                                                 x["terms"][0]["e"].__setitem__(0, -1))),
 }

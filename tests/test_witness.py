@@ -9,6 +9,8 @@ import pytest
 
 from h14cert import (
     LaurentPoly,
+    PermGroupSpec,
+    RingMap,
     WitnessInvalid,
     WitnessPack,
     axis_map,
@@ -19,7 +21,7 @@ from h14cert import (
     clearing_exponent,
     format_report,
     generator_rows,
-    inversion_map,
+    invariant_witness_pack,
     is_normal,
     realize_annihilator,
     semigroup_orders,
@@ -253,20 +255,25 @@ def test_scan_bound_is_the_least_at_which_no_guard_fires():
 # -- weights, twist conditions, clearing exponent -------------------------
 
 
+def twist(t):
+    """The pipeline's twist over x1, x2: x1 -> 1/x1, x2 -> x1^t * x2."""
+    return RingMap(V2, "x1", (0, t))
+
+
 def test_check_twist_demo_weights():
     h = X1
-    assert check_twist(inversion_map((5,), h), DEMO_F, DEMO_G, h, DEMO_REL) == ""
+    assert check_twist(twist(5), DEMO_F, DEMO_G, h, DEMO_REL) == ""
 
 
 def test_check_twist_insufficient_weight():
     h = X1
-    failing = check_twist(inversion_map((4,), h), DEMO_F, DEMO_G, h, DEMO_REL)
+    failing = check_twist(twist(4), DEMO_F, DEMO_G, h, DEMO_REL)
     assert failing == "twist(relation) term -1*x2"
 
 
 def test_check_twist_wrong_quotient():
     zero = LaurentPoly.zero(V2)
-    failing = check_twist(inversion_map((5,), zero), DEMO_F, DEMO_G, zero, DEMO_REL)
+    failing = check_twist(twist(5), DEMO_F, DEMO_G, zero, DEMO_REL)
     assert failing.startswith("twist(f - g*h) term ")
 
 
@@ -291,22 +298,18 @@ def test_choose_weights_random_pipeline():
 
 
 def test_clearing_exponent_demo():
-    h = X1
-    twist = inversion_map((5,), h)
-    e = clearing_exponent(twist, DEMO_REL, DEMO_F, 2)
+    e = clearing_exponent(twist(5), DEMO_REL, DEMO_F, 2)
     assert e == 3
     # with d = 1 no mixed term occurs, so e = 1 suffices
-    assert clearing_exponent(twist, DEMO_REL, DEMO_F, 1) == 1
+    assert clearing_exponent(twist(5), DEMO_REL, DEMO_F, 1) == 1
 
 
 def test_clearing_exponent_requires_divisible_relation():
-    h = LaurentPoly.zero(V2)
-    twist = inversion_map((1,), h)
     # x2 twists to x1*x2 (order 1); x1^2*x2 twists to order -1: not in x1*k[x]
     with pytest.raises(WitnessInvalid):
-        clearing_exponent(twist, X1 ** 2 * X2, DEMO_F, 2)
+        clearing_exponent(twist(1), X1 ** 2 * X2, DEMO_F, 2)
     with pytest.raises(WitnessInvalid):
-        clearing_exponent(twist, LaurentPoly.zero(V2), DEMO_F, 2)
+        clearing_exponent(twist(1), LaurentPoly.zero(V2), DEMO_F, 2)
 
 
 # -- full pack validation --------------------------------------------------
@@ -331,15 +334,32 @@ def test_validate_pack_demo_passes():
     assert "quotient-outside-subring" in names
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_validate_pack_twists_over_x_only(n):
+    """The pipeline twists z-free data: the resolved twist is the monomial
+    map over x1..xn, with no z and no z-shift."""
+    group = PermGroupSpec(n=n, generators=(tuple([2, 1] + list(range(3, n + 1))),))
+    resolved, rep = validate_pack(invariant_witness_pack(group))
+    assert rep.ok, format_report(rep)
+    assert resolved.twist.vars == x_vars(n)
+    assert resolved.twist.shift is None
+    assert resolved.twist.weights == (0, *resolved.weights)
+
+
 def test_validate_pack_stored_fields_checked():
     resolved, rep = validate_pack(demo_pack(h=X1))
     assert rep.ok
     bad, rep = validate_pack(demo_pack(h=X1 + 1))
     assert bad is None
     assert not rep["axis-quotient"].ok
-    # a stored clearing exponent may exceed the minimum but not undercut it
-    ok, rep = validate_pack(demo_pack(clearing=5))
-    assert ok is not None and ok.clearing == 5
+    # a stored clearing exponent must be the minimum, 3: neither above it
+    # (which would make every member grow for nothing) nor below it
+    ok, rep = validate_pack(demo_pack(clearing=3))
+    assert ok is not None and ok.clearing == 3
+    assert rep["clearing-exponent"].detail == "e = 3 (minimum 3)"
+    bad, rep = validate_pack(demo_pack(clearing=5))
+    assert bad is None
+    assert rep["clearing-exponent"].detail == "stored clearing exponent 5 exceeds the minimum 3"
     bad, rep = validate_pack(demo_pack(clearing=2))
     assert bad is None
     assert not rep["clearing-exponent"].ok
