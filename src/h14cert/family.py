@@ -34,12 +34,7 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import LaurentPoly, VarSet, coeffs_in, xz_vars
-from .errors import (
-    AlgebraError,
-    ConstructionFailure,
-    VariableMismatch,
-    WitnessInvalid,
-)
+from .errors import ConstructionFailure, VariableMismatch, WitnessInvalid
 from .report import Report
 from .witness import (
     Resolved,
@@ -180,9 +175,9 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
 
     Only the builder assembles members.  `verify_certificate` checks each
     stored member against `_appell_blocks`, which realizes the tails from
-    its own powers, uses the pack's h and twists by the weights, so a fault
-    here, or in the derivatives, fails the build's verification instead of
-    confirming itself.
+    its own powers of f and g, uses the pack's h and twists by the weights,
+    so a fault here, or in the derivatives, fails the build's verification
+    instead of confirming itself.
     """
     vars = rw.twist.vars
     fact = _factorials(max(l, 1))
@@ -237,7 +232,7 @@ class Certificate:
     report: Report | None = None
 
 
-def build_certificate(pack: WitnessPack, l_max: int = 8) -> Certificate:
+def build_certificate(pack: WitnessPack, l_max: int) -> Certificate:
     """Validate the pack, run the recursion to l_max, assemble q_(l_max)
     and differentiate it down to q_0, and bundle the family with a
     verification report.  Raises WitnessInvalid (with the report attached)
@@ -295,32 +290,28 @@ def verify_certificate(cert: Certificate) -> Report:
     return _verify_resolved(cert, resolved, pack_rep)
 
 
-def _appell_blocks(tails: list[LaurentPoly],
-                   rw: Resolved) -> tuple[list[dict], AlgebraError | None]:
+def _appell_blocks(tails: list[LaurentPoly], rw: Resolved) -> list[dict]:
     """The blocks B_j = twist(rel^e * sum_m F_(j-m) * h^m / m!), each as a
-    map from twisted x-exponents to coefficients, for j = 0, 1, ... up to
-    len(tails) or up to the first F_j that cannot be realized, whose
-    AlgebraError comes second.
+    map from twisted x-exponents to coefficients, for j = 0..len(tails).
 
     The members satisfy q_l = sum_k B_(l-k) * z^k / k!.  Everything here is
-    over x1..xn and apart from the builder: F_j (F_0 = 1) is realized from
-    power lists of f, rel and g made for this call, h is the pack's own h
-    (so no shift is twisted), and the twist of a z-free block is the
-    exponent map x1 -> 1/x1, xi -> x1^(t_i) * xi read off the weights."""
+    over x1..xn and apart from the builder: F_j (F_0 = 1) lies in k[f, g]
+    and is realized from power lists of f and g made for this call, h is
+    the pack's own h (so no shift is twisted), and the twist of a z-free
+    block is the exponent map x1 -> 1/x1, xi -> x1^(t_i) * xi read off the
+    weights."""
     vars, weights = rw.f.vars, rw.weights
-    bases = (rw.f, rw.rel, rw.g)
+    bases = (rw.f, rw.g)
     pows = [[LaurentPoly.one(vars)] for _ in bases]
     rel_e = rw.rel ** rw.clearing
     hpow = [LaurentPoly.one(vars)]                     # h^m / m!
     values: list[LaurentPoly] = []
     blocks: list[dict] = []
-    for j, fj in enumerate([LaurentPoly.one(FG_VARS)] + list(tails)):
-        if any(m < 0 for (_, _, m) in fj.terms):       # no power list holds g^(-m)
-            return blocks, VariableMismatch("element has negative g-powers")
+    for j, fj in enumerate([LaurentPoly.one(FG_VARS), *tails]):
         value = LaurentPoly.zero(vars)
-        for exps, c in fj.terms.items():
+        for (a, _, m), c in fj.terms.items():
             term = LaurentPoly.const(vars, c)
-            for base, pw, k in zip(bases, pows, exps):
+            for base, pw, k in zip(bases, pows, (a, m)):
                 if k:
                     while len(pw) <= k:
                         pw.append(pw[-1] * base)
@@ -336,7 +327,7 @@ def _appell_blocks(tails: list[LaurentPoly],
             (sum(map(mul, weights, e[1:])) - e[0],) + e[1:]: c
             for e, c in (rel_e * pulled).terms.items()
         })
-    return blocks, None
+    return blocks
 
 
 def _block_matches(got: dict, block: dict, scale: int) -> bool:
@@ -354,7 +345,13 @@ def _block_matches(got: dict, block: dict, scale: int) -> bool:
 def _verify_resolved(cert: Certificate, resolved: Resolved | None,
                      pack_rep: Report) -> Report:
     """The verify of a certificate whose pack carries its resolved fields,
-    given the pack's validation: `resolved` and its report `pack_rep`."""
+    given the pack's validation: `resolved` and its report `pack_rep`.
+
+    The tails f_1..f_L are read once, from the last entry (l = L), and
+    every entry must carry their prefix f_1..f_l.  Member l lies in k[f, g]
+    iff its tails do, that is iff l is at most the number of leading tails
+    in k[f, g]; only those are realized, and a member past them fails its
+    recomputed line."""
     rep = Report()
     rep.add("resolved-fields", True, _RESOLVED_NOTE)
     rep.checks.extend(pack_rep.checks)
@@ -379,24 +376,21 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
     if not contiguous:
         return rep
 
-    prefix_ok = all(
-        cert.entries[i].tails == cert.entries[i + 1].tails[: len(cert.entries[i].tails)]
-        for i in range(len(cert.entries) - 1)
-    ) and all(len(entry.tails) == entry.l for entry in cert.entries)
-    rep.add("tails-prefix-consistency", prefix_ok,
+    tails = cert.entries[-1].tails
+    rep.add("tails-prefix-consistency",
+            len(tails) == ls[-1] and all(e.tails == tails[:e.l] for e in cert.entries),
             "each member extends the previous member's tail coefficients")
 
     if not rep.ok:
         return rep
 
-    # the tails are prefix-consistent, so the last entry's serve every member
-    blocks, failure = _appell_blocks(cert.entries[-1].tails, resolved)
+    run = next((i for i, t in enumerate(tails) if not is_fg(t)), len(tails))
+    blocks = _appell_blocks(tails[:run], resolved)
     fact = _factorials(max(len(cert.entries), 1))
     for entry in cert.entries:
         l = entry.l
         tag = f"member-{l}"
-        rep.add(f"{tag}-tails-in-fg", all(is_fg(t) for t in entry.tails),
-                "tail coefficients lie in k[f, g]")
+        rep.add(f"{tag}-tails-in-fg", l <= run, "tail coefficients lie in k[f, g]")
         # one pass over the stored terms: group them into z^k blocks (z is
         # the last variable), and test for a negative exponent and for a
         # non-constant term of the axis image (the terms free of x2..xn)
@@ -411,14 +405,11 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
                 axis_ok = False
         # the z^l block of l! * q_l is B_0 = twist(rel^e), the relation power
         lead_ok = _block_matches(by_z.get(l, {}), blocks[0], fact[l])
-        if l >= len(blocks):
-            recompute_ok, recompute_note = False, f"recomputation failed: {failure}"
-        else:
-            recompute_ok = (same_vars and lead_ok and by_z.keys() <= set(range(l + 1))
-                            and all(_block_matches(by_z.get(k, {}), blocks[l - k], fact[k])
-                                    for k in range(l)))
-            recompute_note = "stored member equals the recomputed twist image"
-        rep.add(f"{tag}-recomputed", recompute_ok, recompute_note)
+        rep.add(f"{tag}-recomputed",
+                l <= run and same_vars and lead_ok and by_z.keys() <= set(range(l + 1))
+                and all(_block_matches(by_z.get(k, {}), blocks[l - k], fact[k])
+                        for k in range(l)),
+                "stored member equals the recomputed twist image")
         rep.add(f"{tag}-polynomial", poly_ok, "member lies in k[x1..xn, z]")
         if not poly_ok:
             continue
@@ -433,6 +424,6 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
                     "l! * member minus the leading block has z-degree < l")
         rep.add(f"{tag}-axis-constant", axis_ok, "axis image of the member is a constant")
 
-    sizes = [len(cert.entries[-1].tails[i].terms) for i in range(len(cert.entries[-1].tails))]
-    rep.add("tail-growth", True, f"tail term counts by step: {sizes}")
+    rep.add("tail-growth", True,
+            f"tail term counts by step: {[len(t.terms) for t in tails]}")
     return rep

@@ -457,6 +457,23 @@ WIDE_PACKS = [
      "f758572fcd1fac1600d4679aed4c067b28783da477a12b069e86a035ff0f6611"),
 ]
 
+# Three more packs, each built at l_max 3 and kept out of the per-line
+# mutation loop for its build time: the pack, Pi over T, G, h, e, and the
+# sha256 of its certificate's canonical bytes.
+T, G = (LaurentPoly.variable(DEMO_ANN.vars, name) for name in ("T", "G"))
+MORE_PACKS = [
+    (pair_pack(X1 ** 3 + X1 * X2 + X2, X1 ** 5 + X1 ** 2 * X2 + X2),
+     T ** 3 - G ** 5, X1 ** 2, 10,
+     "cb5300865ec62175c1d0668d0a04256cda6bd95647edabb7c72398e03338a967"),
+    (pair_pack(X1 ** 4 + X2, X1 ** 5 + X1 * X2 + X2 ** 2),
+     T ** 4 - G ** 5, X1, 15,
+     "a97a9ae55368515c5e474ebc22cf115c5759a7c7b1d7d4ef6ff250d52fcf11c1"),
+    (pair_pack(X1 ** 3 + X1 ** 2 + X2,
+               (X1 ** 3 + X1 ** 2) * (X1 + 1) + X1 * X2 + X2 ** 2),
+     T ** 3 - 2 * T ** 2 * G + T * G ** 2 - G ** 4, X1 + 1, 8,
+     "d6e05086a711a712d1ec1fdc452bbfee0101f187a52eef0edd2f0c848f31859a"),
+]
+
 
 def test_build_certificate_demo():
     cert = build_certificate(demo_pack(), l_max=4)
@@ -620,7 +637,22 @@ def test_verify_reports_an_unrealizable_tail():
     assert not rep["member-3-tails-in-fg"].ok
     failed = rep["member-3-recomputed"]
     assert (failed.ok, failed.detail) == (
-        False, "recomputation failed: element has negative g-powers")
+        False, "stored member equals the recomputed twist image")
+
+
+def test_verify_does_not_realize_a_tail_outside_fg():
+    """f_3 + rel - Pi(f, g) realizes to the value of f_3, but the verifier
+    realizes tails from powers of f and g only: a member whose tails leave
+    k[f, g] fails its recomputation as well as its tails-in-fg line."""
+    cert = build_certificate(demo_pack(), l_max=3)
+    _, pi = family._relation(cert.pack.ann)
+    entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
+    entries[3].tails[2] = entries[3].tails[2] + fg(0, 1, 0) - pi
+    rep = verify_certificate(replace(cert, entries=entries, report=None))
+    assert [c.name for c in rep.failures()] == [
+        "member-3-tails-in-fg", "member-3-recomputed"]
+    assert rep["member-3-recomputed"].detail == (
+        "stored member equals the recomputed twist image")
 
 
 def test_verify_does_not_reach_the_builder(monkeypatch):
@@ -656,6 +688,19 @@ def test_build_report_equals_fresh_verify():
         assert report_lines(cert.report) == report_lines(verify_certificate(cert))
 
 
+@pytest.mark.parametrize("pack, pi, h, e, sha", MORE_PACKS, ids=["T3-G5", "T4-G5", "T3-G4"])
+def test_more_packs_build_verify_and_catch_a_changed_tail(pack, pi, h, e, sha):
+    cert = build_certificate(pack, l_max=3)
+    assert (cert.pack.ann, cert.pack.h, cert.clearing) == (pi, h, e)
+    assert hashlib.sha256(dumps(certificate_to_json(cert)).encode()).hexdigest() == sha
+    assert report_lines(cert.report) == report_lines(verify_certificate(cert))
+    # f_3 + 1 still lies in k[f, g]; only the top member's recomputation sees it
+    entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
+    entries[3].tails[2] = entries[3].tails[2] + 1
+    rep = verify_certificate(replace(cert, entries=entries, report=None))
+    assert [c.name for c in rep.failures()] == ["member-3-recomputed"]
+
+
 def test_witness_poly_names_the_lowest_negative_term(monkeypatch):
     """The unsorted scan only detects a negative exponent; the message
     still names the z-degree of the first offending term in sorted order."""
@@ -688,12 +733,17 @@ def test_verify_certificate_flags_missing_entry():
 
 def test_verify_certificate_flags_inconsistent_tails():
     cert = build_certificate(demo_pack(), l_max=3)
-    entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
-    entries[3].tails[0] = fg(1, 0, 0)             # breaks the shared prefix
-    tampered = Certificate(pack=cert.pack, rel=cert.rel, d=cert.d,
-                           clearing=cert.clearing, entries=entries)
-    rep = verify_certificate(tampered)
-    assert not rep["tails-prefix-consistency"].ok
+    for edit in (
+        lambda tails: tails.__setitem__(0, fg(1, 0, 0)),   # breaks the shared prefix
+        lambda tails: tails.pop(),                         # the last entry one tail short
+        lambda tails: tails.append(ONE),                   # the last entry one tail long
+    ):
+        entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
+        edit(entries[3].tails)
+        tampered = Certificate(pack=cert.pack, rel=cert.rel, d=cert.d,
+                               clearing=cert.clearing, entries=entries)
+        rep = verify_certificate(tampered)
+        assert not rep["tails-prefix-consistency"].ok
 
 
 def test_verify_certificate_requires_resolved_pack():
