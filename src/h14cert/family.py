@@ -276,10 +276,11 @@ def verify_certificate(cert: Certificate) -> Report:
     block per entry.  Members are checked against the Appell blocks of
     `_appell_blocks`, which share no code with the builder's assembly.
     Tampering with any single field flips at least one line, except in
-    `witness.R_gens`: a generator unused by f_expr/g_expr enters only
-    through the semigroup and membership scans of its axis image, which a
-    changed coefficient can leave as they were; and except in `report`,
-    which is recomputed here and never compared with the stored one.
+    `report`, which is recomputed here and never compared with the stored
+    one, and in `witness.R_gens`: every passing pack line is a proof about
+    the generators the certificate carries, so changing one that f_expr
+    and g_expr do not use can give a valid certificate for a different
+    subalgebra instead of a failing one.
     """
     pack = cert.pack
     if any(x is None for x in (pack.h, pack.ann, pack.weights, pack.clearing)):

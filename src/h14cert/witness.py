@@ -6,14 +6,14 @@ pipeline needs from that pair — the quotient h of the axis images, the
 monic annihilator of eps(f) over k[eps(g)], the weight vector for the
 inversion twist, and the clearing exponent — and runs the decidable parts
 of the validity conditions: the semigroup of x1-orders of the collapsed
-subring (non-normality evidence), bounded subring membership, and the
-polynomiality conditions on the twisted images.
+subring (non-normality evidence), non-membership of h in that subring, and
+the polynomiality conditions on the twisted images.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -26,7 +26,7 @@ from .report import Report
 #: the annihilator's variables: T, and G for the coefficients in k[G]
 ANN_VARS = plain_vars("T", "G")
 
-#: the least bound of the two validation scans (see `scan_bound`)
+#: the least bound of the validation scan (see `scan_bound`)
 SCAN_BOUND = 12
 
 
@@ -130,8 +130,16 @@ def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class SemigroupTable:
+    """The x1-orders up to `bound` of a collapsed subring, and the echelon
+    they are the pivots of: {pivot: primitive integer row}, pivot = lowest
+    exponent, spanning the subring's truncated image mod x1^(bound+1).  A
+    table is compared by its bound and orders; only one that
+    `semigroup_orders` built carries the echelon `subalgebra_member` reads."""
+
     bound: int
     orders: frozenset[int]
+    echelon: dict[int, dict[int, int]] = field(default_factory=dict, compare=False,
+                                               repr=False)
 
     def sorted_orders(self) -> list[int]:
         return sorted(self.orders)
@@ -155,7 +163,7 @@ def _primitive(u: dict[int, Fraction]) -> dict[int, int]:
 
 
 def generator_rows(gens: Sequence[LaurentPoly]) -> list[dict[int, int]]:
-    """The one reading of the generators that `scan_bound` and both scans
+    """The one reading of the generators that `scan_bound` and the scan
     take: each generator's axis image (its terms free of x2..xn, x1 being
     its first variable) without its constant part, as a primitive integer
     row {x1-exponent: coefficient}; one row per Q-line, and none for a
@@ -182,15 +190,14 @@ def _mul_trunc(u: dict[int, int], v: dict[int, int], bound: int) -> dict[int, in
     return {k: c for k, c in out.items() if c}
 
 
-def _reduce(v: dict[int, int], rows: dict[int, dict[int, int]], lead) -> dict[int, int]:
+def _reduce(v: dict[int, int], rows: dict[int, dict[int, int]]) -> dict[int, int]:
     """Reduce the integer row v in place against sparse echelon rows of
-    primitive integers, each keyed by its pivot (the `lead` of its
-    exponents, min or max), fraction-free: v <- b*v - a*row, with a and b
-    the pivot entries of v and the row over their gcd.  Return the
-    remainder, a nonzero multiple of the one over Q, empty when v lies in
-    the rows' span."""
+    primitive integers, each keyed by its pivot (its lowest exponent),
+    fraction-free: v <- b*v - a*row, with a and b the pivot entries of v
+    and the row over their gcd.  Return the remainder, a nonzero multiple
+    of the one over Q, empty when v lies in the rows' span."""
     while v:
-        p = lead(v)
+        p = min(v)
         row = rows.get(p)
         if row is None:
             break
@@ -209,14 +216,14 @@ def _reduce(v: dict[int, int], rows: dict[int, dict[int, int]], lead) -> dict[in
     return v
 
 
-def _add_row(v: dict[int, int], rows: dict[int, dict[int, int]], lead) -> dict[int, int] | None:
+def _add_row(v: dict[int, int], rows: dict[int, dict[int, int]]) -> dict[int, int] | None:
     """Insert the remainder of the integer row v, divided by its content,
     as a new row; return it, or None if v lies in the span of the rows
     already there."""
-    v = _reduce(v, rows, lead)
+    v = _reduce(v, rows)
     if not v:
         return None
-    rows[lead(v)] = row = _content_free(v, lead)
+    rows[min(v)] = row = _content_free(v, min)
     return row
 
 
@@ -227,20 +234,21 @@ def semigroup_orders(rows: Sequence[dict[int, int]], bound: int) -> SemigroupTab
     of that algebra: the closure of span{1} under multiplication by each
     row, built as a sparse row echelon form of primitive integer rows with
     pivot = lowest exponent; each row spans the Q-line of the row over Q,
-    so the answer stays exact.  The orders are its pivots."""
+    so the answer stays exact.  The orders are its pivots, and the table
+    keeps the echelon for `subalgebra_member`."""
     if rows and bound < max(max(u) for u in rows):
         raise WitnessInvalid(
             f"semigroup bound {bound} is below a generator degree"
         )
     echelon: dict[int, dict[int, int]] = {}
-    fresh = [_add_row({0: 1}, echelon, min)] if bound >= 0 else []
+    fresh = [_add_row({0: 1}, echelon)] if bound >= 0 else []
     while fresh:
         row = fresh.pop()
         for u in rows:
-            new = _add_row(_mul_trunc(row, u, bound), echelon, min)
+            new = _add_row(_mul_trunc(row, u, bound), echelon)
             if new is not None:
                 fresh.append(new)
-    return SemigroupTable(bound=bound, orders=frozenset(echelon))
+    return SemigroupTable(bound=bound, orders=frozenset(echelon), echelon=echelon)
 
 
 def is_normal(table: SemigroupTable) -> bool:
@@ -260,45 +268,28 @@ def is_normal(table: SemigroupTable) -> bool:
     return set(table.orders) == expected
 
 
-def subalgebra_member(h: LaurentPoly, rows: Sequence[dict[int, int]], bound: int) -> bool:
-    """Bounded membership: is h a linear combination of monomials in the
-    generator rows (`generator_rows`) of total degree <= bound, a row's
-    degree being its highest exponent?  That span W_bound is built by
-    levels as a sparse row echelon form of primitive integer rows with
-    pivot = highest exponent, each spanning the Q-line of the row over Q:
-    W_0 = span{1} and W_d = W_{d-1} + sum_i u_i * (rows new at level
-    d - deg u_i).  The rows carry no constant parts: the monomials of
-    degree <= d in the u_i - c_i span the same space as those in the u_i.
-    The answer is sound for rejection up to the bound only (`validate_pack`
-    scans to `scan_bound`); membership is not decided exactly."""
+def subalgebra_member(h: LaurentPoly, table: SemigroupTable) -> bool:
+    """Could h lie in the collapsed subring whose table `semigroup_orders`
+    built?  h is truncated mod x1^(bound+1) and reduced against the table's
+    echelon, which spans the subring's truncated image.  Truncation is a
+    ring map, so False is a proof that h is not in the subring; True only
+    means that h agrees with one of its elements up to x1^bound."""
     if any(any(e[1:]) for e in h.terms):
         raise VariableMismatch(f"{h} involves a variable other than 'x1'")
     hu = {e[0]: c for e, c in h.terms.items()}
     if min(hu, default=0) < 0:
         raise WitnessInvalid("membership candidate has a pole at x1 = 0")
-    if hu and max(hu) > bound:
-        raise WitnessInvalid(f"candidate degree exceeds the bound {bound}")
-    units = [(max(u), u) for u in rows]
-    echelon: dict[int, dict[int, int]] = {}
-    levels = [[_add_row({0: 1}, echelon, max)]]
-    for d in range(1, bound + 1):
-        level = []
-        for deg, u in units:
-            for row in levels[d - deg] if deg <= d else ():
-                new = _add_row(_mul_trunc(row, u, bound), echelon, max)
-                if new is not None:
-                    level.append(new)
-        levels.append(level)
-    return not hu or not _reduce(_primitive(hu), echelon, max)
+    hu = {k: c for k, c in hu.items() if k <= table.bound}
+    return not hu or not _reduce(_primitive(hu), table.echelon)
 
 
 def scan_bound(rows: Sequence[dict[int, int]], h: LaurentPoly) -> int:
-    """The one bound B of both scans, worked out from the pack: the least
-    B >= SCAN_BOUND at which no size guard can fire.  B is at least every
-    generator degree (`semigroup_orders`), twice the least positive order
-    of a generator, which is that of k[gens] (`is_normal`), and deg h
-    (`subalgebra_member`); the first two are read off the exponents of the
-    generator rows."""
+    """The one bound B of the scan, worked out from the pack: the least
+    B >= SCAN_BOUND that is at least every generator degree
+    (`semigroup_orders`), twice the least positive order of a generator,
+    which is that of k[gens] (`is_normal`), and deg h, so that
+    `subalgebra_member` compares h whole; the first two are read off the
+    exponents of the generator rows."""
     return max(SCAN_BOUND, h.degree_in("x1") if h else 0,
                max((max(u) for u in rows), default=0),
                2 * min((min(u) for u in rows), default=0))
@@ -406,9 +397,10 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
     Returns (resolved, report); `resolved` is None when a check fails.
     Checks appear in a stable order so reports can be compared verbatim.
     Each stage adds one line, and the first failing one ends validation,
-    except that both scans always run.  They read the generator rows once,
-    to the one bound `scan_bound` works out from the pack, so the report
-    depends on the pack alone.
+    except that the last two lines always both run.  They read one table
+    of `semigroup_orders`, built once from the generator rows to the bound
+    `scan_bound` works out from the pack, so the report depends on the
+    pack alone.
     """
     rep = Report()
     try:
@@ -489,15 +481,14 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
         return None, rep
 
     rows = generator_rows(pack.gens)
-    bound = scan_bound(rows, h)
+    table = semigroup_orders(rows, scan_bound(rows, h))
     with suppress(WitnessInvalid), _Line(rep, "semigroup-non-normal") as line:
-        table = semigroup_orders(rows, bound)
         line.detail = f"orders up to {table.bound}: {table.sorted_orders()}"
         _require(not is_normal(table), line.detail)
     with suppress(WitnessInvalid), _Line(rep, "quotient-outside-subring") as line:
-        _require(not subalgebra_member(h, rows, bound),
-                 "h lies in the collapsed subring within the bound")
-        line.detail = f"h not spanned by generator monomials up to degree {bound}"
+        _require(not subalgebra_member(h, table), "h agrees with an element of the "
+                 f"collapsed subring modulo x1^{table.bound + 1}")
+        line.detail = f"h not spanned by generator monomials up to degree {table.bound}"
     if not rep.ok:
         return None, rep
     return Resolved(n=pack.n, f=pack.f, g=pack.g, h=h, ann=ann, rel=rel, d=d,

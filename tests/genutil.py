@@ -470,7 +470,7 @@ def reference_validate_pack(pack):
         outside = not reference_subalgebra_member(h, axis_gens, bound)
         mem_note = f"h not spanned by generator monomials up to degree {bound}"
         if not outside:
-            mem_note = "h lies in the collapsed subring within the bound"
+            mem_note = f"h agrees with an element of the collapsed subring modulo x1^{bound + 1}"
     except WitnessInvalid as exc:
         outside, mem_note = False, str(exc)
     rep.add("quotient-outside-subring", outside, mem_note)

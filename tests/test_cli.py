@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, printed reports, and file output
 for every subcommand, driven in-process through main()."""
 
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -618,3 +621,61 @@ def test_pack_with_huge_n_fails_its_shape_fast(tmp_path):
     )
     assert proc.returncode == 2
     assert "[FAIL] pack-shape: n=10000000, 3 generators" in proc.stdout
+
+
+#: the values a mutated field takes: small, and of every JSON type
+MUTATION_VALUES = (0, 1, -1, 2, "1/0", "x", None, [], {}, 1.5, True, False,
+                   [0], [1, -1], ["x"], [[0, 1]])
+
+
+def mutated(rng, obj):
+    """A copy of a JSON object with one or two fields changed to a value of
+    MUTATION_VALUES, or deleted; each field is found by a random walk from
+    the root that stops at each level with probability 1/3."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.choice((1, 2))):
+        parent, key = None, None
+        node = obj
+        while isinstance(node, (dict, list)) and node and (parent is None or rng.random() > 1 / 3):
+            parent = node
+            key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+            node = node[key]
+        if parent is None:
+            continue
+        if rng.random() < 0.2:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(rng.choice(MUTATION_VALUES))
+    return obj
+
+
+def test_seeded_cli_mutations_exit_0_2_or_3(tmp_path, capsys):
+    """Mutations of the resolved swap pack and of its certificate at l_max 2,
+    run through `witness check`, `cert build` and `cert verify`: every run
+    exits 0, 2 or 3, with no traceback, within 5 s."""
+    pack = write_demo_pack(tmp_path / "pack.json", resolved=True)
+    cert = tmp_path / "cert.json"
+    assert main(["cert", "build", str(pack), "--lmax", "2", "--out", str(cert)]) == 0
+    bases = {"pack": load_json_file(str(pack)), "cert": load_json_file(str(cert))}
+    capsys.readouterr()
+    rng = random.Random(23)
+    seen = {}
+    for case in range(200):
+        kind = rng.choice(("pack", "cert"))
+        path = tmp_path / f"mutated-{kind}.json"
+        path.write_text(json.dumps(mutated(rng, bases[kind])), encoding="utf-8")
+        commands = ([["witness", "check", str(path)],
+                     ["cert", "build", str(path), "--lmax", "2",
+                      "--out", str(tmp_path / "out.json")]]
+                    if kind == "pack" else [["cert", "verify", str(path)]])
+        for argv in commands:
+            start = time.perf_counter()
+            rc = main(argv)
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert rc in (0, 2, 3), (case, argv, path.read_text())
+            assert "Traceback" not in captured.out + captured.err, (case, argv)
+            assert elapsed < 5, (case, argv, path.read_text())
+            seen[argv[1], rc] = seen.get((argv[1], rc), 0) + 1
+    assert all(seen.get((command, rc)) for command in ("check", "build", "verify")
+               for rc in (0, 2, 3)), seen

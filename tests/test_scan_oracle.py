@@ -1,7 +1,10 @@
-"""The order-semigroup and membership scans against the monomial
-enumeration they replace: every generator monomial up to the bound,
-reduced into a dense row echelon form over Q.  The oracle below is that
-enumeration; it is exponential in the bound, so it runs on small bounds."""
+"""The order-semigroup scan and membership on its table against the
+monomial enumeration: every generator monomial up to the bound, reduced
+into a dense row echelon form over Q.  The oracle below is that
+enumeration; it is exponential in the bound, so it runs on small bounds.
+The orders must agree.  Membership must never refute an h that the
+enumeration spans, and an h it refutes must be spanned at no bound: not
+at B by the enumeration, nor at 2B by the polynomial-time level scan."""
 
 import random
 from fractions import Fraction
@@ -20,7 +23,7 @@ from h14cert import (
     subalgebra_member,
     x_vars,
 )
-from genutil import univar, univar_coeffs
+from genutil import reference_subalgebra_member, univar, univar_coeffs
 
 V2 = x_vars(2)
 
@@ -159,7 +162,23 @@ def new_orders(gens, bound):
 
 
 def new_member(h, gens, bound):
-    return subalgebra_member(h, generator_rows(gens), bound)
+    return subalgebra_member(h, semigroup_orders(generator_rows(gens), bound))
+
+
+def check_member(h, gens, bound):
+    """Assert the two implications between `new_member` and the bounded
+    scans on h; return "member" for an h the enumeration spans at the
+    bound, "refuted" for one `new_member` refutes, else "open"."""
+    got = new_member(h, gens, bound)
+    spanned = degree(h) <= bound and oracle_member(h, gens, bound)
+    if spanned:
+        assert got, (h, gens, bound)
+        return "member"
+    if not got:
+        assert not reference_subalgebra_member(h, gens, max(2 * bound, degree(h))), \
+            (h, gens, bound)
+        return "refuted"
+    return "open"
 
 
 def degree(p):
@@ -226,8 +245,8 @@ def random_candidate(rng, gens, bound):
 
 def test_scans_match_enumeration_on_random_generator_sets():
     rng = random.Random(20261018)
-    seen = {"orders": 0, "orders-raise": 0, "member": 0, "non-member": 0,
-            "member-raise": 0, "below-degree": 0, "pole": 0}
+    seen = {"orders": 0, "orders-raise": 0, "member": 0, "refuted": 0, "open": 0,
+            "above-bound": 0, "below-degree": 0, "pole": 0}
     for trial in range(320):
         gens = random_generator_set(rng)
         top = max(degree(g) for g in gens)
@@ -243,10 +262,11 @@ def test_scans_match_enumeration_on_random_generator_sets():
             seen["pole"] += "pole" in old[1]
         for _ in range(3):
             h = random_candidate(rng, gens, bound)
-            old = outcome(oracle_member, h, gens, bound)
-            assert outcome(new_member, h, gens, bound) == old, (trial, h, gens, bound)
-            seen["member-raise" if old[0] == "raises"
-                 else "member" if old[1] else "non-member"] += 1
+            if old[0] == "raises":      # the generators fail a guard of the closure
+                assert outcome(new_member, h, gens, bound) == old, (trial, h, gens, bound)
+                continue
+            seen[check_member(h, gens, bound)] += 1
+            seen["above-bound"] += degree(h) > bound
     assert all(count >= 10 for count in seen.values()), seen
 
 
@@ -262,9 +282,8 @@ def test_scans_match_enumeration_on_collapsed_invariant_generators(group):
     x1 = LaurentPoly.variable(images[0].vars, "x1")
     for bound in (6, 9, 12):
         assert new_orders(images, bound) == oracle_orders(images, bound)
-        for cand in (x1, ef, x1 ** 5 + x1):
-            assert new_member(cand, images, bound) == \
-                oracle_member(cand, images, bound)
+        assert [check_member(cand, images, bound) for cand in (x1, ef, x1 ** 5 + x1)] \
+            == ["refuted", "member", "refuted"]
 
 
 def test_scans_at_a_large_bound():
@@ -275,3 +294,50 @@ def test_scans_at_a_large_bound():
     assert new_orders(images, 200) == [0] + list(range(2, 201))
     assert not new_member(x1, images, 200)
     assert new_member(x1 ** 200 - x1 ** 3, images, 200)
+
+
+# -- members whose monomials all lie above the bound ------------------------
+
+
+def cancelling_member(rng, u, v, bound):
+    """h = P(u, v), a combination of the monomials u^a * v^b of degree in
+    (bound, 3 * bound], taken in a random order, whose terms above x1^bound
+    cancel: a member of Q[u, v] of degree <= bound with no monomial of
+    degree <= bound in P, or None when none comes out."""
+    du, dv = degree(u), degree(v)
+    monomials = [u ** a * v ** b for a in range(3 * bound // du + 1)
+                 for b in range(3 * bound // dv + 1) if bound < a * du + b * dv <= 3 * bound]
+    rng.shuffle(monomials)
+    rows = {}       # top exponent -> a combination with coefficient 1 there
+    for p in monomials:
+        while p and degree(p) > bound:
+            top = degree(p)
+            lead = univar_coeffs(p)[top]
+            if top not in rows:
+                rows[top] = p * (1 / lead)
+                break
+            p = p - rows[top] * lead
+        else:
+            if p:
+                return p
+    return None
+
+
+def test_members_above_the_bound_are_never_refuted():
+    """Members built only from monomials of degree above B, whose top terms
+    cancel: membership on the table never refutes one, while the bounded
+    enumeration misses some of them (the hole the table closes)."""
+    rng = random.Random(20261020)
+    tried = missed = 0
+    while tried < 30:
+        u = univar(V2, {rng.randint(1, 2): random_coeff(rng), rng.randint(3, 4): random_coeff(rng),
+                        0: random_coeff(rng)})
+        v = univar(V2, {rng.randint(1, 3): random_coeff(rng), rng.randint(4, 5): random_coeff(rng)})
+        bound = rng.randint(5, 9)
+        h = cancelling_member(rng, u, v, bound)
+        if h is None:
+            continue
+        tried += 1
+        assert new_member(h, [u, v], bound), (h, u, v, bound)
+        missed += not oracle_member(h, [u, v], bound)
+    assert missed >= 1, missed

@@ -1,8 +1,9 @@
-"""The order-semigroup and membership scans, which reduce primitive integer
-rows fraction-free, against the same scans over rows of Fractions with
-pivot coefficient 1: the orders, the membership answers and the messages
-of the guards must agree.  The integer scans read the generators through
-`generator_rows`."""
+"""The order-semigroup scan, which reduces primitive integer rows
+fraction-free, against the same scan over rows of Fractions with pivot
+coefficient 1: the orders and the messages of the guards must agree.  The
+integer scan reads the generators through `generator_rows`.  Membership
+on its table must never refute an h that the reference level scan spans at
+the bound, and an h it refutes must be spanned neither at B nor at 2B."""
 
 import random
 from fractions import Fraction
@@ -41,7 +42,7 @@ def integer_orders(gens, bound):
 
 
 def integer_member(h, gens, bound):
-    return subalgebra_member(h, generator_rows(gens), bound)
+    return subalgebra_member(h, integer_orders(gens, bound))
 
 
 def degree(p):
@@ -118,28 +119,40 @@ def random_candidate(rng, gens, bound):
 def test_integer_scans_match_fraction_rows():
     rng = random.Random(20261019)
     seen = {"orders": 0, "below-degree": 0, "pole": 0, "collapsed-x2": 0,
-            "member": 0, "non-member": 0, "candidate-degree": 0}
+            "member": 0, "refuted": 0, "candidate-guard": 0, "above-bound": 0}
     for trial in range(150):
         gens = random_generator_set(rng)
         top = max(degree(g) for g in gens)
         bound = rng.randint(max(top - 4, 0), top - 1) if rng.random() < 0.1 and top \
             else rng.randint(top, 30)
-        want = outcome(reference_semigroup_orders, gens, bound)
-        assert outcome(integer_orders, gens, bound) == want, (trial, gens, bound)
+        orders = outcome(reference_semigroup_orders, gens, bound)
+        assert outcome(integer_orders, gens, bound) == orders, (trial, gens, bound)
         seen["collapsed-x2"] += any(any(e[1:]) for g in gens for e in g.terms)
-        if want[0] == "value":
+        if orders[0] == "value":
             seen["orders"] += 1
         else:
-            seen["below-degree"] += "below a generator degree" in want[2]
-            seen["pole"] += "pole" in want[2]
+            seen["below-degree"] += "below a generator degree" in orders[2]
+            seen["pole"] += "pole" in orders[2]
         for _ in range(3):
             h = random_candidate(rng, gens, bound)
+            got = outcome(integer_member, h, gens, bound)
             want = outcome(reference_subalgebra_member, h, gens, bound)
-            assert outcome(integer_member, h, gens, bound) == want, (trial, h, gens, bound)
-            if want[0] == "value":
-                seen["member" if want[1] else "non-member"] += 1
+            if orders[0] == "raises":           # the generators fail a guard
+                assert got == orders, (trial, h, gens, bound)
+            elif got[0] == "raises":            # h has a pole or involves x2
+                assert got == want, (trial, h, gens, bound)
+                seen["candidate-guard"] += 1
             else:
-                seen["candidate-degree"] += "candidate degree" in want[2]
+                seen["above-bound"] += degree(h) > bound
+                assert want[0] == "value" or "candidate degree" in want[2]
+                if want == ("value", True):
+                    assert got[1], (trial, h, gens, bound)
+                    seen["member"] += 1
+                if not got[1]:
+                    assert want != ("value", True)
+                    assert not reference_subalgebra_member(h, gens, 2 * bound), \
+                        (trial, h, gens, bound)
+                    seen["refuted"] += 1
     assert all(count >= 5 for count in seen.values()), seen
 
 
@@ -150,6 +163,7 @@ def test_scalar_multiples_and_constant_parts_span_the_same_algebra():
     twins = base + [(x1 ** 2 + x1 ** 3) * -big + 5, x1 ** 3 * big]
     assert integer_orders(twins, 12) == integer_orders(base, 12) \
         == reference_semigroup_orders(twins, 12)
-    for h in (x1, x1 ** 5 * big + x1 ** 6 * big, x1 ** 4 - 3):
-        assert integer_member(h, twins, 12) == integer_member(h, base, 12) \
-            == reference_subalgebra_member(h, twins, 12)
+    for h, member in ((x1, False), (x1 ** 5 * big + x1 ** 6 * big, True), (x1 ** 4 - 3, True)):
+        assert integer_member(h, twins, 12) == integer_member(h, base, 12) == member
+        assert reference_subalgebra_member(h, twins, 12) <= member   # a scan member is one
+        assert member or not reference_subalgebra_member(h, twins, 24)

@@ -3,7 +3,9 @@ block-per-check validation it replaces: the report text and the resolved
 fields must agree line for line on the benchmark's packs, stored-field
 variants, the wide packs and seeded single-field mutations.  The only
 allowed differences are three stored fields on which the reference raises
-an AlgebraError and `validate_pack` fails the field's own line."""
+an AlgebraError and `validate_pack` fails the field's own line, and one
+pack, `MEMBER_ABOVE_BOUND`, whose h the reference's bounded scan does not
+span but `validate_pack` finds in the collapsed subring's truncated image."""
 
 import json
 import random
@@ -15,17 +17,26 @@ import h14cert
 from h14cert import (
     AlgebraError,
     FormatError,
+    LaurentPoly,
     NotInvertible,
     PermGroupSpec,
     VariableMismatch,
+    WitnessPack,
     ZeroInput,
     format_report,
+    generator_rows,
     invariant_witness_pack,
     pack_from_json,
     pack_to_json,
     resolve_pack_fields,
+    semigroup_orders,
+    subalgebra_member,
     validate_pack,
+    write_json_file,
+    x_vars,
 )
+from h14cert.cli import main
+from h14cert.witness import scan_bound
 from genutil import benchmark_workloads, reference_validate_pack
 from test_family import WIDE_PACKS
 
@@ -90,6 +101,52 @@ def test_wide_packs():
     for pack, _ in WIDE_PACKS:
         assert compare(pack) is None
         assert compare(resolve_pack_fields(pack, validate_pack(pack)[0])) is None
+
+
+def member_above_bound_pack():
+    """n = 2, R_gens = [u, g, f] with u = x1^2 - x1^9, g = x1^3 + x2 and
+    f = g*(2*x1^4 - 2*x1^11) + x1*x2^2.  Its h = 2*x1^4 - 2*x1^11 is
+    2*u^2 + 2*u*v^3 with v = x1^3 = eps(g): a member of the collapsed
+    subring, though both monomials have degree 18, above the bound 14."""
+    x1, x2 = (LaurentPoly.variable(x_vars(2), v) for v in ("x1", "x2"))
+    u, g = x1 ** 2 - x1 ** 9, x1 ** 3 + x2
+    f = g * (2 * x1 ** 4 - 2 * x1 ** 11) + x1 * x2 ** 2
+    return WitnessPack(n=2, gens=[u, g, f], f=f, g=g)
+
+
+MEMBER_ABOVE_BOUND = member_above_bound_pack()
+
+
+def test_member_above_the_bound_fails_its_line():
+    """The bounded scan of the reference passes this pack; `validate_pack`
+    fails exactly `quotient-outside-subring`, every other line the same."""
+    got_resolved, got_rep = validate_pack(MEMBER_ABOVE_BOUND)
+    want_resolved, want_rep = reference_validate_pack(MEMBER_ABOVE_BOUND)
+    assert want_rep.ok and want_resolved is not None
+    assert got_resolved is None
+    assert [c.name for c in got_rep.failures()] == ["quotient-outside-subring"]
+    assert got_rep.checks[:-1] == want_rep.checks[:-1]
+    assert got_rep["quotient-outside-subring"].detail == \
+        "h agrees with an element of the collapsed subring modulo x1^15"
+    rows = generator_rows(MEMBER_ABOVE_BOUND.gens)
+    h = want_resolved.h
+    assert scan_bound(rows, h) == 14
+    assert subalgebra_member(h, semigroup_orders(rows, 14))
+
+
+@pytest.mark.parametrize("argv", [["witness", "check"], ["cert", "build"]],
+                         ids=["check", "build"])
+def test_member_above_the_bound_exits_2(tmp_path, capsys, argv):
+    pack = tmp_path / "pack.json"
+    write_json_file(str(pack), pack_to_json(MEMBER_ABOVE_BOUND))
+    out = tmp_path / "cert.json"
+    extra = ["--lmax", "1", "--out", str(out)] if argv[0] == "cert" else []
+    assert main([*argv, str(pack), *extra]) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] quotient-outside-subring" in captured.out
+    assert argv[0] == "witness" or "quotient-outside-subring" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
 
 
 def edited(obj, key, edit):

@@ -1,5 +1,5 @@
 """Witness-level derivations: axis quotient, annihilator, relation element,
-order semigroup, bounded membership, weights, and full pack validation."""
+order semigroup, membership on its table, weights, and full pack validation."""
 
 import random
 import time
@@ -11,6 +11,7 @@ from h14cert import (
     LaurentPoly,
     PermGroupSpec,
     RingMap,
+    VariableMismatch,
     WitnessInvalid,
     WitnessPack,
     axis_map,
@@ -187,45 +188,51 @@ def test_generator_rows_read_the_axis_images():
         == [{2: 1, 3: 6}]
 
 
-# -- bounded membership ---------------------------------------------------
+# -- membership, decided on the semigroup table ---------------------------
 
 
 def test_subalgebra_member_positive():
-    rows = generator_rows([u1({2: 1}), u1({3: 1})])
-    assert subalgebra_member(u1({2: 1, 3: 1}), rows, 12)
-    assert subalgebra_member(u1({6: 1}), rows, 12)
-    assert subalgebra_member(u1({0: 7}), rows, 12)
-    assert subalgebra_member(LaurentPoly.zero(V2), rows, 12)
+    table = semigroup_orders(generator_rows([u1({2: 1}), u1({3: 1})]), 12)
+    assert subalgebra_member(u1({2: 1, 3: 1}), table)
+    assert subalgebra_member(u1({6: 1}), table)
+    assert subalgebra_member(u1({0: 7}), table)
+    assert subalgebra_member(LaurentPoly.zero(V2), table)
 
 
 def test_subalgebra_member_negative():
-    rows = generator_rows([u1({2: 1}), u1({3: 1})])
-    assert not subalgebra_member(X1, rows, 12)
-    assert not subalgebra_member(u1({5: 1}), generator_rows([u1({2: 1})]), 12)
+    table = semigroup_orders(generator_rows([u1({2: 1}), u1({3: 1})]), 12)
+    assert not subalgebra_member(X1, table)
+    assert not subalgebra_member(u1({5: 1}), semigroup_orders(generator_rows([u1({2: 1})]), 12))
 
 
 def test_subalgebra_member_demo_quotient_outside():
     collapsed = [axis_map(g) for g in DEMO_GENS]
-    rows = generator_rows(DEMO_GENS)
-    assert not subalgebra_member(X1, rows, 12)
+    table = semigroup_orders(generator_rows(DEMO_GENS), 12)
+    assert not subalgebra_member(X1, table)
     for g in collapsed:
-        assert subalgebra_member(g, rows, 12)
+        assert subalgebra_member(g, table)
 
 
 def test_subalgebra_member_guards():
+    """A pole or a second variable is refused; a candidate above the bound
+    is truncated, not refused, since truncation is sound at any bound."""
+    table = semigroup_orders(generator_rows([u1({2: 1})]), 12)
     with pytest.raises(WitnessInvalid):
-        subalgebra_member(u1({13: 1}), generator_rows([u1({2: 1})]), 12)
-    with pytest.raises(WitnessInvalid):
-        subalgebra_member(X1 ** -1, generator_rows([u1({2: 1})]), 12)
+        subalgebra_member(X1 ** -1, table)
+    with pytest.raises(VariableMismatch):
+        subalgebra_member(X2, table)
+    assert subalgebra_member(u1({13: 1}), table)
+    assert not subalgebra_member(u1({3: 1, 13: 1}), table)
 
 
 def test_scans_at_large_bound():
-    """Both scans at bound 200 on the demo's axis images finish well inside
-    30 s; a scan that enumerates generator monomials does not."""
+    """The closure at bound 200 on the demo's axis images, and membership
+    on its table, finish well inside 30 s; a scan that enumerates generator
+    monomials does not."""
     rows = generator_rows(DEMO_GENS)
     start = time.perf_counter()
     table = semigroup_orders(rows, 200)
-    outside = not subalgebra_member(X1, rows, 200)
+    outside = not subalgebra_member(X1, table)
     assert time.perf_counter() - start < 30
     assert table.sorted_orders()[:4] == [0, 2, 3, 4]
     assert outside
@@ -237,19 +244,22 @@ def test_scans_at_large_bound():
 def test_scan_bound_is_the_least_at_which_no_guard_fires():
     assert scan_bound(generator_rows(DEMO_GENS), X1) == SCAN_BOUND == 12
     assert scan_bound([], LaurentPoly.zero(V2)) == 12
-    cases = [  # (generators, h, B): each one raised by a single guard
-        ([u1({2: 1, 20: 1})], X1, 20),       # a generator degree
-        ([u1({0: 1, 9: 1})], X1, 18),        # twice the least positive order
-        ([u1({2: 1})], u1({13: 1}), 13),     # deg h
+    cases = [  # (generators, B): each one raised by a single guard
+        ([u1({2: 1, 20: 1})], 20),       # a generator degree
+        ([u1({0: 1, 9: 1})], 18),        # twice the least positive order
     ]
-    for gens, h, bound in cases:
+    for gens, bound in cases:
         rows = generator_rows(gens)
-        assert scan_bound(rows, h) == bound
+        assert scan_bound(rows, X1) == bound
         is_normal(semigroup_orders(rows, bound))       # no guard fires at B
-        subalgebra_member(h, rows, bound)
         with pytest.raises(WitnessInvalid):            # one fires below B
             is_normal(semigroup_orders(rows, bound - 1))
-            subalgebra_member(h, rows, bound - 1)
+    # deg h raises B too, so that h is compared whole: x1^13 is refuted at
+    # B = 13, and truncated to zero, so not refuted, one below
+    rows, h = generator_rows([u1({2: 1})]), u1({13: 1})
+    assert scan_bound(rows, h) == 13
+    assert not subalgebra_member(h, semigroup_orders(rows, 13))
+    assert subalgebra_member(h, semigroup_orders(rows, 12))
 
 
 # -- weights, twist conditions, clearing exponent -------------------------
