@@ -67,7 +67,6 @@ from .serialize import (
     pack_to_json,
     poly_from_json,
     poly_to_json,
-    report_from_json,
     report_to_json,
     unipoly_from_json,
     unipoly_to_json,

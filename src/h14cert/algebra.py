@@ -69,13 +69,6 @@ class VarSet:
         except ValueError:
             raise VariableMismatch(f"unknown variable {name!r} in {self.names}") from None
 
-    def accepts(self, other: "VarSet") -> bool:
-        """True when `other` embeds here: same names in the same order and
-        every Laurent-flagged variable of `other` is flagged here too."""
-        return self.names == other.names and all(
-            mine or not theirs for mine, theirs in zip(self.laurent, other.laurent)
-        )
-
 
 def x_vars(n: int) -> VarSet:
     """x1,...,xn with only x1 allowed negative exponents."""

@@ -276,8 +276,8 @@ def verify_certificate(cert: Certificate) -> Report:
     block per entry.  Members are checked against the Appell blocks of
     `_appell_blocks`, which share no code with the builder's assembly.
     Tampering with any single field flips at least one line, except in
-    `report`, which is recomputed here and never compared with the stored
-    one, and in `witness.R_gens`: every passing pack line is a proof about
+    `report`, which `certificate_from_json` does not read, and in
+    `witness.R_gens`: every passing pack line is a proof about
     the generators the certificate carries, so changing one that f_expr
     and g_expr do not use can give a valid certificate for a different
     subalgebra instead of a failing one.

@@ -67,7 +67,7 @@ class RingMap:
         return tuple(out)
 
     def _accept(self, p: LaurentPoly):
-        if p.vars != self.vars and not self.vars.accepts(p.vars):
+        if p.vars != self.vars:
             raise VariableMismatch(
                 f"map over {self.vars.names} applied to {p.vars.names}"
             )
@@ -80,8 +80,8 @@ class RingMap:
             self.vars, self._mono(tuple(int(j == i) for j in range(len(self.vars)))))
 
     def apply(self, p: LaurentPoly) -> LaurentPoly:
-        """Apply to a polynomial over the same variable names; the input's
-        Laurent flags must be a subset of the map's own."""
+        """Apply to a polynomial over the map's own VarSet: the same names
+        and the same Laurent flags."""
         self._accept(p)
         mono, z = self._mono, self._z
         by_z: dict[int, dict] = {}

@@ -27,9 +27,6 @@ class Report:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.ok]
 
-    def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.checks)
-
     def __getitem__(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:

@@ -19,7 +19,7 @@ from .algebra import LaurentPoly, VarSet, coeffs_in
 from .constructions import PermGroupSpec
 from .errors import FormatError, VariableMismatch
 from .family import FG_VARS, CertEntry, Certificate
-from .report import Check, Report
+from .report import Report
 from .witness import ANN_VARS, WitnessPack
 
 
@@ -272,17 +272,6 @@ def report_to_json(report: Report) -> dict:
     }
 
 
-def report_from_json(obj: Any, where: str = "report") -> Report:
-    rep = Report()
-    for i, item in enumerate(_get(obj, "checks", list, where)):
-        rep.checks.append(Check(
-            name=_get(item, "name", str, f"{where}.checks[{i}]"),
-            ok=bool(_get(item, "ok", bool, f"{where}.checks[{i}]")),
-            detail=item.get("detail", ""),
-        ))
-    return rep
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     out: dict[str, Any] = {
         "witness": pack_to_json(cert.pack),
@@ -304,6 +293,8 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj: Any, where: str = "certificate") -> Certificate:
+    """The certificate without its stored "report", which is not read:
+    `verify_certificate` recomputes every line."""
     pack = pack_from_json(_get(obj, "witness", dict, where), f"{where}.witness")
     entries = []
     for i, item in enumerate(_get(obj, "entries", list, where)):
@@ -314,16 +305,13 @@ def certificate_from_json(obj: Any, where: str = "certificate") -> Certificate:
             q=poly_from_json(_get(item, "q", dict, f"{where}.entries[{i}]"),
                              f"{where}.entries[{i}].q"),
         ))
-    cert = Certificate(
+    return Certificate(
         pack=pack,
         rel=poly_from_json(_get(obj, "pi", dict, where), f"{where}.pi"),
         d=_get(obj, "d", int, where),
         clearing=_get(obj, "e", int, where),
         entries=entries,
     )
-    if "report" in obj:
-        cert.report = report_from_json(obj["report"], f"{where}.report")
-    return cert
 
 
 # -- constructions -------------------------------------------------------------

@@ -13,7 +13,7 @@ the polynomiality conditions on the twisted images.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -130,19 +130,19 @@ def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class SemigroupTable:
-    """The x1-orders up to `bound` of a collapsed subring, and the echelon
-    they are the pivots of: {pivot: primitive integer row}, pivot = lowest
-    exponent, spanning the subring's truncated image mod x1^(bound+1).  A
-    table is compared by its bound and orders; only one that
-    `semigroup_orders` built carries the echelon `subalgebra_member` reads."""
+    """The echelon that spans a collapsed subring's truncated image mod
+    x1^(bound+1): {pivot: primitive integer row}, pivot = lowest exponent.
+    Its pivots are the subring's x1-orders up to `bound`."""
 
     bound: int
-    orders: frozenset[int]
-    echelon: dict[int, dict[int, int]] = field(default_factory=dict, compare=False,
-                                               repr=False)
+    echelon: dict[int, dict[int, int]]
+
+    @property
+    def orders(self) -> frozenset[int]:
+        return frozenset(self.echelon)
 
     def sorted_orders(self) -> list[int]:
-        return sorted(self.orders)
+        return sorted(self.echelon)
 
 
 def _content_free(v: dict[int, int], lead) -> dict[int, int]:
@@ -248,7 +248,7 @@ def semigroup_orders(rows: Sequence[dict[int, int]], bound: int) -> SemigroupTab
             new = _add_row(_mul_trunc(row, u, bound), echelon)
             if new is not None:
                 fresh.append(new)
-    return SemigroupTable(bound=bound, orders=frozenset(echelon), echelon=echelon)
+    return SemigroupTable(bound=bound, echelon=echelon)
 
 
 def is_normal(table: SemigroupTable) -> bool:
@@ -265,7 +265,7 @@ def is_normal(table: SemigroupTable) -> bool:
             f"bound {table.bound} too small to probe normality (need >= {2 * m})"
         )
     expected = set(range(0, table.bound + 1, m))
-    return set(table.orders) == expected
+    return table.orders == expected
 
 
 def subalgebra_member(h: LaurentPoly, table: SemigroupTable) -> bool:

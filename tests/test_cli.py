@@ -2,6 +2,7 @@
 for every subcommand, driven in-process through main()."""
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -13,8 +14,10 @@ import pytest
 
 import h14cert
 from h14cert import (
+    Check,
     FormatError,
     PermGroupSpec,
+    Report,
     certificate_from_json,
     format_report,
     invariant_generators,
@@ -34,6 +37,9 @@ SWAP = PermGroupSpec(n=2, generators=((2, 1),))
 # 3.12 on the C scanner counts depth against the C recursion limit (10,000 on
 # Linux in 3.13, which decodes 9,998 levels), not sys.getrecursionlimit()
 DEEP_JSON = "[" * 10_000 + "]" * 10_000
+
+# a group on five letters whose `invariants --degree 5 --json` fills 85 kB
+G5 = '{"n": 5, "generators": [[2, 1, 3, 4, 5], [1, 2, 4, 5, 3]]}'
 
 
 def write_demo_pack(path, resolved=False):
@@ -130,8 +136,32 @@ def test_scan_bound_comes_from_the_pack(tmp_path, capsys):
     assert main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["cert", "verify", str(out)]) == 0
-    stored = certificate_from_json(load_json_file(str(out))).report
+    stored = load_json_file(str(out))["report"]
+    stored = Report([Check(**check) for check in stored["checks"]])
     assert capsys.readouterr().out.splitlines() == format_report(stored).splitlines()
+
+
+def test_cert_verify_ignores_the_stored_report(tmp_path, capsys):
+    """`cert verify` recomputes every line and does not read the stored
+    report: a malformed, false or missing one prints the same report, with
+    exit 0, as the pristine file."""
+    out = tmp_path / "demo.json"
+    assert main(["demo", "--lmax", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["cert", "verify", str(out)]) == 0
+    pristine = capsys.readouterr().out
+    assert pristine.endswith("result: PASS (43 checks)\n")
+    obj = load_json_file(str(out))
+    false_ok = copy.deepcopy(obj["report"])
+    false_ok["ok"] = False
+    false_check = copy.deepcopy(obj["report"])
+    false_check["checks"][0]["ok"] = False
+    no_report = {key: value for key, value in obj.items() if key != "report"}
+    for edited in (dict(obj, report=5), dict(obj, report={"checks": "x"}),
+                   dict(obj, report=false_ok), dict(obj, report=false_check), no_report):
+        write_json_file(str(out), edited)
+        assert main(["cert", "verify", str(out)]) == 0, edited.get("report")
+        assert capsys.readouterr().out == pristine
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."],
@@ -540,6 +570,14 @@ def test_invariants_over_the_limit_exit_3_before_enumerating(capsys, monkeypatch
                             "limit of 5,000,000 letters x monomials\n")
 
 
+def test_invariants_five_letters_byte_for_byte(capsys):
+    """The orbit-sum generators of a five-letter group, pinned by sha256."""
+    assert main(["invariants", "--group", G5, "--degree", "5", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() \
+        == "dc4c0b661f4d9626e2076f288a48978901420d9a954a1a3427766f916029d9d2"
+
+
 def test_invariants_json_output(tmp_path, capsys):
     spec = tmp_path / "group.json"
     write_json_file(str(spec), {"n": 2, "generators": [[2, 1]]})
@@ -583,10 +621,9 @@ def test_closed_stdout_exits_3_without_traceback(tmp_path):
     """A reader that closes the pipe early ends the run with one line on
     stderr and exit 3; the 85 kB of output fill more than a pipe buffer,
     so the writer meets the closed pipe whatever the timing."""
-    group = '{"n": 5, "generators": [[2, 1, 3, 4, 5], [1, 2, 4, 5, 3]]}'
     with open(tmp_path / "err", "wb") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "h14cert.cli", "invariants", "--group", group,
+            [sys.executable, "-m", "h14cert.cli", "invariants", "--group", G5,
              "--degree", "5", "--json"],
             stdout=subprocess.PIPE, stderr=err, env=child_env(),
         )

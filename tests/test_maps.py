@@ -45,12 +45,13 @@ def test_apply_is_a_homomorphism():
             assert m.apply(a) == a.subst(images)
 
 
-def test_apply_accepts_subset_flags():
+def test_apply_takes_only_its_own_varset():
     theta = inversion_map((3,), LaurentPoly.zero(xz_vars(2)))
+    assert theta.apply(LaurentPoly.variable(VZ, "x2") + 1) \
+        == LaurentPoly.monomial(VZ, (3, 1, 0)) + 1
     strict = plain_vars("x1", "x2", "z")
-    p = LaurentPoly.variable(strict, "x2") + 1
-    got = theta.apply(p)
-    assert got == LaurentPoly.monomial(VZ, (3, 1, 0)) + 1
+    with pytest.raises(VariableMismatch):
+        theta.apply(LaurentPoly.variable(strict, "x2"))  # only the flags differ
     with pytest.raises(VariableMismatch):
         theta.apply(X1)  # different variable names entirely
 

@@ -37,12 +37,17 @@ def outcome(fn, *args):
         return ("raises", type(exc).__name__, str(exc))
 
 
-def integer_orders(gens, bound):
+def integer_table(gens, bound):
     return semigroup_orders(generator_rows(gens), bound)
 
 
+def integer_orders(gens, bound):
+    table = integer_table(gens, bound)
+    return table.bound, table.orders
+
+
 def integer_member(h, gens, bound):
-    return subalgebra_member(h, integer_orders(gens, bound))
+    return subalgebra_member(h, integer_table(gens, bound))
 
 
 def degree(p):

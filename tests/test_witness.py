@@ -11,6 +11,7 @@ from h14cert import (
     LaurentPoly,
     PermGroupSpec,
     RingMap,
+    SemigroupTable,
     VariableMismatch,
     WitnessInvalid,
     WitnessPack,
@@ -203,6 +204,24 @@ def test_subalgebra_member_negative():
     table = semigroup_orders(generator_rows([u1({2: 1}), u1({3: 1})]), 12)
     assert not subalgebra_member(X1, table)
     assert not subalgebra_member(u1({5: 1}), semigroup_orders(generator_rows([u1({2: 1})]), 12))
+
+
+def test_table_is_its_echelon():
+    """A table's orders are its echelon's pivots, so tables that compare
+    equal answer membership alike; a table built from orders alone had an
+    empty echelon and refuted every h, 1 included."""
+    table = semigroup_orders(generator_rows([u1({2: 1}), u1({3: 1})]), 12)
+    assert table.orders == frozenset(table.echelon)
+    twin = SemigroupTable(bound=12, echelon=dict(table.echelon))
+    assert twin == table
+    for t in (table, twin):
+        assert subalgebra_member(LaurentPoly.one(V2), t)
+        assert subalgebra_member(X1 ** 2, t)
+        assert not subalgebra_member(X1, t)
+    with pytest.raises(TypeError):
+        SemigroupTable(bound=12, orders=table.orders)
+    with pytest.raises(TypeError):
+        SemigroupTable(bound=12)
 
 
 def test_subalgebra_member_demo_quotient_outside():
