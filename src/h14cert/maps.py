@@ -7,7 +7,7 @@ is a term filter.  The twist is a RingMap, the inversion of one pivot:
 
 On exponents only the pivot's entry changes, to sum_i w_i*e_i - e_pivot:
 an involution under which distinct monomials have distinct images, so
-terms map one by one and only the z-part is multiplied out.  The
+terms map one by one and z is translated by `subst`.  The
 pipeline's twist (pivot x1 over x1..xn, no shift), `inversion_map`, its
 inverse and the preslice involution (all weights 0, no shift) are the
 instances.
@@ -24,8 +24,9 @@ from .errors import VariableMismatch
 
 class RingMap:
     """The automorphism sending the pivot to 1/pivot, every other variable
-    xi to pivot^{weights[i]} * xi (coefficient 1), and z additionally to
-    z + shift.  The pivot and z carry weight 0.
+    xi to pivot^{weights[i]} * xi (coefficient 1), and z to z + shift.
+    The pivot and z carry weight 0, so the monomial part fixes z and the
+    shift is a translation of z alone.
 
     The exponent map is an involution, so the inverse has the same weights
     and the shift -apply(shift)."""
@@ -58,43 +59,27 @@ class RingMap:
         raise AttributeError("RingMap is immutable")
 
     def _mono(self, e: Expo) -> Expo:
-        """The image exponent; with a shift, z's exponent is left to the
-        caller, which expands powers of z + shift."""
         out = list(e)
         out[self._p] = sum(map(mul, self.weights, e)) - e[self._p]
-        if self._z is not None:
-            out[self._z] = 0
         return tuple(out)
 
-    def _accept(self, p: LaurentPoly):
-        if p.vars != self.vars:
-            raise VariableMismatch(
-                f"map over {self.vars.names} applied to {p.vars.names}"
-            )
-
     def image_of(self, name: str) -> LaurentPoly:
-        i = self.vars.index(name)
-        if i == self._z:
-            return LaurentPoly.variable(self.vars, name) + self.shift
-        return LaurentPoly.monomial(
-            self.vars, self._mono(tuple(int(j == i) for j in range(len(self.vars)))))
+        return self.apply(LaurentPoly.variable(self.vars, name))
 
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         """Apply to a polynomial over the map's own VarSet: the same names
-        and the same Laurent flags."""
-        self._accept(p)
+        and the same Laurent flags.  Terms map one by one; with a shift,
+        z is then translated by one `subst` call, z -> z + shift."""
+        if p.vars != self.vars:
+            raise VariableMismatch(f"map over {self.vars.names} applied to {p.vars.names}")
         mono, z = self._mono, self._z
-        by_z: dict[int, dict] = {}
-        for e, c in p.terms.items():
-            by_z.setdefault(e[z] if z is not None else 0, {})[mono(e)] = c
-        out = LaurentPoly(self.vars, by_z.pop(0, {}), _clean=False)
-        step = self.image_of("z") if by_z else None
-        power = LaurentPoly.one(self.vars)
-        for k in range(1, max(by_z, default=0) + 1):
-            power = power * step
-            if k in by_z:
-                out = out + LaurentPoly(self.vars, by_z[k], _clean=False) * power
-        return out
+        out = LaurentPoly(self.vars, {mono(e): c for e, c in p.terms.items()},
+                          _clean=False)
+        if z is None or not any(e[z] for e in out.terms):
+            return out
+        images = {name: LaurentPoly.variable(self.vars, name) for name in self.vars.names}
+        images["z"] = images["z"] + self.shift
+        return out.subst(images)
 
     # No caller: perfbench/spans.py wraps RingMap.apply_rf by name, and
     # without it `perfbench/run.py --trace 1` stops in `Tracer.install` with

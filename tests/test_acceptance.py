@@ -253,6 +253,11 @@ def test_criterion_6_automorphism_round_trips():
         h = random_univar(rng, vars, rng.randint(0, 5))
         theta = inversion_map(weights, h)
         inv = theta.inverse()
+        # the round trips hold for any translation of z, so pin this one:
+        # theta(z) - z = theta(h) = h(1/x1)
+        z = LaurentPoly.variable(theta.vars, "z")
+        if theta.image_of("z") - z != theta.apply(h.with_vars(theta.vars)):
+            failures.append(f"trial {trial}: z is not translated by h(1/x1)")
         for name in theta.vars.names:
             coord = LaurentPoly.variable(theta.vars, name)
             if inv.apply(theta.image_of(name)) != coord:

@@ -2,6 +2,7 @@
 for every subcommand, driven in-process through main()."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,10 +17,13 @@ import h14cert
 from h14cert import (
     Check,
     FormatError,
+    LaurentPoly,
     PermGroupSpec,
     Report,
+    WitnessPack,
     certificate_from_json,
     format_report,
+    frac_from_str,
     invariant_generators,
     invariant_witness_pack,
     load_json_file,
@@ -29,6 +33,7 @@ from h14cert import (
     validate_pack,
     verify_certificate,
     write_json_file,
+    x_vars,
 )
 from h14cert.cli import main
 
@@ -382,6 +387,65 @@ def test_cert_build_weight_flag(tmp_path, capsys):
     assert "witness rejected" in captured.err
 
 
+def dense_generator_pack(tmp_path):
+    """The demo pack plus the dense generator sum_{k=2..200} (k mod 7 + 1)*x1^k,
+    which raises the scan bound to 200."""
+    pack = invariant_witness_pack(SWAP)
+    dense = LaurentPoly(x_vars(2), {(k, 0): k % 7 + 1 for k in range(2, 201)})
+    pack = dataclasses.replace(pack, gens=pack.gens + [dense], f_expr=None, g_expr=None)
+    path = tmp_path / "dense.json"
+    write_json_file(str(path), pack_to_json(pack))
+    return ["witness", "check", str(path)]
+
+
+def d3_certificate_with_bumped_lead(tmp_path):
+    """A pack beyond Pi = T^2 - G^3 (d = 3, e = 8) builds and verifies at
+    l_max 3; then one z^3 coefficient of q_3 is bumped."""
+    x1, x2 = (LaurentPoly.variable(x_vars(2), v) for v in ("x1", "x2"))
+    g, f = x1 ** 3 + x2, x1 ** 4 + x1 * x2 + x2 ** 2
+    pack, cert = tmp_path / "d3.json", tmp_path / "d3-cert.json"
+    write_json_file(str(pack), pack_to_json(WitnessPack(n=2, gens=[g, f], f=f, g=g)))
+    assert main(["cert", "build", str(pack), "--lmax", "3", "--out", str(cert)]) == 0
+    assert main(["cert", "verify", str(cert)]) == 0
+    obj = load_json_file(str(cert))
+    term = next(t for t in obj["entries"][3]["q"]["terms"] if t["e"][-1] == 3)
+    term["c"] = str(frac_from_str(term["c"]) + 1)
+    write_json_file(str(cert), obj)
+    return ["cert", "verify", str(cert)]
+
+
+def demo_certificate_with_tail_outside_fg(tmp_path):
+    """The demo certificate at l_max 3 with a 1/g term added to the last tail."""
+    cert = tmp_path / "demo.json"
+    assert main(["demo", "--lmax", "3", "--out", str(cert)]) == 0
+    obj = load_json_file(str(cert))
+    obj["entries"][3]["fvec"][2]["terms"].append({"e": [0, 0, -1], "c": "1"})
+    write_json_file(str(cert), obj)
+    return ["cert", "verify", str(cert)]
+
+
+@pytest.mark.parametrize("make, rc, failed", [
+    (dense_generator_pack, 0, []),
+    (d3_certificate_with_bumped_lead, 2,
+     ["member-3-recomputed", "member-3-leading", "member-3-degree-drop"]),
+    (demo_certificate_with_tail_outside_fg, 2,
+     ["member-3-tails-in-fg", "member-3-recomputed"]),
+], ids=["dense-generator", "d3-bumped-lead", "tail-outside-fg"])
+def test_commands_on_made_inputs(tmp_path, capsys, make, rc, failed):
+    """The command exits `rc` within 30 s, fails exactly the lines named,
+    and prints no traceback."""
+    argv = make(tmp_path)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(argv) == rc
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()
+            if line.startswith("[FAIL] ")] == [f"[FAIL] {name}" for name in failed]
+    assert "Traceback" not in captured.out + captured.err
+    assert elapsed < 30
+
+
 def test_malformed_inputs_exit_3(tmp_path, capsys):
     rc = main(["witness", "check", str(tmp_path / "missing.json")])
     captured = capsys.readouterr()
@@ -409,7 +473,8 @@ def test_malformed_inputs_exit_3(tmp_path, capsys):
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 3, argv
-        assert "input error:" in captured.err and "nested too deeply" in captured.err
+        assert captured.err.startswith("input error: ") and "nested too deeply" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     # a Laurent flag that is not a variable name
     obj = load_json_file(str(write_demo_pack(tmp_path / "pack.json")))
