@@ -60,7 +60,6 @@ from .serialize import (
     fgpoly_from_json,
     fgpoly_to_json,
     frac_from_str,
-    frac_to_str,
     group_from_json,
     load_json_file,
     pack_from_json,

@@ -23,10 +23,6 @@ from .report import Report
 from .witness import ANN_VARS, WitnessPack
 
 
-def frac_to_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 #: the most digits a numerator or denominator may have: CPython's default
@@ -127,14 +123,22 @@ def _terms_by_item(items: list, width: int, shape: str, where: str) -> dict:
 # -- polynomials -------------------------------------------------------------
 
 
+class _Terms(list):
+    """A term list made by `_terms_to_json`, written from one item template."""
+
+
+def _terms_to_json(p: LaurentPoly) -> list:
+    """The "terms" of `p`, coefficients as `str(Fraction)`.  In no variable
+    the exponents are empty, which the template does not write."""
+    terms = [{"e": list(e), "c": str(c)} for e, c in p.terms_sorted()]
+    return _Terms(terms) if p.vars.names else terms
+
+
 def poly_to_json(p: LaurentPoly) -> dict:
     return {
         "vars": list(p.vars.names),
         "laurent": [n for n, flag in zip(p.vars.names, p.vars.laurent) if flag],
-        "terms": [
-            # str(Fraction) is the "num" or "num/den" of frac_to_str
-            {"e": list(e), "c": str(c)} for e, c in p.terms_sorted()
-        ],
+        "terms": _terms_to_json(p),
     }
 
 
@@ -197,11 +201,7 @@ def unipoly_from_json(obj: Any, where: str = "unipoly") -> LaurentPoly:
 
 def fgpoly_to_json(p: LaurentPoly) -> dict:
     """A tail over FG_VARS: its terms only, the variables being implied."""
-    return {
-        "terms": [
-            {"e": list(e), "c": str(c)} for e, c in p.terms_sorted()
-        ]
-    }
+    return {"terms": _terms_to_json(p)}
 
 
 def fgpoly_from_json(obj: Any, where: str = "fgpoly") -> LaurentPoly:
@@ -337,7 +337,9 @@ def dumps(obj: Any) -> str:
     """The canonical text of a JSON value: the bytes of
     `json.dumps(obj, indent=2) + "\\n"`, written in one pass.  Values are
     dicts with string keys, lists, strings, ints, bools and None; anything
-    else raises TypeError."""
+    else raises TypeError.  A term list made by the codec is written from
+    one item template, which holds only if the list is written as it was
+    made; every other list takes the generic path."""
     parts: list[str] = []
     _write(obj, "\n", parts.append)
     parts.append("\n")
@@ -361,11 +363,12 @@ def _write(o: Any, nl: str, out) -> None:
         if not o:
             out("[]")
             return
+        if type(o) is _Terms:
+            _write_terms(o, nl, out)
+            return
         inner = nl + "  "
         if all(type(v) is int for v in o):
             out("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
-            return
-        if _write_terms(o, nl, out):
             return
         sep = "[" + inner
         for v in o:
@@ -390,18 +393,9 @@ def _write(o: Any, nl: str, out) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write_terms(o: list, nl: str, out) -> bool:
-    """Write a term list, every item `{"e": [int, ...], "c": str}` with
-    those keys in that order and `e` not empty, from one item template;
-    False, with nothing written, for any other list."""
-    if set(map(type, o)) != {dict} or set(map(tuple, o)) != {("e", "c")}:
-        return False
-    es = [v["e"] for v in o]
-    cs = [v["c"] for v in o]
-    if (set(map(type, es)) != {list} or not all(es)
-            or set(map(type, chain.from_iterable(es))) != {int}
-            or set(map(type, cs)) != {str}):
-        return False
+def _write_terms(o: _Terms, nl: str, out) -> None:
+    """Write a term list made by the codec, every item `{"e": [int, ...],
+    "c": str}` with `e` not empty, from one item template."""
     inner = nl + "  "
     inner2 = inner + "  "
     inner3 = inner2 + "  "
@@ -410,10 +404,9 @@ def _write_terms(o: list, nl: str, out) -> bool:
     mid = inner2 + "]," + inner2 + '"c": '
     tail = inner + "}"
     out("[" + inner + ("," + inner).join([
-        head + esep.join(map(int.__repr__, e)) + mid + _encode_str(c) + tail
-        for e, c in zip(es, cs)
+        head + esep.join(map(int.__repr__, v["e"])) + mid + _encode_str(v["c"]) + tail
+        for v in o
     ]) + nl + "]")
-    return True
 
 
 def load_json_file(path: str) -> Any:

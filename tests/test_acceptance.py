@@ -23,7 +23,6 @@ from h14cert import (
     certificate_to_json,
     decompose,
     find_preslice,
-    frac_to_str,
     generator_rows,
     inversion_map,
     invariant_witness_pack,
@@ -321,7 +320,7 @@ def mutate_one_term(rng, site):
     if op == "coeff":
         item = rng.choice(terms)
         delta = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
-        item["c"] = frac_to_str(Fraction(item["c"]) + delta)
+        item["c"] = str(Fraction(item["c"]) + delta)
     elif op == "exp":
         item = rng.choice(terms)
         j = rng.randrange(width)
@@ -341,7 +340,7 @@ def mutate_one_term(rng, site):
                 break
         else:
             e = [max(t["e"][0] for t in terms) + 1] + [0] * (width - 1)
-        terms.append({"e": e, "c": frac_to_str(Fraction(rng.choice([-2, 1, 1, 3])))})
+        terms.append({"e": e, "c": str(Fraction(rng.choice([-2, 1, 1, 3])))})
     else:
         terms.pop(rng.randrange(len(terms)))
 

@@ -1,26 +1,26 @@
 """The canonical writer `dumps` against the standard library as oracle:
-its text must equal `json.dumps(obj, indent=2) + "\\n"` byte for byte.
-
-Needs no pytest, so it also checks other Python versions from a bare
-interpreter:
-
-    PYTHONPATH=src python tests/test_canonical_writer.py
-"""
+its text must equal `json.dumps(obj, indent=2) + "\\n"` byte for byte."""
 
 import json
 import random
 from fractions import Fraction
 
 from h14cert import (
+    LaurentPoly,
     PermGroupSpec,
+    VarSet,
     build_certificate,
     certificate_to_json,
     dumps,
+    fgpoly_to_json,
     invariant_witness_pack,
     pack_to_json,
+    poly_to_json,
     validate_pack,
+    x_vars,
 )
-from h14cert.serialize import _write_terms, frac_to_str
+from h14cert.family import FG_VARS
+from h14cert.serialize import _Terms
 from h14cert.witness import resolve_pack_fields
 
 SPECIAL_CHARS = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80é日 \ud800\U0001f600 a'
@@ -106,38 +106,38 @@ def test_edge_values_match_stdlib():
 
 
 def test_term_lists_match_stdlib():
-    """A term list is written from one item template; a near miss in any
-    place, the last included, makes the generic writer take the whole
-    list, with nothing of the template written."""
-    good = [
-        {"e": [3, -1, 0], "c": "-7/2"},
-        {"e": [0], "c": SPECIAL_CHARS},            # escaped and non-ASCII
-        {"e": [2 ** 70, 1], "c": "\u00e9"},
-    ]
+    """The term lists of `poly_to_json` and `fgpoly_to_json` are written
+    from one item template; a plain list of the same items, or with a near
+    miss in any place, the last included, takes the generic path."""
+    v3 = x_vars(3)
+    poly = LaurentPoly(v3, {(-3, 1, 0): Fraction(-7, 2), (0, 0, 1): 1,
+                            (2 ** 70, 1, 0): Fraction(10 ** 30, 3)})
+    tail = LaurentPoly(FG_VARS, {(2, 0, -3): 5, (0, 1, 0): Fraction(-1, 4)})
+    made = [poly_to_json(poly), fgpoly_to_json(tail),
+            poly_to_json(LaurentPoly.zero(v3)), fgpoly_to_json(LaurentPoly.zero(FG_VARS))]
+    for obj in made:
+        assert type(obj["terms"]) is _Terms
+    # the items keep their shape, so the template writes these escaped and
+    # non-ASCII coefficients too
+    special = poly_to_json(poly)
+    for item, c in zip(special["terms"], (SPECIAL_CHARS, "\u00e9", "\ud800")):
+        item["c"] = c
+    made.append(special)
+    # in no variable the exponents are empty: a plain list
+    const = poly_to_json(LaurentPoly.const(VarSet((), ()), 3))
+    assert type(const["terms"]) is list
+    made.append(const)
+    good = [dict(item) for item in special["terms"]]
     misses = [
         {"c": "1", "e": [1]}, {"e": [1], "c": "1", "d": "1"}, {"e": [], "c": "1"},
         {"e": [1, True], "c": "1"}, {"e": "1", "c": "1"},
         {"e": [1], "c": 1}, {"e": [1], "c": None}, {"e": [1]}, [[1], "1"],
     ]
-    for nl in ("\n", "\n    "):
-        parts = []
-        assert _write_terms(good, nl, parts.append) and len(parts) == 1
-        for miss in misses:
-            for terms in (good + [miss], [miss] + good, [miss]):
-                parts = []
-                assert not _write_terms(terms, nl, parts.append) and not parts
-    cases = [good, [good], {"terms": good}, {"a": [{"terms": good}]}, [], {"terms": []}]
+    cases = made + [[obj] for obj in made] + [{"a": [{"b": obj}]} for obj in made]
+    cases += [good, [good], {"terms": good}, {"a": [{"terms": good}]}, [], {"terms": []}]
     cases += [good + [miss] for miss in misses] + [[miss] + good for miss in misses]
     for obj in cases:
         assert dumps(obj) == stdlib(obj), obj
-
-
-def test_fraction_str_is_frac_to_str():
-    """The writer formats coefficients with str(Fraction)."""
-    big = 10 ** 199 + 7                            # 200 digits
-    for c in (Fraction(0), Fraction(-3, 4), Fraction(5), Fraction(-12),
-              Fraction(big, 3), Fraction(-1, big), Fraction(-big)):
-        assert str(c) == frac_to_str(c)
 
 
 def test_certificates_match_stdlib():
@@ -150,8 +150,10 @@ def test_certificates_match_stdlib():
         pack_to_json(resolve_pack_fields(cycle, resolved)),
         certificate_to_json(build_certificate(cycle, l_max=3)),
     ]
+    # a JSON round trip turns every list plain, for the generic path
     for obj in objs:
-        assert dumps(obj) == stdlib(obj)
+        plain = json.loads(json.dumps(obj))
+        assert dumps(obj) == dumps(plain) == stdlib(obj)
 
 
 def test_other_types_rejected():
@@ -162,13 +164,3 @@ def test_other_types_rejected():
             continue
         raise AssertionError(f"dumps accepted {obj!r}")
 
-
-if __name__ == "__main__":
-    import sys
-
-    tests = [(name, fn) for name, fn in sorted(globals().items())
-             if name.startswith("test_") and callable(fn)]
-    for name, fn in tests:
-        fn()
-        print(f"ok {name}")
-    print(f"{len(tests)} passed on Python {sys.version.split()[0]}")

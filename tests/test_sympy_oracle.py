@@ -1,8 +1,9 @@
 """sympy as an outside oracle for the two eliminations of the pipeline:
 `resultant` on seeded random pairs of polynomials in T, and
 `build_annihilator` on seeded random univariate pairs and on the swap and
-3-cycle packs.  Skipped when sympy is not installed; the
-package itself does not use it."""
+3-cycle packs; and the relation element pi of the certificates of the five
+pinned packs beyond Pi = T^2 - G^3.  Skipped when sympy is not installed;
+the package itself does not use it."""
 
 import random
 
@@ -14,11 +15,13 @@ from h14cert import (
     VarSet,
     axis_map,
     build_annihilator,
+    build_certificate,
     invariant_witness_pack,
     resultant,
     x_vars,
 )
 from genutil import random_poly, random_univar
+from test_family import MORE_PACKS, WIDE_PACKS
 
 sympy = pytest.importorskip("sympy")
 
@@ -116,3 +119,16 @@ def test_annihilator_matches_sympy(generators, n):
     degree, expected = sympy_annihilator(ef, eg)
     assert ann.degree_in("T") == degree == eg.degree_in("x1")
     assert sympy.expand(to_sympy(ann) - expected) == 0
+
+
+@pytest.mark.parametrize("pack", [pack for pack, _ in WIDE_PACKS]
+                         + [pack for pack, *_ in MORE_PACKS],
+                         ids=["wide-T3-G4", "wide-T3-G5", "T3-G5", "T4-G5", "T3-G4"])
+def test_certificate_pi_matches_sympy(pack):
+    """The certificate's pi, built at l_max 3, is sympy's monic
+    res_x1(T - eps(f), G - eps(g)) evaluated at T = f, G = g."""
+    cert = build_certificate(pack, l_max=3)
+    _, ann = sympy_annihilator(axis_map(pack.f), axis_map(pack.g))
+    G = sympy.Symbol("G")
+    expected = ann.subs({T: to_sympy(pack.f), G: to_sympy(pack.g)}, simultaneous=True)
+    assert cert.rel and sympy.expand(to_sympy(cert.rel) - expected) == 0
