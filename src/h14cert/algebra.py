@@ -33,16 +33,14 @@ Expo = tuple[int, ...]
 
 
 def qq(value) -> Fraction:
-    """Coerce an int, Fraction, or 'num/den' string to an exact rational.
+    """Coerce an int or Fraction to an exact rational.
 
-    Floats are rejected on purpose: silently converting one would smuggle
-    binary rounding into an exact computation.
+    A float is rejected, since converting it would smuggle binary rounding
+    into an exact computation; so is text, read only by `frac_from_str`.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

@@ -14,7 +14,12 @@ import math
 import os
 import sys
 
-from .constructions import PermGroupSpec, invariant_witness_pack, orbit_sum
+from .constructions import (
+    PermGroupSpec,
+    invariant_generators,
+    invariant_witness_pack,
+    orbit_sum,
+)
 from .errors import (
     AlgebraError,
     ConstructionFailure,
@@ -28,6 +33,8 @@ from .report import format_report
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
+    decode_json,
+    dumps,
     group_from_json,
     load_json_file,
     pack_from_json,
@@ -100,20 +107,9 @@ def cmd_cert_verify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .constructions import invariant_generators
-
     spec = args.group
-    if spec.strip().startswith("{"):
-        import json as _json
-        try:
-            obj = _json.loads(spec)
-        except ValueError as exc:
-            raise FormatError(f"inline group spec is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise FormatError("inline group spec is nested too deeply") from None
-    else:
-        obj = load_json_file(spec)
-    group = group_from_json(obj)
+    group = group_from_json(decode_json(spec, "inline group spec")
+                            if spec.strip().startswith("{") else load_json_file(spec))
     n, degree = group.n, args.degree
     # n * max(n, D) <= the count for D >= 1: it bounds the work of math.comb
     if degree and (n * max(n, degree) > INVARIANTS_LIMIT
@@ -122,7 +118,6 @@ def cmd_invariants(args) -> int:
                           f"{INVARIANTS_LIMIT:,} letters x monomials")
     gens = invariant_generators(group, degree)
     if args.json:
-        from .serialize import dumps
         print(dumps([poly_to_json(p) for p in gens]), end="")
     else:
         for p in gens:

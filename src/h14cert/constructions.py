@@ -125,10 +125,9 @@ def _monomials(n: int, degree: int):
         yield tuple(exps)
 
 
-def invariant_witness_pack(group: PermGroupSpec,
-                           degree_bound: int | None = None) -> WitnessPack:
+def invariant_witness_pack(group: PermGroupSpec) -> WitnessPack:
     """The standard witness pack of an invariant ring: generators are orbit
-    sums up to the degree bound (default n), and the distinguished pair is
+    sums up to degree n, and the distinguished pair is
 
         f = orbit(y1) + orbit(y1*y2),    g = orbit(y1).
 
@@ -140,15 +139,12 @@ def invariant_witness_pack(group: PermGroupSpec,
     n = group.n
     if n < 2:
         raise WitnessInvalid("need at least two coordinates")
-    bound = degree_bound if degree_bound is not None else n
-    if bound < 2:
-        raise WitnessInvalid("degree bound must be at least 2")
     e1 = (1,) + (0,) * (n - 1)
     if (0, 1) + (0,) * (n - 2) not in group.orbit(e1):
         raise WitnessInvalid(
             "no group element sends the first coordinate to the second"
         )
-    reps, gens = _invariant_generators(group, bound)
+    reps, gens = _invariant_generators(group, n)
     # e1 and e12 are the lex-largest points of their orbits: both generators
     idx_g = reps.index(e1)
     idx_pair = reps.index((1, 1) + (0,) * (n - 2))

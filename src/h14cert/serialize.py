@@ -409,16 +409,24 @@ def _write_terms(o: _Terms, nl: str, out) -> None:
     ]) + nl + "]")
 
 
+def decode_json(text: str | bytes, source: str) -> Any:
+    """The value of JSON `text` (bytes are read as UTF-8): the one place
+    where a decode error becomes a FormatError, which names `source`."""
+    try:
+        return json.loads(text if isinstance(text, str) else str(text, "utf-8"))
+    except ValueError as exc:   # JSONDecodeError, bad UTF-8, over-long integers
+        raise FormatError(f"{source} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{source} is nested too deeply") from None
+
+
 def load_json_file(path: str) -> Any:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:   # JSONDecodeError, bad UTF-8, over-long integers
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise FormatError(f"{path}: JSON nested too deeply") from None
+    return decode_json(text, path)
 
 
 def write_json_file(path: str, obj: Any):

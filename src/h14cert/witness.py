@@ -340,19 +340,16 @@ def choose_weights(f: LaurentPoly, g: LaurentPoly, h: LaurentPoly,
 
 
 def clearing_exponent(twist: RingMap, rel: LaurentPoly, f: LaurentPoly, d: int) -> int:
-    """The least e >= 1 with ord_x1(twist(rel))*e + ord_x1(twist(f))*i >= 0
-    for all 0 <= i < d; exists because the twisted relation is divisible
-    by x1."""
+    """The least e >= 1 with op*e + of*i >= 0 for all 0 <= i < d, where op >= 1
+    and of are the x1-orders of twist(rel) and twist(f): i = d - 1 binds, so
+    it is max(1, ceil(-min(0, (d-1)*of) / op)), or 1 when d = 0."""
     if rel.is_zero():
         raise WitnessInvalid("twisted relation element is zero")
     op = twist.apply(rel).order_in("x1")
     if op < 1:
         raise WitnessInvalid("twisted relation element is not divisible by x1")
     of = twist.apply(f).order_in("x1") if not f.is_zero() else 0
-    e = 1
-    while any(e * op + i * of < 0 for i in range(d)):
-        e += 1
-    return e
+    return max(1, -(min(0, (d - 1) * of) // op)) if d else 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import h14cert
 from h14cert import (
+    FormatError,
     LaurentPoly,
     NotDivisible,
     NotInvertible,
@@ -19,6 +20,7 @@ from h14cert import (
     VarSet,
     ZeroInput,
     determinant_fraction_free,
+    frac_from_str,
     plain_vars,
     qq,
     resultant,
@@ -53,12 +55,17 @@ def in_t(*cs):
 
 
 def test_qq_coercion():
+    """qq takes ints and Fractions, and rejects text as it rejects a float:
+    text is read only by `frac_from_str`, which refuses the strings that
+    `Fraction(str)` would also have read."""
     assert qq(3) == Fraction(3)
     assert qq(Fraction(2, 5)) == Fraction(2, 5)
-    assert qq("3/4") == Fraction(3, 4)
-    assert qq("-7") == Fraction(-7)
-    with pytest.raises(TypeError):
-        qq(0.5)
+    for value in (0.5, "3/4", "-7", "0.5", "1e-3", "1_000", " 3/4 ", "\u0663/\u0664"):
+        with pytest.raises(TypeError):
+            qq(value)
+    for text in ("0.5", "1e-3", "1_000", " 3/4 ", "\u0663/\u0664"):
+        with pytest.raises(FormatError):
+            frac_from_str(text)
 
 
 def test_varset_shapes():

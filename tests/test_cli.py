@@ -20,6 +20,7 @@ from h14cert import (
     LaurentPoly,
     PermGroupSpec,
     Report,
+    VarSet,
     WitnessPack,
     certificate_from_json,
     format_report,
@@ -130,11 +131,20 @@ def test_usage_errors_exit_3(capsys, argv, message):
 
 
 def test_scan_bound_comes_from_the_pack(tmp_path, capsys):
-    """The swap pack with generators up to degree 7 has axis degrees up to
-    14, above the least scan bound 12: it passes `witness check`, builds
-    and verifies with no flags, and `cert verify` prints the stored report."""
+    """The swap pack with generators up to degree 7 (bytes pinned) has
+    axis degrees up to 14, above the least scan bound 12: it passes
+    `witness check`, builds and verifies with no flags, and `cert verify`
+    prints the stored report."""
+    swap = invariant_witness_pack(SWAP)
+    gens = invariant_generators(SWAP, 7)
+    # orbit(y1) and orbit(y1*y2) keep their places, u0 and u2, among more u's
+    u_vars = VarSet(tuple(f"u{i}" for i in range(len(gens))), (False,) * len(gens))
+    wide = dataclasses.replace(swap, gens=gens, f_expr=swap.f_expr.with_vars(u_vars),
+                               g_expr=swap.g_expr.with_vars(u_vars))
     pack = tmp_path / "pack.json"
-    write_json_file(str(pack), pack_to_json(invariant_witness_pack(SWAP, degree_bound=7)))
+    write_json_file(str(pack), pack_to_json(wide))
+    assert hashlib.sha256(pack.read_bytes()).hexdigest() == (
+        "62cb37bfc1cb820299b73f274edddca060b63122092e148abbe77f4250c9375d")
     out = tmp_path / "cert.json"
     assert main(["witness", "check", str(pack)]) == 0
     assert "orders up to 14: [0, 2, 3, 4," in capsys.readouterr().out

@@ -23,7 +23,12 @@ from h14cert import (
     subalgebra_member,
     x_vars,
 )
-from genutil import reference_subalgebra_member, univar, univar_coeffs
+from genutil import (
+    _reference_mul_trunc,
+    reference_subalgebra_member,
+    univar,
+    univar_coeffs,
+)
 
 V2 = x_vars(2)
 
@@ -36,21 +41,6 @@ def _univar_nonneg(gen: LaurentPoly, what: str) -> dict[int, Fraction]:
     if any(k < 0 for k in u):
         raise WitnessInvalid(f"{what} has a pole at x1 = 0")
     return u
-
-
-def _mul_trunc(u, v, bound):
-    out = {}
-    for a, ca in u.items():
-        for b, cb in v.items():
-            k = a + b
-            if k > bound:
-                continue
-            s = out.get(k, Fraction(0)) + ca * cb
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
 
 
 class _RowBasis:
@@ -111,7 +101,7 @@ def oracle_orders(gens, bound):
             step = min(units[idx])
             if order_sum + step > bound:
                 continue
-            nxt = _mul_trunc(current, units[idx], bound)
+            nxt = _reference_mul_trunc(current, units[idx], bound)
             basis.insert(_vec(nxt, width))
             grow(idx, nxt, order_sum + step)
 
@@ -138,7 +128,7 @@ def oracle_member(h, gens, bound):
             step = max(units[idx])
             if deg_sum + step > bound:
                 continue
-            nxt = _mul_trunc(current, units[idx], bound)
+            nxt = _reference_mul_trunc(current, units[idx], bound)
             basis.insert(_vec(nxt, width))
             grow(idx, nxt, deg_sum + step)
 

@@ -248,7 +248,7 @@ def test_unipoly_roundtrip():
     obj = unipoly_to_json(P)
     assert len(obj) == 4
     assert obj[2] == {"vars": ["G"], "laurent": [], "terms": []}
-    assert obj[0] == poly_to_json(LaurentPoly.monomial(VarSet(("G",), (False,)), (2,), "-1/2"))
+    assert obj[0] == poly_to_json(LaurentPoly.monomial(VarSet(("G",), (False,)), (2,), Fraction(-1, 2)))
     assert unipoly_from_json(obj) == P
     wide = VarSet(("T", "x1", "x2"), (False, True, False))
     Q = LaurentPoly(wide, {(2, 0, 0): 1, (0, -1, 1): 3})

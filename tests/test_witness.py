@@ -333,6 +333,22 @@ def test_clearing_exponent_demo():
     assert clearing_exponent(twist(5), DEMO_REL, DEMO_F, 1) == 1
 
 
+def test_clearing_exponent_matches_the_search():
+    """The closed form equals the least-e search it replaced.  Under the
+    zero-weight twist x1^-k goes to x1^k, so monomials set ord(twist(rel))
+    to 1..24 and ord(twist(f)) to -60..60, for d = 0..8.  The reference
+    validation calls `clearing_exponent` itself, so only this test checks
+    the formula against the definition."""
+    theta = twist(0)
+    for op in range(1, 25):
+        for of in range(-60, 61):
+            for d in range(9):
+                e = 1
+                while any(e * op + i * of < 0 for i in range(d)):
+                    e += 1
+                assert clearing_exponent(theta, X1 ** -op, X1 ** -of, d) == e, (op, of, d)
+
+
 def test_clearing_exponent_requires_divisible_relation():
     # x2 twists to x1*x2 (order 1); x1^2*x2 twists to order -1: not in x1*k[x]
     with pytest.raises(WitnessInvalid):
