@@ -10,6 +10,7 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -144,7 +145,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process and shared by every call."""
     parser = _Parser(
         prog="h14cert",
         description="Build and verify certificates for non-finitely-generated "
@@ -155,13 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run the built-in two-variable example")
     p_demo.add_argument("--lmax", type=_nonnegative_int, default=DEFAULT_LMAX)
     p_demo.add_argument("--out", default="demo_certificate.json")
-    p_demo.set_defaults(func=cmd_demo)
+    p_demo.set_defaults(func="cmd_demo")
 
     p_witness = sub.add_parser("witness", help="witness pack operations")
     w_sub = p_witness.add_subparsers(dest="witness_command", required=True)
     p_wcheck = w_sub.add_parser("check", help="validate a witness pack file")
     p_wcheck.add_argument("file")
-    p_wcheck.set_defaults(func=cmd_witness_check)
+    p_wcheck.set_defaults(func="cmd_witness_check")
 
     p_cert = sub.add_parser("cert", help="certificate operations")
     c_sub = p_cert.add_subparsers(dest="cert_command", required=True)
@@ -169,10 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cbuild.add_argument("file")
     p_cbuild.add_argument("--lmax", type=_nonnegative_int, default=DEFAULT_LMAX)
     p_cbuild.add_argument("--out", default="certificate.json")
-    p_cbuild.set_defaults(func=cmd_cert_build)
+    p_cbuild.set_defaults(func="cmd_cert_build")
     p_cverify = c_sub.add_parser("verify", help="re-verify a certificate file")
     p_cverify.add_argument("file")
-    p_cverify.set_defaults(func=cmd_cert_verify)
+    p_cverify.set_defaults(func="cmd_cert_verify")
 
     p_inv = sub.add_parser("invariants",
                            help="orbit-sum generators of a permutation-invariant ring")
@@ -181,15 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--degree", type=_nonnegative_int, required=True)
     p_inv.add_argument("--json", action="store_true",
                        help="emit the generator list as JSON")
-    p_inv.set_defaults(func=cmd_invariants)
+    p_inv.set_defaults(func="cmd_invariants")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Its `cmd_*` function is looked up by name at each
+    call, so that one replaced on this module after the parser was built
+    (a timing wrapper, a test's recorder) is the one that runs."""
+    args = build_parser().parse_args(argv)
     try:
-        rc = args.func(args)
+        rc = globals()[args.func](args)
         sys.stdout.flush()      # a closed pipe fails here, not at exit
         return rc
     except BrokenPipeError:

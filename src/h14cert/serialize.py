@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -73,50 +72,41 @@ def _all_ints(values) -> bool:
     return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
-def _terms_from_json(items: list, width: int, shape: str, where: str) -> dict:
-    """{exponent tuple: Fraction} from a JSON term list, checked as a
-    whole: each distinct coefficient is parsed once, and duplicates show
-    as a shorter dict.  Any irregularity reruns `_terms_by_item`, which
-    raises the first error in term order."""
-    if not items:
-        return {}
-    try:
-        es = [item["e"] for item in items]
-        cs = [item["c"] for item in items]
-    except (KeyError, TypeError):
-        return _terms_by_item(items, width, shape, where)
-    # str and int never compare equal, so each coefficient keys its own
-    # parse; a bool or float would share a key with an int
-    if (set(map(type, es)) == {list} and set(map(len, es)) == {width}
-            and set(map(type, chain.from_iterable(es))) <= {int}
-            and set(map(type, cs)) <= {str, int}):
-        try:
-            parsed = {c: frac_from_str(c) for c in set(cs)}
-        except FormatError:
-            pass
-        else:
-            terms = dict(zip(map(tuple, es), map(parsed.__getitem__, cs)))
-            if len(terms) == len(items):
-                return terms
+def _terms_from_json(items: list, width: int, shape: str, where: str, table: dict) -> dict:
+    """{exponent tuple: Fraction} from a JSON term list, read item by item;
+    `table` holds the Fraction of each str or int coefficient read so far
+    from the file (the type is tested first: a bool or a float would find
+    an equal int's entry).  Any irregularity reruns `_terms_by_item`."""
+    ints = (int,) * width
+    terms = {}
+    for item in items:
+        e, c = (item.get("e"), item.get("c")) if type(item) is dict else (None, None)
+        if type(e) is not list or tuple(map(type, e)) != ints or type(c) not in (str, int):
+            break
+        frac = table.get(c)
+        if frac is None:
+            try:
+                frac = table[c] = frac_from_str(c)
+            except FormatError:
+                break
+        terms[tuple(e)] = frac
+    else:
+        if len(terms) == len(items):    # else a duplicate exponent
+            return terms
     return _terms_by_item(items, width, shape, where)
 
 
 def _terms_by_item(items: list, width: int, shape: str, where: str) -> dict:
-    """The term-by-term reading of `_terms_from_json`: the messages and
-    their order are those of a field-by-field check."""
-    ints = (int,) * width
+    """The field-by-field reading of `_terms_from_json`, whose messages
+    and their order it gives."""
     terms = {}
     for i, item in enumerate(items):
-        e = item.get("e") if type(item) is dict else None
-        if type(e) is not list:
-            e = _get(item, "e", list, f"{where}.terms[{i}]")
-        key = tuple(e)
-        if tuple(map(type, key)) != ints:
-            _require(len(e) == width and _all_ints(e), f"{where}.terms[{i}].e: {shape}")
-        c = item["c"] if "c" in item else _get(item, "c", None, f"{where}.terms[{i}]")
-        c = frac_from_str(c)
-        _require(key not in terms, f"{where}.terms[{i}]: duplicate exponent {e}")
-        terms[key] = c
+        at = f"{where}.terms[{i}]"
+        e = _get(item, "e", list, at)
+        _require(len(e) == width and _all_ints(e), f"{at}.e: {shape}")
+        c = frac_from_str(_get(item, "c", None, at))
+        _require(tuple(e) not in terms, f"{at}: duplicate exponent {e}")
+        terms[tuple(e)] = c
     return terms
 
 
@@ -148,8 +138,8 @@ def _poly_from_terms(vars: VarSet, terms: dict, where: str) -> LaurentPoly:
     Laurent fails on the first such term in JSON order."""
     if not all(terms.values()):
         terms = {e: c for e, c in terms.items() if c}
-    strict = [pos for pos, flag in enumerate(vars.laurent) if not flag]
-    if terms and strict:
+    if terms and not all(vars.laurent) and min(map(min, terms)) < 0:
+        strict = [pos for pos, flag in enumerate(vars.laurent) if not flag]
         cols = list(zip(*terms))
         if min(min(cols[pos]) for pos in strict) < 0:
             e = next(e for e in terms if min(e[pos] for pos in strict) < 0)
@@ -159,18 +149,30 @@ def _poly_from_terms(vars: VarSet, terms: dict, where: str) -> LaurentPoly:
 
 
 def poly_from_json(obj: Any, where: str = "poly") -> LaurentPoly:
+    return _poly_from_json(obj, where, {})
+
+
+def _poly_from_json(obj: Any, where: str, table: dict) -> LaurentPoly:
+    """`poly_from_json` through `table`, which also holds each passed
+    ("vars", "laurent") pair's VarSet."""
     names = _get(obj, "vars", list, where)
-    _require(all(isinstance(n, str) for n in names), f"{where}.vars: names must be strings")
     flagged = obj.get("laurent", [])
-    _require(isinstance(flagged, list), f"{where}.laurent: expected a list")
-    _require(all(isinstance(n, str) for n in flagged), f"{where}.laurent: names must be strings")
-    _require(set(flagged) <= set(names), f"{where}.laurent: unknown variable name")
+    key = (tuple(names), tuple(flagged)) if isinstance(flagged, list) else None
     try:
-        vars = VarSet(tuple(names), tuple(n in flagged for n in names))
-    except VariableMismatch as exc:
-        raise FormatError(f"{where}: {exc}") from None
+        vars = table.get(key)
+    except TypeError:                   # an unhashable name, refused below
+        vars = None
+    if vars is None:
+        _require(all(isinstance(n, str) for n in names), f"{where}.vars: names must be strings")
+        _require(isinstance(flagged, list), f"{where}.laurent: expected a list")
+        _require(all(isinstance(n, str) for n in flagged), f"{where}.laurent: names must be strings")
+        _require(set(flagged) <= set(names), f"{where}.laurent: unknown variable name")
+        try:
+            vars = table[key] = VarSet(tuple(names), tuple(n in flagged for n in names))
+        except VariableMismatch as exc:
+            raise FormatError(f"{where}: {exc}") from None
     terms = _terms_from_json(_get(obj, "terms", list, where), len(names),
-                             f"expected {len(names)} integers", where)
+                             f"expected {len(names)} integers", where, table)
     return _poly_from_terms(vars, terms, where)
 
 
@@ -182,10 +184,14 @@ def unipoly_to_json(P: LaurentPoly) -> list:
 
 
 def unipoly_from_json(obj: Any, where: str = "unipoly") -> LaurentPoly:
+    return _unipoly_from_json(obj, where, {})
+
+
+def _unipoly_from_json(obj: Any, where: str, table: dict) -> LaurentPoly:
     """Pi from the list of its T-coefficients: a polynomial over T followed
     by the coefficients' variables."""
     _require(isinstance(obj, list), f"{where}: expected a list of coefficients")
-    coeffs = [poly_from_json(c, f"{where}[{i}]") for i, c in enumerate(obj)]
+    coeffs = [_poly_from_json(c, f"{where}[{i}]", table) for i, c in enumerate(obj)]
     if not coeffs:
         return LaurentPoly.zero(ANN_VARS)
     cvars = coeffs[0].vars
@@ -205,8 +211,12 @@ def fgpoly_to_json(p: LaurentPoly) -> dict:
 
 
 def fgpoly_from_json(obj: Any, where: str = "fgpoly") -> LaurentPoly:
+    return _fgpoly_from_json(obj, where, {})
+
+
+def _fgpoly_from_json(obj: Any, where: str, table: dict) -> LaurentPoly:
     terms = _terms_from_json(_get(obj, "terms", list, where), 3,
-                             "expected three integers", where)
+                             "expected three integers", where, table)
     return _poly_from_terms(FG_VARS, terms, where)
 
 
@@ -236,19 +246,21 @@ def pack_to_json(pack: WitnessPack) -> dict:
 
 
 def pack_from_json(obj: Any, where: str = "witness") -> WitnessPack:
-    n = _get(obj, "n", int, where)
-    gens = [poly_from_json(p, f"{where}.R_gens[{i}]")
-            for i, p in enumerate(_get(obj, "R_gens", list, where))]
+    return _pack_from_json(obj, where, {})
+
+
+def _pack_from_json(obj: Any, where: str, table: dict) -> WitnessPack:
     pack = WitnessPack(
-        n=n,
-        gens=gens,
-        f=poly_from_json(_get(obj, "f", dict, where), f"{where}.f"),
-        g=poly_from_json(_get(obj, "g", dict, where), f"{where}.g"),
+        n=_get(obj, "n", int, where),
+        gens=[_poly_from_json(p, f"{where}.R_gens[{i}]", table)
+              for i, p in enumerate(_get(obj, "R_gens", list, where))],
+        f=_poly_from_json(_get(obj, "f", dict, where), f"{where}.f", table),
+        g=_poly_from_json(_get(obj, "g", dict, where), f"{where}.g", table),
     )
     if "h" in obj:
-        pack.h = poly_from_json(obj["h"], f"{where}.h")
+        pack.h = _poly_from_json(obj["h"], f"{where}.h", table)
     if "Pi" in obj:
-        pack.ann = unipoly_from_json(obj["Pi"], f"{where}.Pi")
+        pack.ann = _unipoly_from_json(obj["Pi"], f"{where}.Pi", table)
     if "t" in obj:
         t = obj["t"]
         _require(isinstance(t, list) and _all_ints(t),
@@ -257,9 +269,9 @@ def pack_from_json(obj: Any, where: str = "witness") -> WitnessPack:
     if "e" in obj:
         pack.clearing = _get(obj, "e", int, where)
     if "f_expr" in obj:
-        pack.f_expr = poly_from_json(obj["f_expr"], f"{where}.f_expr")
+        pack.f_expr = _poly_from_json(obj["f_expr"], f"{where}.f_expr", table)
     if "g_expr" in obj:
-        pack.g_expr = poly_from_json(obj["g_expr"], f"{where}.g_expr")
+        pack.g_expr = _poly_from_json(obj["g_expr"], f"{where}.g_expr", table)
     return pack
 
 
@@ -294,20 +306,22 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 def certificate_from_json(obj: Any, where: str = "certificate") -> Certificate:
     """The certificate without its stored "report", which is not read:
-    `verify_certificate` recomputes every line."""
-    pack = pack_from_json(_get(obj, "witness", dict, where), f"{where}.witness")
+    `verify_certificate` recomputes every line.  The pack and every entry
+    are read through one table of `_terms_from_json`."""
+    table: dict = {}
+    pack = _pack_from_json(_get(obj, "witness", dict, where), f"{where}.witness", table)
     entries = []
     for i, item in enumerate(_get(obj, "entries", list, where)):
         entries.append(CertEntry(
             l=_get(item, "l", int, f"{where}.entries[{i}]"),
-            tails=[fgpoly_from_json(t, f"{where}.entries[{i}].fvec[{j}]")
+            tails=[_fgpoly_from_json(t, f"{where}.entries[{i}].fvec[{j}]", table)
                    for j, t in enumerate(_get(item, "fvec", list, f"{where}.entries[{i}]"))],
-            q=poly_from_json(_get(item, "q", dict, f"{where}.entries[{i}]"),
-                             f"{where}.entries[{i}].q"),
+            q=_poly_from_json(_get(item, "q", dict, f"{where}.entries[{i}]"),
+                              f"{where}.entries[{i}].q", table),
         ))
     return Certificate(
         pack=pack,
-        rel=poly_from_json(_get(obj, "pi", dict, where), f"{where}.pi"),
+        rel=_poly_from_json(_get(obj, "pi", dict, where), f"{where}.pi", table),
         d=_get(obj, "d", int, where),
         clearing=_get(obj, "e", int, where),
         entries=entries,

@@ -4,12 +4,14 @@ for every subcommand, driven in-process through main()."""
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr
 
 import pytest
 
@@ -36,6 +38,7 @@ from h14cert import (
     write_json_file,
     x_vars,
 )
+from h14cert import cli
 from h14cert.cli import main
 
 SWAP = PermGroupSpec(n=2, generators=((2, 1),))
@@ -215,6 +218,42 @@ def test_console_script_usage_error_exits_3():
     assert proc.returncode == 3
     assert "usage: h14cert demo" in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_dispatch_finds_a_command_replaced_after_the_first_call(tmp_path, capsys,
+                                                                monkeypatch):
+    """The parser outlives a call, but each call looks its command up on
+    the module, so a function put there later (a tracing wrapper, say) runs."""
+    path = write_demo_pack(tmp_path / "pack.json")
+    assert main(["witness", "check", str(path)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_witness_check", lambda args: seen.append(args.file) or 0)
+    assert main(["witness", "check", str(path)]) == 0
+    assert seen == [str(path)]
+    assert capsys.readouterr().out.count("result: PASS") == 1
+
+
+def test_usage_error_then_a_command_in_one_process(tmp_path, capsys):
+    """A usage error leaves nothing behind in the kept parser: a valid
+    command after it prints and exits as in a fresh process, and each
+    usage text goes to the standard error of its own call."""
+    path = write_demo_pack(tmp_path / "pack.json")
+    bad, good = ["witness", "check"], ["witness", "check", str(path)]
+    fresh = [subprocess.run([sys.executable, "-m", "h14cert.cli", *argv],
+                            capture_output=True, text=True, env=child_env(), timeout=30)
+             for argv in (bad, good)]
+    assert [proc.returncode for proc in fresh] == [3, 0]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert (exc.value.code, capsys.readouterr()) == (3, ("", fresh[0].stderr))
+        assert main(good) == 0
+        assert capsys.readouterr() == (fresh[1].stdout, "")
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit):
+        main(bad)
+    assert err.getvalue() == fresh[0].stderr
+    assert capsys.readouterr() == ("", "")
 
 
 def test_witness_check_passes(tmp_path, capsys):

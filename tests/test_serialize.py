@@ -199,15 +199,15 @@ def term_mutations(rng, items):
         out = fresh(); out[2]["e"] = list(out[0]["e"]); yield out
 
 
-def read_terms(reader, items, width):
+def read_terms(reader, items, width, *table):
     try:
-        return reader(items, width, f"expected {width} integers", "poly")
+        return reader(items, width, f"expected {width} integers", "poly", *table)
     except FormatError as exc:
         return exc
 
 
 def test_batch_term_reader_matches_term_by_term(monkeypatch):
-    """The batch reader returns the term-by-term reading or its exact
+    """The table reader returns the term-by-term reading or its exact
     error, and hands to the term-by-term loop only input that raises."""
     reference = serialize._terms_by_item
     handed = []
@@ -223,7 +223,7 @@ def test_batch_term_reader_matches_term_by_term(monkeypatch):
         for k, case in enumerate([items, *term_mutations(rng, items)]):
             handed.clear()
             want = read_terms(reference, case, width)
-            got = read_terms(serialize._terms_from_json, case, width)
+            got = read_terms(serialize._terms_from_json, case, width, {})
             if isinstance(want, FormatError):
                 assert isinstance(got, FormatError), case
                 assert str(got) == str(want), case
@@ -236,8 +236,44 @@ def test_batch_term_reader_matches_term_by_term(monkeypatch):
                 assert isinstance(got, FormatError), case
     assert valid_mutants > 300
     handed.clear()
-    assert read_terms(serialize._terms_from_json, [], 2) == {}
+    assert read_terms(serialize._terms_from_json, [], 2, {}) == {}
     assert not handed
+
+
+@pytest.mark.parametrize("later", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("where", ["same-list", "later-generator"])
+def test_a_read_int_lets_no_equal_bool_or_float_through(later, where):
+    """True and 1.0 hash and compare equal to the int 1, so the table of
+    coefficients read from a file must not answer for them."""
+    obj = pack_to_json(invariant_witness_pack(SWAP))
+    obj["R_gens"][0]["terms"][0]["c"] = 1
+    gen, term = (0, 1) if where == "same-list" else (1, 0)
+    obj["R_gens"][gen]["terms"][term]["c"] = later
+    with pytest.raises(FormatError) as err:
+        pack_from_json(obj)
+    assert str(err.value) == f"rational must be a string or int, got {type(later).__name__}"
+
+
+@pytest.mark.parametrize("laurent, message", [
+    ({"x1": True}, "expected a list"),          # iterates as ["x1"] does
+    ("x1", "expected a list"),
+    (["x1", "zz"], "unknown variable name"),
+    ([["x1"]], "names must be strings"),        # not hashable
+])
+def test_a_stored_header_does_not_pass_a_bad_laurent(laurent, message):
+    """Each ("vars", "laurent") pair is checked once per file, but a later
+    polynomial with the same "vars" and a bad "laurent" gets its own message."""
+    obj = pack_to_json(invariant_witness_pack(SWAP))
+    gens = obj["R_gens"]
+    assert (gens[1]["vars"], gens[1]["laurent"]) == (gens[0]["vars"], ["x1"])
+    gens[1]["laurent"] = laurent
+    with pytest.raises(FormatError) as err:
+        pack_from_json(obj)
+    assert str(err.value) == f"witness.R_gens[1].laurent: {message}"
+    gens[1]["vars"] = [["x1"], "x2"]
+    with pytest.raises(FormatError) as err:
+        pack_from_json(obj)
+    assert str(err.value) == "witness.R_gens[1].vars: names must be strings"
 
 
 def test_unipoly_roundtrip():
