@@ -179,8 +179,8 @@ class LaurentPoly:
         return min(chain.from_iterable(self.terms), default=0) >= 0
 
     def terms_sorted(self) -> list[tuple[Expo, Fraction]]:
-        """Terms in the canonical order: lexicographically descending."""
-        return sorted(self.terms.items(), reverse=True)
+        """Terms in lexicographically descending order (keys sorted alone: int-tuple compares)."""
+        return [(e, self.terms[e]) for e in sorted(self.terms, reverse=True)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -396,15 +396,10 @@ class LaurentPoly:
         actually occurring; exponents are validated against the target."""
         if target == self.vars:
             return self
-        used = [False] * len(self.vars)
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used[i] = True
         pos = {
             name: target.index(name)
             for i, name in enumerate(self.vars.names)
-            if used[i] or name in target.names
+            if name in target.names or any(e[i] for e in self.terms)
         }
         width = len(target)
         out: dict[Expo, Fraction] = {}

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import countOf, itemgetter, mul
 
 from .algebra import LaurentPoly, VarSet, coeffs_in, xz_vars
 from .errors import ConstructionFailure, VariableMismatch, WitnessInvalid
@@ -293,7 +293,7 @@ def verify_certificate(cert: Certificate) -> Report:
 
 def _appell_blocks(tails: list[LaurentPoly], rw: Resolved) -> list[dict]:
     """The blocks B_j = twist(rel^e * sum_m F_(j-m) * h^m / m!), each as a
-    map from twisted x-exponents to coefficients, for j = 0..len(tails).
+    map from twisted x-exponents to c.as_integer_ratio(), for j = 0..len(tails).
 
     The members satisfy q_l = sum_k B_(l-k) * z^k / k!.  Everything here is
     over x1..xn and apart from the builder: F_j (F_0 = 1) lies in k[f, g]
@@ -325,20 +325,20 @@ def _appell_blocks(tails: list[LaurentPoly], rw: Resolved) -> list[dict]:
         for m in range(j + 1):
             pulled = pulled + values[j - m] * hpow[m]
         blocks.append({
-            (sum(map(mul, weights, e[1:])) - e[0],) + e[1:]: c
+            (sum(map(mul, weights, e[1:])) - e[0],) + e[1:]: c.as_integer_ratio()
             for e, c in (rel_e * pulled).terms.items()
         })
     return blocks
 
 
 def _block_matches(got: dict, block: dict, scale: int) -> bool:
-    """True iff the z-free block `got` equals block / scale, coefficients
-    compared by integer cross-multiplication."""
+    """True iff the z-free block `got` equals block / scale, each a map from
+    exponents to (numerator, denominator), by integer cross-multiplication."""
     if len(got) != len(block):
         return False
-    for e, c in got.items():
+    for e, (n, d) in got.items():
         b = block.get(e)
-        if b is None or c.numerator * scale * b.denominator != b.numerator * c.denominator:
+        if b is None or n * scale * b[1] != b[0] * d:
             return False
     return True
 
@@ -388,22 +388,21 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
     run = next((i for i, t in enumerate(tails) if not is_fg(t)), len(tails))
     blocks = _appell_blocks(tails[:run], resolved)
     fact = _factorials(max(len(cert.entries), 1))
+    vars = xz_vars(resolved.n)
+    zero, x2_xn = (0,) * len(vars), itemgetter(slice(1, -1))
     for entry in cert.entries:
         l = entry.l
         tag = f"member-{l}"
         rep.add(f"{tag}-tails-in-fg", l <= run, "tail coefficients lie in k[f, g]")
-        # one pass over the stored terms: group them into z^k blocks (z is
-        # the last variable), and test for a negative exponent and for a
-        # non-constant term of the axis image (the terms free of x2..xn)
-        same_vars = poly_ok = entry.q.vars == xz_vars(resolved.n)
-        axis_ok, by_z = True, {}
-        for e, c in entry.q.terms.items() if same_vars else ():
-            x = e[:-1]
-            by_z.setdefault(e[-1], {})[x] = c
-            if min(e) < 0:
-                poly_ok = False
-            if not any(x[1:]) and any(e):
-                axis_ok = False
+        # the stored terms as (numerator, denominator) in z^k blocks (z is the
+        # last variable); the axis image (terms free of x2..xn) is a constant
+        same_vars = entry.q.vars == vars
+        terms = entry.q.terms if same_vars else {}
+        by_z = {}
+        for e, c in terms.items():
+            by_z.setdefault(e[-1], {})[e[:-1]] = c.as_integer_ratio()
+        poly_ok = same_vars and entry.q.is_polynomial()
+        axis_ok = countOf(map(x2_xn, terms), x2_xn(zero)) == (zero in terms)
         # the z^l block of l! * q_l is B_0 = twist(rel^e), the relation power
         lead_ok = _block_matches(by_z.get(l, {}), blocks[0], fact[l])
         rep.add(f"{tag}-recomputed",

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from typing import Any
 
 from .algebra import LaurentPoly, VarSet, coeffs_in
@@ -114,14 +116,12 @@ def _terms_by_item(items: list, width: int, shape: str, where: str) -> dict:
 
 
 class _Terms(list):
-    """A term list made by `_terms_to_json`, written from one item template."""
+    """A term list made by `_terms_to_json`, written from one `%` template."""
 
 
-def _terms_to_json(p: LaurentPoly) -> list:
-    """The "terms" of `p`, coefficients as `str(Fraction)`.  In no variable
-    the exponents are empty, which the template does not write."""
-    terms = [{"e": list(e), "c": str(c)} for e, c in p.terms_sorted()]
-    return _Terms(terms) if p.vars.names else terms
+def _terms_to_json(p: LaurentPoly) -> _Terms:
+    """The "terms" of `p`, coefficients as `str(Fraction)`."""
+    return _Terms([{"e": list(e), "c": str(c)} for e, c in p.terms_sorted()])
 
 
 def poly_to_json(p: LaurentPoly) -> dict:
@@ -352,8 +352,8 @@ def dumps(obj: Any) -> str:
     `json.dumps(obj, indent=2) + "\\n"`, written in one pass.  Values are
     dicts with string keys, lists, strings, ints, bools and None; anything
     else raises TypeError.  A term list made by the codec is written from
-    one item template, which holds only if the list is written as it was
-    made; every other list takes the generic path."""
+    one `%` template if its exponents are exact ints of one width (see
+    `_write_terms`); every other list takes the generic path."""
     parts: list[str] = []
     _write(obj, "\n", parts.append)
     parts.append("\n")
@@ -377,8 +377,7 @@ def _write(o: Any, nl: str, out) -> None:
         if not o:
             out("[]")
             return
-        if type(o) is _Terms:
-            _write_terms(o, nl, out)
+        if type(o) is _Terms and _write_terms(o, nl, out):
             return
         inner = nl + "  "
         if all(type(v) is int for v in o):
@@ -407,20 +406,27 @@ def _write(o: Any, nl: str, out) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write_terms(o: _Terms, nl: str, out) -> None:
-    """Write a term list made by the codec, every item `{"e": [int, ...],
-    "c": str}` with `e` not empty, from one item template."""
-    inner = nl + "  "
-    inner2 = inner + "  "
-    inner3 = inner2 + "  "
-    head = "{" + inner2 + '"e": [' + inner3
-    esep = "," + inner3
-    mid = inner2 + "]," + inner2 + '"c": '
-    tail = inner + "}"
-    out("[" + inner + ("," + inner).join([
-        head + esep.join(map(int.__repr__, v["e"])) + mid + _encode_str(v["c"]) + tail
-        for v in o
-    ]) + nl + "]")
+def _write_terms(o: _Terms, nl: str, out) -> bool:
+    """Write a codec-made term list from one `%` template, a `%d` per exponent
+    and a `%s` for the coefficient, and return True; its items must keep the
+    keys "e" then "c", each "e" a list.  Every exponent must be an exact int
+    (`%d` writes a bool as 1), every "e" of the first one's width, at least 1,
+    and every "c" a str, or nothing is written and False is returned."""
+    try:
+        es = list(map(itemgetter("e"), o))
+        width = len(es[0])
+        if not width or {*map(type, chain.from_iterable(es))} != {int}:
+            return False
+        inner = nl + "  "
+        inner2, inner3 = inner + "  ", inner + "    "
+        item = ("{" + inner2 + '"e": [' + inner3 + ("," + inner3).join(["%d"] * width)
+                + inner2 + "]," + inner2 + '"c": %s' + inner + "}")
+        text = ("," + inner).join([item % (*e, _encode_str(c))
+                                   for e, c in zip(es, map(itemgetter("c"), o))])
+    except (KeyError, TypeError):
+        return False
+    out("[" + inner + text + nl + "]")
+    return True
 
 
 def decode_json(text: str | bytes, source: str) -> Any:

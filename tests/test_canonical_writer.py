@@ -123,10 +123,45 @@ def test_term_lists_match_stdlib():
     for item, c in zip(special["terms"], (SPECIAL_CHARS, "\u00e9", "\ud800")):
         item["c"] = c
     made.append(special)
-    # in no variable the exponents are empty: a plain list
+    # in no variable the exponents are empty, which the template declines
     const = poly_to_json(LaurentPoly.const(VarSet((), ()), 3))
-    assert type(const["terms"]) is list
+    assert type(const["terms"]) is _Terms
     made.append(const)
+    # a codec-made list changed as criterion 7 changes one: an exponent
+    # made negative or past 64 bits, an item inserted or popped; and
+    # changed past the template: a bool exponent (written `true`), an
+    # exponent list of another width, a coefficient that is not a str, an
+    # item without a key or not a dict
+    changes = [
+        lambda t: t[0]["e"].__setitem__(1, -5),
+        lambda t: t[1]["e"].__setitem__(0, 2 ** 70),
+        lambda t: t.insert(1, {"e": [7, 0, 2], "c": "-1/9"}),
+        lambda t: t.append({"e": [0, 0, 0], "c": "4"}),
+        lambda t: t.pop(0),
+        lambda t: t.pop(),
+        lambda t: t[0]["e"].__setitem__(1, True),
+        lambda t: t[-1]["e"].__setitem__(2, False),
+        lambda t: t[1]["e"].append(4),
+        lambda t: t[0]["e"].pop(),
+        lambda t: t.append({"e": [1, 2], "c": "1"}),
+        lambda t: t[2].__setitem__("c", 3),
+        lambda t: t[1].pop("c"),
+        lambda t: t.insert(0, [[1, 2, 3], "1"]),
+        lambda t: t.append(None),
+    ]
+    for change in changes:
+        obj = poly_to_json(poly)
+        change(obj["terms"])
+        assert type(obj["terms"]) is _Terms
+        made.append(obj)
+    for bad in (0.5, 2.0):
+        obj = poly_to_json(poly)
+        obj["terms"][1]["e"][0] = bad
+        try:
+            dumps(obj)
+        except TypeError:
+            continue
+        raise AssertionError(f"dumps wrote the exponent {bad!r}")
     good = [dict(item) for item in special["terms"]]
     misses = [
         {"c": "1", "e": [1]}, {"e": [1], "c": "1", "d": "1"}, {"e": [], "c": "1"},
