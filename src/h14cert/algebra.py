@@ -7,10 +7,9 @@ are immutable by convention (operations return fresh objects), coefficients
 are `fractions.Fraction`, and equality is exact equality of term maps.
 No floating point appears anywhere in this package.
 
-The product packs each exponent tuple into one int, less the operand's
-minima, with a bit field per variable sized per product to hold the sum
-of the two operands' spans: adding two keys never carries from one field
-into the next, so the int sum is exactly the packed exponent sum.
+Every product of two multi-term operands is one packed convolution over
+integer numerators, `_convolve`: `__mul__` makes a Fraction per term, and
+`mul_numerators` keeps the integers, for callers that cross-multiply.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, lshift, sub
 from typing import Mapping, Sequence
 
@@ -242,35 +241,15 @@ class LaurentPoly:
                 many = {e: Fraction(c.numerator * n0, c.denominator * d0)
                         for e, c in many.items()}
             return LaurentPoly(self.vars, many, _clean=False)
-        # Each operand is packed less its own minima, variable i in a field
-        # of (span_a + span_b).bit_length() bits (span: max - min exponent of
-        # i); sized per product, a field holds any sum, so nothing carries
-        # across fields.  Keys are unbounded ints, not 64-bit words.  Each
-        # distinct sum is unpacked once, with one Fraction.
-        lo_a, lo_b = list(map(min, *a)), list(map(min, *b))
-        shifts, fields, at = [], [], 0
-        for lo, hi in zip(map(add, lo_a, lo_b), map(add, map(max, *a), map(max, *b))):
-            bits = (hi - lo).bit_length()
-            shifts.append(at)
-            fields.append((at, (1 << bits) - 1, lo))
-            at += bits
-        base_a, base_b = sum(map(lshift, lo_a, shifts)), sum(map(lshift, lo_b, shifts))
-        da = math.lcm(*(c.denominator for c in a.values()))
-        db = math.lcm(*(c.denominator for c in b.values()))
-        ia = [(sum(map(lshift, e, shifts)) - base_a, c.numerator * (da // c.denominator))
-              for e, c in a.items()]
-        ib = [(sum(map(lshift, e, shifts)) - base_b, c.numerator * (db // c.denominator))
-              for e, c in b.items()]
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in ia:
-            for k2, c2 in ib:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        scale = da * db
-        terms = {tuple([(k >> s & m) + lo for s, m, lo in fields]): Fraction(v, scale)
-                 for k, v in out.items() if v}
-        return LaurentPoly(self.vars, terms, _clean=False)
+        exps, nums, den = _convolve(a, b)
+        return LaurentPoly(self.vars, dict(zip(exps, map(Fraction, nums, repeat(den)))),
+                           _clean=False)
+
+    def mul_numerators(self, other: "LaurentPoly") -> tuple[dict[Expo, int], int]:
+        """self * other as ({exponent: numerator}, denominator), no Fraction made."""
+        a, b = self.terms, self._coerce(other).terms
+        exps, nums, den = _convolve(a, b) if a and b else ((), (), 1)
+        return dict(zip(exps, nums)), den
 
     __rmul__ = __mul__
 
@@ -440,6 +419,38 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {self}>"
+
+
+def _convolve(a: dict[Expo, Fraction], b: dict[Expo, Fraction]) -> tuple:
+    """The product of two nonempty term maps as (exponents, nonzero
+    numerators, denominator).  Each exponent tuple is packed into one int,
+    less its operand's minima, variable i in a field of (span_a + span_b).
+    bit_length() bits (span: max - min exponent of i): a field holds any
+    sum, so no key sum carries across fields.  Keys are unbounded ints."""
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lo_a, lo_b = list(map(min, cols_a)), list(map(min, cols_b))
+    shifts, fields, at = [], [], 0
+    for lo, hi in zip(map(add, lo_a, lo_b), map(add, map(max, cols_a), map(max, cols_b))):
+        bits = (hi - lo).bit_length()
+        shifts.append(at)
+        fields.append((at, (1 << bits) - 1, lo))
+        at += bits
+    base_a, base_b = sum(map(lshift, lo_a, shifts)), sum(map(lshift, lo_b, shifts))
+    da = math.lcm(*(c.denominator for c in a.values()))
+    db = math.lcm(*(c.denominator for c in b.values()))
+    ia = [(sum(map(lshift, e, shifts)) - base_a, c.numerator * (da // c.denominator))
+          for e, c in a.items()]
+    ib = [(sum(map(lshift, e, shifts)) - base_b, c.numerator * (db // c.denominator))
+          for e, c in b.items()]
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in ia:
+        for k2, c2 in ib:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    keys = [k for k, v in out.items() if v]
+    cols = [[(k >> s & m) + lo for k in keys] for s, m, lo in fields]   # unpacked by column
+    return zip(*cols) if cols else [()] * len(keys), [v for v in out.values() if v], da * db
 
 
 def _exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

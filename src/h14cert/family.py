@@ -158,20 +158,18 @@ def tail_coefficients(l_max: int, rw: Resolved) -> list[LaurentPoly]:
 
 
 def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> LaurentPoly:
-    """q_l = theta(P_l(z)) assembled from z-free blocks; no validity checks.
+    """q_l = theta(P_l(z)) as one kernel product; no validity checks.
 
     With theta = `inversion_map(t, h)`, c_j = theta(rel^e * f_j) (f_0 = 1)
     and theta(z) = z + s, q_l = sum_i c_{l-i} * (z + s)^i / i!.  Expanding
     (z + s)^i regroups it as q_l = sum_k r_{l-k} * z^k / k!, where the block
     r_j = sum_m c_{j-m} * s^m / m! does not depend on l.  theta is a ring
     map, s = theta(h), and on z-free data theta is rw.twist, so
-    r_j = twist(rel^e * sum_m f_{j-m} * h^m / m!), all over x1..xn: each
-    block costs one product with rel^e and one twist.  The blocks r_0..r_l
-    are made in one pass, realizing each tail by substitution; z enters
-    only as q_l is laid out over x1..xn, z, with r_{l-k} / k! at z-degree
-    k: no product with z, and nothing to cancel.  Since the blocks do not
-    depend on l, the lower members are derivatives, q_{l-1} = d/dz q_l, and
-    `build_certificate` assembles only q_{l_max}.
+    r_j = twist(rel^e) * twist(P_j) with P_j = sum_m f_{j-m} * h^m / m!.
+    The P_j are made in one pass, realizing each tail by substitution, and
+    q_l = twist(rel^e) * sum_j twist(P_j) * z^(l-j) / (l-j)! is one product.
+    Since the blocks do not depend on l, the lower members are derivatives,
+    q_{l-1} = d/dz q_l, and `build_certificate` assembles only q_{l_max}.
 
     Only the builder assembles members.  `verify_certificate` checks each
     stored member against `_appell_blocks`, which realizes the tails from
@@ -179,24 +177,22 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     so a fault here, or in the derivatives, fails the build's verification
     instead of confirming itself.
     """
-    vars = rw.twist.vars
-    fact = _factorials(max(l, 1))
-    rel_e = rw.rel ** rw.clearing
+    vars, twist = rw.twist.vars, rw.twist.apply
+    fact = _factorials(l)
     images = {"f": rw.f, "rel": rw.rel, "g": rw.g}
     plain = [fj.subst(images) for fj in [LaurentPoly.one(FG_VARS), *tails[:l]]]
     hpow = [LaurentPoly.one(vars)]                     # h^m / m!
-    terms: dict = {}
+    laid: dict = {}
     for j in range(l + 1):
         if j:
             hpow.append(hpow[-1] * rw.h * Fraction(1, j))
         pulled = LaurentPoly.zero(vars)
         for m in range(j + 1):
             pulled = pulled + plain[j - m] * hpow[m]
-        k = l - j
-        fk = fact[k]
-        for e, c in rw.twist.apply(rel_e * pulled).terms.items():
-            terms[e + (k,)] = Fraction(c.numerator, c.denominator * fk) if k > 1 else c
-    return LaurentPoly(xz_vars(rw.n), terms, _clean=False)
+        laid.update({e + (l - j,): c for e, c in twist(pulled / fact[l - j]).terms.items()})
+    vz = xz_vars(rw.n)
+    lead = {e + (0,): c for e, c in twist(rw.rel ** rw.clearing).terms.items()}
+    return LaurentPoly(vz, lead, _clean=False) * LaurentPoly(vz, laid, _clean=False)
 
 
 def witness_poly(l: int, rw: Resolved, tails: list[LaurentPoly]) -> LaurentPoly:
@@ -291,23 +287,26 @@ def verify_certificate(cert: Certificate) -> Report:
     return _verify_resolved(cert, resolved, pack_rep)
 
 
-def _appell_blocks(tails: list[LaurentPoly], rw: Resolved) -> list[dict]:
-    """The blocks B_j = twist(rel^e * sum_m F_(j-m) * h^m / m!), each as a
-    map from twisted x-exponents to c.as_integer_ratio(), for j = 0..len(tails).
+def _appell_blocks(tails: list[LaurentPoly], rw: Resolved) -> tuple[list[dict], int]:
+    """The blocks B_j = twist(rel^e * sum_m F_(j-m) * h^m / m!) for j = 0..
+    len(tails), as maps from twisted x-exponents to integer numerators, and
+    their common denominator.
 
     The members satisfy q_l = sum_k B_(l-k) * z^k / k!.  Everything here is
     over x1..xn and apart from the builder: F_j (F_0 = 1) lies in k[f, g]
     and is realized from power lists of f and g made for this call, h is
     the pack's own h (so no shift is twisted), and the twist of a z-free
-    block is the exponent map x1 -> 1/x1, xi -> x1^(t_i) * xi read off the
-    weights."""
+    polynomial is the exponent map x1 -> 1/x1, xi -> x1^(t_i) * xi read off
+    the weights: additive, so all blocks are one `mul_numerators` of twisted
+    rel^e by the twisted sums, laid out along a marker variable at j."""
     vars, weights = rw.f.vars, rw.weights
+    def twist(e):
+        return (sum(map(mul, weights, e[1:])) - e[0],) + e[1:]
     bases = (rw.f, rw.g)
     pows = [[LaurentPoly.one(vars)] for _ in bases]
-    rel_e = rw.rel ** rw.clearing
     hpow = [LaurentPoly.one(vars)]                     # h^m / m!
     values: list[LaurentPoly] = []
-    blocks: list[dict] = []
+    laid: dict = {}
     for j, fj in enumerate([LaurentPoly.one(FG_VARS), *tails]):
         value = LaurentPoly.zero(vars)
         for (a, _, m), c in fj.terms.items():
@@ -324,21 +323,25 @@ def _appell_blocks(tails: list[LaurentPoly], rw: Resolved) -> list[dict]:
         pulled = LaurentPoly.zero(vars)
         for m in range(j + 1):
             pulled = pulled + values[j - m] * hpow[m]
-        blocks.append({
-            (sum(map(mul, weights, e[1:])) - e[0],) + e[1:]: c.as_integer_ratio()
-            for e, c in (rel_e * pulled).terms.items()
-        })
-    return blocks
+        laid.update({twist(e) + (j,): c for e, c in pulled.terms.items()})
+    marked = VarSet(vars.names + ("j",), vars.laurent + (False,))
+    lead = {twist(e) + (0,): c for e, c in (rw.rel ** rw.clearing).terms.items()}
+    num, den = LaurentPoly(marked, lead, _clean=False).mul_numerators(
+        LaurentPoly(marked, laid, _clean=False))
+    blocks: list[dict] = [{} for _ in values]
+    for e, v in num.items():
+        blocks[e[-1]][e[:-1]] = v
+    return blocks, den
 
 
 def _block_matches(got: dict, block: dict, scale: int) -> bool:
-    """True iff the z-free block `got` equals block / scale, each a map from
-    exponents to (numerator, denominator), by integer cross-multiplication."""
+    """True iff the z-free block `got`, exponents to (numerator, denominator),
+    equals block / scale, exponents to numerators, by cross-multiplication."""
     if len(got) != len(block):
         return False
     for e, (n, d) in got.items():
-        b = block.get(e)
-        if b is None or n * scale * b[1] != b[0] * d:
+        v = block.get(e)
+        if v is None or n * scale != v * d:
             return False
     return True
 
@@ -386,7 +389,7 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
         return rep
 
     run = next((i for i, t in enumerate(tails) if not is_fg(t)), len(tails))
-    blocks = _appell_blocks(tails[:run], resolved)
+    blocks, den = _appell_blocks(tails[:run], resolved)
     fact = _factorials(max(len(cert.entries), 1))
     vars = xz_vars(resolved.n)
     zero, x2_xn = (0,) * len(vars), itemgetter(slice(1, -1))
@@ -404,10 +407,10 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
         poly_ok = same_vars and entry.q.is_polynomial()
         axis_ok = countOf(map(x2_xn, terms), x2_xn(zero)) == (zero in terms)
         # the z^l block of l! * q_l is B_0 = twist(rel^e), the relation power
-        lead_ok = _block_matches(by_z.get(l, {}), blocks[0], fact[l])
+        lead_ok = _block_matches(by_z.get(l, {}), blocks[0], den * fact[l])
         rep.add(f"{tag}-recomputed",
                 l <= run and same_vars and lead_ok and by_z.keys() <= set(range(l + 1))
-                and all(_block_matches(by_z.get(k, {}), blocks[l - k], fact[k])
+                and all(_block_matches(by_z.get(k, {}), blocks[l - k], den * fact[k])
                         for k in range(l)),
                 "stored member equals the recomputed twist image")
         rep.add(f"{tag}-polynomial", poly_ok, "member lies in k[x1..xn, z]")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
@@ -407,7 +408,7 @@ def _write(o: Any, nl: str, out) -> None:
 
 
 def _write_terms(o: _Terms, nl: str, out) -> bool:
-    """Write a codec-made term list from one `%` template, a `%d` per exponent
+    """Write a codec-made term list from `_item_template`, a `%d` per exponent
     and a `%s` for the coefficient, and return True; its items must keep the
     keys "e" then "c", each "e" a list.  Every exponent must be an exact int
     (`%d` writes a bool as 1), every "e" of the first one's width, at least 1,
@@ -417,16 +418,21 @@ def _write_terms(o: _Terms, nl: str, out) -> bool:
         width = len(es[0])
         if not width or {*map(type, chain.from_iterable(es))} != {int}:
             return False
-        inner = nl + "  "
-        inner2, inner3 = inner + "  ", inner + "    "
-        item = ("{" + inner2 + '"e": [' + inner3 + ("," + inner3).join(["%d"] * width)
-                + inner2 + "]," + inner2 + '"c": %s' + inner + "}")
+        item, inner = _item_template(nl, width), nl + "  "
         text = ("," + inner).join([item % (*e, _encode_str(c))
                                    for e, c in zip(es, map(itemgetter("c"), o))])
     except (KeyError, TypeError):
         return False
     out("[" + inner + text + nl + "]")
     return True
+
+
+@cache
+def _item_template(nl: str, width: int) -> str:
+    """The `%` template of a term item of `width` exponents after `nl`."""
+    inner2, inner3 = nl + "    ", nl + "      "
+    return ("{" + inner2 + '"e": [' + inner3 + ("," + inner3).join(["%d"] * width)
+            + inner2 + "]," + inner2 + '"c": %s' + nl + "  }")
 
 
 def decode_json(text: str | bytes, source: str) -> Any:

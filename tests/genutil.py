@@ -164,11 +164,10 @@ def reference_determinant(matrix, vars):
 # -- orbit sums by one substitution per orbit ------------------------------
 
 
-def benchmark_workloads():
-    """The module perfbench/workloads.py: the benchmark's groups, workloads
-    and pack writer."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def perfbench_module(name):
+    """The module perfbench/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -176,6 +175,12 @@ def benchmark_workloads():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def benchmark_workloads():
+    """The module perfbench/workloads.py: the benchmark's groups, workloads
+    and pack writer."""
+    return perfbench_module("workloads")
 
 
 def benchmark_groups():

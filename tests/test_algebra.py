@@ -227,6 +227,42 @@ def test_packed_product_matches_per_pair_reference():
     assert cancelled > 100 and wide > 40
 
 
+def test_mul_numerators_matches_the_product():
+    """`mul_numerators` gives the product's terms as integer numerators over
+    one denominator: the exponent set of `*`, Fraction(v, den) equal to its
+    coefficient, and no zero numerator.  Widths 1-6 with random Laurent
+    flags and negative exponents on the Laurent slots, a one-term or zero
+    operand on either side, denominators above 2**64, and cross terms that
+    cancel."""
+    rng = random.Random(1642)
+    shapes = ("many", "many", "one term", "zero")
+    seen = dict.fromkeys(("one term", "negative", "wide", "cancelled"), 0)
+    for trial in range(600):
+        vars = random_varset(rng, 1 + trial % 6)
+        a = random_operand(rng, vars, rng.choice(shapes), 1)
+        b = random_operand(rng, vars, rng.choice(shapes), 1)
+        if trial % 3 == 0:
+            a = a * Fraction(1, 2 ** 64 + 13)
+        for p, q in [(a, b), (b, a), (a + b, a - b)]:      # the last: a^2 - b^2
+            num, den = p.mul_numerators(q)
+            want = p * q
+            assert num.keys() == want.terms.keys()
+            assert all(num.values())
+            assert all(Fraction(v, den) == want.terms[e] for e, v in num.items())
+            seen["one term"] += 1 in (len(p.terms), len(q.terms))
+            seen["negative"] += min(map(min, num), default=0) < 0
+            seen["wide"] += den > 2 ** 64
+        sums = {tuple(map(operator.add, e1, e2))
+                for e1 in (a + b).terms for e2 in (a - b).terms}
+        seen["cancelled"] += len(num) < len(sums)
+    assert min(seen.values()) > 100, seen
+    assert X1.mul_numerators(LaurentPoly.zero(V2)) == ({}, 1)
+    point = LaurentPoly.const(VarSet((), ()), Fraction(2, 3))      # no variables at all
+    assert point.mul_numerators(point) == ({(): 4}, 9)
+    with pytest.raises(VariableMismatch):
+        X1.mul_numerators(T)
+
+
 def test_deriv_matches_coefficient_product():
     rng = random.Random(1641)
     for trial in range(300):
