@@ -66,7 +66,6 @@ from .serialize import (
     pack_to_json,
     poly_from_json,
     poly_to_json,
-    report_to_json,
     unipoly_from_json,
     unipoly_to_json,
     write_json_file,

@@ -52,14 +52,15 @@ INVARIANTS_LIMIT = 5_000_000
 
 
 def _build_and_write(pack, args, show=None) -> int:
-    """Build to --lmax, print show(cert) and the report, write to --out,
-    whose directory is checked before the build; exit 2 on a rejected pack."""
+    """Build to --lmax, print show(cert), the pack's validation report and
+    the member count, and write to --out, whose directory is checked
+    before the build; exit 2 on a rejected pack."""
     if os.path.isdir(args.out):
         raise FormatError(f"cannot write {args.out}: it is a directory")
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FormatError(f"cannot write {args.out}: no such directory")
     try:
-        cert = build_certificate(pack, l_max=args.lmax)
+        cert, report = build_certificate(pack, l_max=args.lmax)
     except WitnessInvalid as exc:
         if exc.report is not None:
             print(format_report(exc.report))
@@ -67,7 +68,8 @@ def _build_and_write(pack, args, show=None) -> int:
         return 2
     if show is not None:
         show(cert)
-    print(format_report(cert.report))
+    print(format_report(report))
+    print(f"members: {len(cert.entries)} (l = 0..{args.lmax})")
     write_json_file(args.out, certificate_to_json(cert))
     print(f"certificate written to {args.out}")
     return 0

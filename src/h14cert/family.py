@@ -18,8 +18,8 @@ rel is expanded back by Horner's rule in Pi(f, g).  On top of that sit:
                      f_2, ... that complete scaled powers of z to elements
                      whose twisted images are polynomial,
 * `witness_poly`   — the l-th member q_l of the certified family,
-* `build_certificate` / `verify_certificate` — serialize-ready bundles of
-                     the family plus every recomputable check.
+* `build_certificate` — the family as a serialize-ready bundle,
+* `verify_certificate` — every recomputable check of such a bundle.
 
 The family is an Appell sequence in z: q_(l-1) = d/dz q_l.  The builder
 therefore assembles only the top member q_(l_max) and differentiates down;
@@ -174,8 +174,8 @@ def _assemble_witness_poly(l: int, tails: list[LaurentPoly], rw: Resolved) -> La
     Only the builder assembles members.  `verify_certificate` checks each
     stored member against `_appell_blocks`, which realizes the tails from
     its own powers of f and g, uses the pack's h and twists by the weights,
-    so a fault here, or in the derivatives, fails the build's verification
-    instead of confirming itself.
+    so a fault here, or in the derivatives, fails that verification instead
+    of confirming itself.
     """
     vars, twist = rw.twist.vars, rw.twist.apply
     fact = _factorials(l)
@@ -225,20 +225,17 @@ class Certificate:
     d: int
     clearing: int
     entries: list[CertEntry]
-    report: Report | None = None
 
 
-def build_certificate(pack: WitnessPack, l_max: int) -> Certificate:
-    """Validate the pack, run the recursion to l_max, assemble q_(l_max)
-    and differentiate it down to q_0, and bundle the family with a
-    verification report.  Raises WitnessInvalid (with the report attached)
-    when the pack fails validation.
+def build_certificate(pack: WitnessPack, l_max: int) -> tuple[Certificate, Report]:
+    """Validate the pack once, run the recursion to l_max, assemble q_(l_max)
+    and differentiate it down to q_0.  Returns the certificate, whose pack
+    has the resolved h, annihilator, weights and clearing exponent filled
+    in, and the pack's validation report.  Raises WitnessInvalid (with the
+    report attached) when the pack fails validation.
 
-    The pack is validated once.  The stored pack is that pack with the
-    resolved h, annihilator, weights and clearing exponent filled in, so a
-    second validation of it could catch nothing new; the family is then
-    checked by the same verify as `verify_certificate`, so the report
-    equals that of a fresh `verify_certificate` of the certificate."""
+    The build does not verify what it built: `verify_certificate`
+    recomputes every member apart from the assembly."""
     resolved, report = validate_pack(pack)
     if resolved is None:
         failures = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
@@ -252,39 +249,7 @@ def build_certificate(pack: WitnessPack, l_max: int) -> Certificate:
     cert = Certificate(pack=resolve_pack_fields(pack, resolved),
                        rel=resolved.rel, d=resolved.d,
                        clearing=resolved.clearing, entries=entries)
-    cert.report = _verify_resolved(cert, resolved, report)
-    if not cert.report.ok:
-        raise ConstructionFailure(
-            "freshly built certificate failed verification: "
-            + "; ".join(c.name for c in cert.report.failures())
-        )
-    return cert
-
-
-_RESOLVED_NOTE = "pack carries h, annihilator, weights, clearing exponent"
-
-
-def verify_certificate(cert: Certificate) -> Report:
-    """Recompute every checkable claim of a certificate from its raw data.
-
-    The report is deterministic: pack-level checks first (shared with
-    validation), then the stored relation element and degree, then one
-    block per entry.  Members are checked against the Appell blocks of
-    `_appell_blocks`, which share no code with the builder's assembly.
-    Tampering with any single field flips at least one line, except in
-    `report`, which `certificate_from_json` does not read, and in
-    `witness.R_gens`: every passing pack line is a proof about
-    the generators the certificate carries, so changing one that f_expr
-    and g_expr do not use can give a valid certificate for a different
-    subalgebra instead of a failing one.
-    """
-    pack = cert.pack
-    if any(x is None for x in (pack.h, pack.ann, pack.weights, pack.clearing)):
-        rep = Report()
-        rep.add("resolved-fields", False, _RESOLVED_NOTE)
-        return rep
-    resolved, pack_rep = validate_pack(pack)
-    return _verify_resolved(cert, resolved, pack_rep)
+    return cert, report
 
 
 def _appell_blocks(tails: list[LaurentPoly], rw: Resolved) -> tuple[list[dict], int]:
@@ -346,18 +311,32 @@ def _block_matches(got: dict, block: dict, scale: int) -> bool:
     return True
 
 
-def _verify_resolved(cert: Certificate, resolved: Resolved | None,
-                     pack_rep: Report) -> Report:
-    """The verify of a certificate whose pack carries its resolved fields,
-    given the pack's validation: `resolved` and its report `pack_rep`.
+def verify_certificate(cert: Certificate) -> Report:
+    """Recompute every checkable claim of a certificate from its raw data.
+
+    The report is deterministic: pack-level checks first (shared with
+    validation), then the stored relation element and degree, then one
+    block per entry.  Members are checked against the Appell blocks of
+    `_appell_blocks`, which share no code with the builder's assembly.
+    Tampering with any single field flips at least one line, except in
+    `witness.R_gens`: every passing pack line is a proof about
+    the generators the certificate carries, so changing one that f_expr
+    and g_expr do not use can give a valid certificate for a different
+    subalgebra instead of a failing one.
 
     The tails f_1..f_L are read once, from the last entry (l = L), and
     every entry must carry their prefix f_1..f_l.  Member l lies in k[f, g]
     iff its tails do, that is iff l is at most the number of leading tails
     in k[f, g]; only those are realized, and a member past them fails its
-    recomputed line."""
+    recomputed line.
+    """
+    pack = cert.pack
     rep = Report()
-    rep.add("resolved-fields", True, _RESOLVED_NOTE)
+    if not rep.add("resolved-fields",
+                   all(x is not None for x in (pack.h, pack.ann, pack.weights, pack.clearing)),
+                   "pack carries h, annihilator, weights, clearing exponent"):
+        return rep
+    resolved, pack_rep = validate_pack(pack)
     rep.checks.extend(pack_rep.checks)
     if resolved is None:
         return rep
@@ -368,11 +347,6 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
             f"stored degree {cert.d}")
     rep.add("clearing-matches", cert.clearing == resolved.clearing,
             f"stored clearing exponent {cert.clearing}")
-    twisted_rel = resolved.twist.apply(resolved.rel)
-    rep.add("relation-x1-witness",
-            (not twisted_rel.is_zero()) and twisted_rel.is_polynomial()
-            and twisted_rel.order_in("x1") >= 1,
-            "twisted relation element is a nonzero polynomial divisible by x1")
 
     ls = [entry.l for entry in cert.entries]
     contiguous = ls == list(range(len(ls))) and len(ls) >= 1
@@ -426,7 +400,4 @@ def _verify_resolved(cert: Certificate, resolved: Resolved | None,
             rep.add(f"{tag}-degree-drop", lead_ok and top <= l,
                     "l! * member minus the leading block has z-degree < l")
         rep.add(f"{tag}-axis-constant", axis_ok, "axis image of the member is a constant")
-
-    rep.add("tail-growth", True,
-            f"tail term counts by step: {[len(t.terms) for t in tails]}")
     return rep

@@ -21,7 +21,6 @@ from .algebra import LaurentPoly, VarSet, coeffs_in
 from .constructions import PermGroupSpec
 from .errors import FormatError, VariableMismatch
 from .family import FG_VARS, CertEntry, Certificate
-from .report import Report
 from .witness import ANN_VARS, WitnessPack
 
 
@@ -276,17 +275,8 @@ def _pack_from_json(obj: Any, where: str, table: dict) -> WitnessPack:
     return pack
 
 
-def report_to_json(report: Report) -> dict:
-    return {
-        "ok": report.ok,
-        "checks": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
-        ],
-    }
-
-
 def certificate_to_json(cert: Certificate) -> dict:
-    out: dict[str, Any] = {
+    return {
         "witness": pack_to_json(cert.pack),
         "pi": poly_to_json(cert.rel),
         "d": cert.d,
@@ -300,15 +290,12 @@ def certificate_to_json(cert: Certificate) -> dict:
             for entry in cert.entries
         ],
     }
-    if cert.report is not None:
-        out["report"] = report_to_json(cert.report)
-    return out
 
 
 def certificate_from_json(obj: Any, where: str = "certificate") -> Certificate:
-    """The certificate without its stored "report", which is not read:
-    `verify_certificate` recomputes every line.  The pack and every entry
-    are read through one table of `_terms_from_json`."""
+    """The certificate of a JSON object.  A "report" key, which older
+    builds wrote, is ignored like any other unknown key.  The pack and
+    every entry are read through one table of `_terms_from_json`."""
     table: dict = {}
     pack = _pack_from_json(_get(obj, "witness", dict, where), f"{where}.witness", table)
     entries = []

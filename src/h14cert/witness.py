@@ -452,11 +452,6 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
             rel = realize_annihilator(ann, pack.f, pack.g)
             _require(not rel.is_zero(), "Ann(f) vanishes identically; pair rejected")
 
-        with _Line(rep, "kernel-membership") as line:
-            line.detail = "f - g*h and the relation element vanish on the axis"
-            _require(axis_map(pack.f - pack.g * h).is_zero() and axis_map(rel).is_zero(),
-                     line.detail)
-
         with _Line(rep, "weights-twist") as line:
             weights = (choose_weights(pack.f, pack.g, h, rel) if pack.weights is None
                        else tuple(int(w) for w in pack.weights))

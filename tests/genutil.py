@@ -415,12 +415,6 @@ def reference_validate_pack(pack):
     if not rel_ok:
         return None, rep
 
-    kernel_ok = axis_map(pack.f - pack.g * h).is_zero() and axis_map(rel).is_zero()
-    rep.add("kernel-membership", kernel_ok,
-            "f - g*h and the relation element vanish on the axis")
-    if not kernel_ok:
-        return None, rep
-
     try:
         if pack.weights is not None:
             weights = tuple(int(w) for w in pack.weights)

@@ -349,7 +349,7 @@ def test_criterion_7_certificate_mutation_resistance():
     started = time.perf_counter()
     failures = []
     rng = random.Random(14007)
-    cert = build_certificate(invariant_witness_pack(SWAP), l_max=8)
+    cert, _ = build_certificate(invariant_witness_pack(SWAP), l_max=8)
     base = certificate_to_json(cert)
     if not verify_certificate(certificate_from_json(copy.deepcopy(base))).ok:
         failures.append("pristine certificate does not verify")

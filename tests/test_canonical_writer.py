@@ -180,10 +180,10 @@ def test_certificates_match_stdlib():
     cycle = invariant_witness_pack(PermGroupSpec(3, ((2, 3, 1),)))
     resolved, _ = validate_pack(cycle)
     objs = [
-        certificate_to_json(build_certificate(swap, l_max=8)),   # the demo
+        certificate_to_json(build_certificate(swap, l_max=8)[0]),   # the demo
         pack_to_json(cycle),
         pack_to_json(resolve_pack_fields(cycle, resolved)),
-        certificate_to_json(build_certificate(cycle, l_max=3)),
+        certificate_to_json(build_certificate(cycle, l_max=3)[0]),
     ]
     # a JSON round trip turns every list plain, for the generic path
     for obj in objs:

@@ -17,15 +17,12 @@ import pytest
 
 import h14cert
 from h14cert import (
-    Check,
     FormatError,
     LaurentPoly,
     PermGroupSpec,
-    Report,
     VarSet,
     WitnessPack,
     certificate_from_json,
-    format_report,
     frac_from_str,
     invariant_generators,
     invariant_witness_pack,
@@ -70,7 +67,7 @@ def test_demo_success(tmp_path, capsys):
     assert "image of orbit(y1*y2) = x1^4*x2 - x1^-2 + x1^-3" in captured.out
     assert "image of z            = z + x1^-1" in captured.out
     assert "result: PASS" in captured.out
-    assert f"certificate written to {out}" in captured.out
+    assert f"members: 4 (l = 0..3)\ncertificate written to {out}\n" in captured.out
     cert = certificate_from_json(load_json_file(str(out)))
     assert [entry.l for entry in cert.entries] == [0, 1, 2, 3]
     assert verify_certificate(cert).ok
@@ -136,8 +133,9 @@ def test_usage_errors_exit_3(capsys, argv, message):
 def test_scan_bound_comes_from_the_pack(tmp_path, capsys):
     """The swap pack with generators up to degree 7 (bytes pinned) has
     axis degrees up to 14, above the least scan bound 12: it passes
-    `witness check`, builds and verifies with no flags, and `cert verify`
-    prints the stored report."""
+    `witness check`, builds and verifies with no flags.  `cert build`
+    prints the pack's validation report, the member count and the path,
+    and `cert verify` prints the same pack lines after resolved-fields."""
     swap = invariant_witness_pack(SWAP)
     gens = invariant_generators(SWAP, 7)
     # orbit(y1) and orbit(y1*y2) keep their places, u0 and u2, among more u's
@@ -152,33 +150,33 @@ def test_scan_bound_comes_from_the_pack(tmp_path, capsys):
     assert main(["witness", "check", str(pack)]) == 0
     assert "orders up to 14: [0, 2, 3, 4," in capsys.readouterr().out
     assert main(["cert", "build", str(pack), "--lmax", "1", "--out", str(out)]) == 0
-    capsys.readouterr()
+    built = capsys.readouterr().out.splitlines()
+    assert built[-3].startswith("result: PASS (")
+    assert built[-2:] == ["members: 2 (l = 0..1)", f"certificate written to {out}"]
     assert main(["cert", "verify", str(out)]) == 0
-    stored = load_json_file(str(out))["report"]
-    stored = Report([Check(**check) for check in stored["checks"]])
-    assert capsys.readouterr().out.splitlines() == format_report(stored).splitlines()
+    verified = capsys.readouterr().out.splitlines()
+    assert verified[0].startswith("[ok ] resolved-fields")
+    assert verified[1:len(built) - 2] == built[:-3]
+    assert verified[-1].startswith("result: PASS (")
 
 
 def test_cert_verify_ignores_the_stored_report(tmp_path, capsys):
-    """`cert verify` recomputes every line and does not read the stored
-    report: a malformed, false or missing one prints the same report, with
-    exit 0, as the pristine file."""
+    """Certificates carry no report.  A legacy "report" key, which older
+    builds wrote, is not read: with any value, the file prints the same
+    report, with exit 0, as the file without it."""
     out = tmp_path / "demo.json"
     assert main(["demo", "--lmax", "3", "--out", str(out)]) == 0
     capsys.readouterr()
+    obj = load_json_file(str(out))
+    assert "report" not in obj
     assert main(["cert", "verify", str(out)]) == 0
     pristine = capsys.readouterr().out
-    assert pristine.endswith("result: PASS (43 checks)\n")
-    obj = load_json_file(str(out))
-    false_ok = copy.deepcopy(obj["report"])
-    false_ok["ok"] = False
-    false_check = copy.deepcopy(obj["report"])
-    false_check["checks"][0]["ok"] = False
-    no_report = {key: value for key, value in obj.items() if key != "report"}
-    for edited in (dict(obj, report=5), dict(obj, report={"checks": "x"}),
-                   dict(obj, report=false_ok), dict(obj, report=false_check), no_report):
-        write_json_file(str(out), edited)
-        assert main(["cert", "verify", str(out)]) == 0, edited.get("report")
+    assert pristine.endswith("result: PASS (40 checks)\n")
+    failing = {"ok": False, "checks": [{"name": "resolved-fields", "ok": False, "detail": ""}]}
+    for legacy in (5, None, "x", [], {}, {"checks": "x"}, failing,
+                   dict(failing, ok=True)):
+        write_json_file(str(out), dict(obj, report=legacy))
+        assert main(["cert", "verify", str(out)]) == 0, legacy
         assert capsys.readouterr().out == pristine
 
 

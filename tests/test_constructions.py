@@ -22,6 +22,7 @@ from h14cert import (
     orbit_sum,
     preslice_involution,
     validate_pack,
+    verify_certificate,
     x_vars,
 )
 from genutil import (
@@ -212,8 +213,8 @@ def test_invariant_witness_pack_guards():
 
 def test_three_coordinate_certificate():
     """The full pipeline also runs on a three-variable invariant ring."""
-    cert = build_certificate(invariant_witness_pack(CYCLE3), l_max=2)
-    assert cert.report.ok
+    cert, report = build_certificate(invariant_witness_pack(CYCLE3), l_max=2)
+    assert report.ok and verify_certificate(cert).ok
     assert [e.l for e in cert.entries] == [0, 1, 2]
 
 

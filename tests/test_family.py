@@ -452,9 +452,9 @@ def pair_pack(g, f):
 #   Pi = T^3 - 3*T*G^3 - G^5 - G^4, h = x1^2 + x1, t = 13, e = 10.
 WIDE_PACKS = [
     (pair_pack(X1 ** 3 + X2, X1 ** 4 + X1 * X2 + X2 ** 2),
-     "73da05fddf3905888943f86c1b8472da250c192f67632d7e3af5d3de659eb622"),
+     "2f3e22f07fe1cba15d20f6dc2f0be262bac417709a8d7d6d57148450cd98119c"),
     (pair_pack(X1 ** 3 + X2, X1 ** 3 * (X1 ** 2 + X1) + X1 * X2),
-     "f758572fcd1fac1600d4679aed4c067b28783da477a12b069e86a035ff0f6611"),
+     "d8b9414f2250732fe5d795ddfdbbcf38ce89a920464eef323bc3f523c86b9944"),
 ]
 
 # Three more packs, each built at l_max 3 and kept out of the per-line
@@ -464,25 +464,25 @@ T, G = (LaurentPoly.variable(DEMO_ANN.vars, name) for name in ("T", "G"))
 MORE_PACKS = [
     (pair_pack(X1 ** 3 + X1 * X2 + X2, X1 ** 5 + X1 ** 2 * X2 + X2),
      T ** 3 - G ** 5, X1 ** 2, 10,
-     "cb5300865ec62175c1d0668d0a04256cda6bd95647edabb7c72398e03338a967"),
+     "d07c84b6ae27f719fa14432f87b12d958a234f3bd20a495e5bd544f314644c95"),
     (pair_pack(X1 ** 4 + X2, X1 ** 5 + X1 * X2 + X2 ** 2),
      T ** 4 - G ** 5, X1, 15,
-     "a97a9ae55368515c5e474ebc22cf115c5759a7c7b1d7d4ef6ff250d52fcf11c1"),
+     "0f28d152ecbe65e1a0f6c2171ed94a13b98e9e7a3880e57cf2c1fe1cfa3c9843"),
     (pair_pack(X1 ** 3 + X1 ** 2 + X2,
                (X1 ** 3 + X1 ** 2) * (X1 + 1) + X1 * X2 + X2 ** 2),
      T ** 3 - 2 * T ** 2 * G + T * G ** 2 - G ** 4, X1 + 1, 8,
-     "d6e05086a711a712d1ec1fdc452bbfee0101f187a52eef0edd2f0c848f31859a"),
+     "7c5894b7ef457946e709582f5b24b04b92b99bef70dcb54c96a26fdd46991866"),
 ]
 
 
 def test_build_certificate_demo():
-    cert = build_certificate(demo_pack(), l_max=4)
+    cert, report = build_certificate(demo_pack(), l_max=4)
     assert [e.l for e in cert.entries] == [0, 1, 2, 3, 4]
     assert cert.d == 2 and cert.clearing == 3
     assert cert.rel == DEMO_REL
     assert cert.pack.h == X1
     assert cert.pack.weights == (5,)
-    assert cert.report is not None and cert.report.ok
+    assert report.ok and verify_certificate(cert).ok
     # each entry carries the tail prefix it needs
     assert cert.entries[0].tails == []
     assert len(cert.entries[4].tails) == 4
@@ -497,7 +497,7 @@ def test_build_certificate_rejects_bad_pack():
 
 
 def test_verify_certificate_clean():
-    cert = build_certificate(demo_pack(), l_max=3)
+    cert, _ = build_certificate(demo_pack(), l_max=3)
     rep = verify_certificate(cert)
     assert rep.ok, format_report(rep)
     names = [c.name for c in rep.checks]
@@ -507,7 +507,7 @@ def test_verify_certificate_clean():
 
 
 def test_verify_certificate_flags_tampered_member():
-    cert = build_certificate(demo_pack(), l_max=3)
+    cert, _ = build_certificate(demo_pack(), l_max=3)
     entries = [
         CertEntry(l=e.l, tails=list(e.tails),
                   q=e.q + 1 if e.l == 2 else e.q)
@@ -564,7 +564,7 @@ def whole_member_checks(cert):
 def test_member_checks_match_whole_member_route():
     seen = set()
     for pack, l_max in [(demo_pack(), 4)] + [(pack, 3) for pack, _ in WIDE_PACKS]:
-        cert = build_certificate(pack, l_max=l_max)
+        cert, _ = build_certificate(pack, l_max=l_max)
         vz = cert.entries[0].q.vars
 
         def edited(l, edit):
@@ -573,7 +573,7 @@ def test_member_checks_match_whole_member_route():
             entries = [CertEntry(l=e.l, tails=list(e.tails),
                                  q=LaurentPoly(vz, terms) if e.l == l else e.q)
                        for e in cert.entries]
-            return replace(cert, entries=entries, report=None)
+            return replace(cert, entries=entries)
 
         def bump(z_deg):
             def edit(terms):
@@ -611,8 +611,8 @@ def test_member_checks_match_whole_member_route():
 
 def test_verifier_catches_builder_dropping_a_factorial(monkeypatch):
     """The verify shares no code with the assembly: an assembler that
-    doubles the z^2 block of q_l for l >= 3 (drops its 1/2!) fails the
-    build's own verification instead of confirming itself."""
+    doubles the z^2 block of q_l for l >= 3 (drops its 1/2!) builds a
+    certificate that fails verification instead of confirming itself."""
     original = family._assemble_witness_poly
 
     def doubled(l, tails, rw):
@@ -623,15 +623,19 @@ def test_verifier_catches_builder_dropping_a_factorial(monkeypatch):
                                     for e, c in q.terms.items()})
 
     monkeypatch.setattr("h14cert.family._assemble_witness_poly", doubled)
-    with pytest.raises(ConstructionFailure, match="member-3-recomputed"):
-        build_certificate(demo_pack(), l_max=4)
+    cert, report = build_certificate(demo_pack(), l_max=4)
+    assert report.ok
+    # q_4 is assembled and the rest are its z-derivatives, so the doubled
+    # block reaches q_3 and q_2 too; q_1 and q_0 lie below it
+    assert [c.name for c in verify_certificate(cert).failures()] == [
+        "member-2-recomputed", "member-3-recomputed", "member-4-recomputed"]
 
 
 def test_verify_reports_an_unrealizable_tail():
-    cert = build_certificate(demo_pack(), l_max=3)
+    cert, _ = build_certificate(demo_pack(), l_max=3)
     entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
     entries[3].tails[2] = fg(0, 0, -1)                # the last tail only
-    rep = verify_certificate(replace(cert, entries=entries, report=None))
+    rep = verify_certificate(replace(cert, entries=entries))
     assert rep["tails-prefix-consistency"].ok
     assert rep["member-2-recomputed"].ok
     assert not rep["member-3-tails-in-fg"].ok
@@ -644,11 +648,11 @@ def test_verify_does_not_realize_a_tail_outside_fg():
     """f_3 + rel - Pi(f, g) realizes to the value of f_3, but the verifier
     realizes tails from powers of f and g only: a member whose tails leave
     k[f, g] fails its recomputation as well as its tails-in-fg line."""
-    cert = build_certificate(demo_pack(), l_max=3)
+    cert, _ = build_certificate(demo_pack(), l_max=3)
     _, pi = family._relation(cert.pack.ann)
     entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
     entries[3].tails[2] = entries[3].tails[2] + fg(0, 1, 0) - pi
-    rep = verify_certificate(replace(cert, entries=entries, report=None))
+    rep = verify_certificate(replace(cert, entries=entries))
     assert [c.name for c in rep.failures()] == [
         "member-3-tails-in-fg", "member-3-recomputed"]
     assert rep["member-3-recomputed"].detail == (
@@ -656,7 +660,7 @@ def test_verify_does_not_realize_a_tail_outside_fg():
 
 
 def test_verify_does_not_reach_the_builder(monkeypatch):
-    cert = build_certificate(demo_pack(), l_max=4)
+    cert, _ = build_certificate(demo_pack(), l_max=4)
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the verify reached the builder")
@@ -670,34 +674,37 @@ def report_lines(report):
 
 
 def test_build_report_equals_fresh_verify():
-    """The build validates once and verifies with that validation; its
-    report must be the one a fresh `verify_certificate` computes."""
-    certs = [build_certificate(invariant_witness_pack(
+    """The build returns the validation of the pack it was given; a fresh
+    `verify_certificate` of what it built passes, and its pack lines (those
+    after resolved-fields) are that report line for line: the stored pack,
+    with its derived fields filled in, validates the same."""
+    built = [build_certificate(invariant_witness_pack(
                  PermGroupSpec(n=n, generators=tuple(map(tuple, gens)))), l_max=3)
              for n, gens in benchmark_groups().values()]
-    certs.append(build_certificate(replace(demo_pack(), weights=(6,)), l_max=3))
-    assert certs[-1].pack.weights == (6,)
+    built.append(build_certificate(replace(demo_pack(), weights=(6,)), l_max=3))
+    assert built[-1][0].pack.weights == (6,)
     for pack, sha in WIDE_PACKS:
-        certs.append(build_certificate(pack, l_max=3))
-        data = dumps(certificate_to_json(certs[-1])).encode()
+        built.append(build_certificate(pack, l_max=3))
+        data = dumps(certificate_to_json(built[-1][0])).encode()
         assert hashlib.sha256(data).hexdigest() == sha
-    assert [cert.clearing for cert in certs[-2:]] == [8, 10]
-    assert len(certs) == 10
-    for cert in certs:
-        assert cert.report.ok
-        assert report_lines(cert.report) == report_lines(verify_certificate(cert))
+    assert [cert.clearing for cert, _ in built[-2:]] == [8, 10]
+    assert len(built) == 10
+    for cert, report in built:
+        rep = verify_certificate(cert)
+        assert report.ok and rep.ok
+        assert report_lines(rep)[1:len(report.checks) + 1] == report_lines(report)
 
 
 @pytest.mark.parametrize("pack, pi, h, e, sha", MORE_PACKS, ids=["T3-G5", "T4-G5", "T3-G4"])
 def test_more_packs_build_verify_and_catch_a_changed_tail(pack, pi, h, e, sha):
-    cert = build_certificate(pack, l_max=3)
+    cert, _ = build_certificate(pack, l_max=3)
     assert (cert.pack.ann, cert.pack.h, cert.clearing) == (pi, h, e)
     assert hashlib.sha256(dumps(certificate_to_json(cert)).encode()).hexdigest() == sha
-    assert report_lines(cert.report) == report_lines(verify_certificate(cert))
+    assert verify_certificate(cert).ok
     # f_3 + 1 still lies in k[f, g]; only the top member's recomputation sees it
     entries = [CertEntry(l=e.l, tails=list(e.tails), q=e.q) for e in cert.entries]
     entries[3].tails[2] = entries[3].tails[2] + 1
-    rep = verify_certificate(replace(cert, entries=entries, report=None))
+    rep = verify_certificate(replace(cert, entries=entries))
     assert [c.name for c in rep.failures()] == ["member-3-recomputed"]
 
 
@@ -715,7 +722,7 @@ def test_witness_poly_names_the_lowest_negative_term(monkeypatch):
 
 
 def test_verify_certificate_flags_tampered_relation():
-    cert = build_certificate(demo_pack(), l_max=2)
+    cert, _ = build_certificate(demo_pack(), l_max=2)
     tampered = Certificate(pack=cert.pack, rel=cert.rel + 1, d=cert.d,
                            clearing=cert.clearing, entries=cert.entries)
     rep = verify_certificate(tampered)
@@ -723,7 +730,7 @@ def test_verify_certificate_flags_tampered_relation():
 
 
 def test_verify_certificate_flags_missing_entry():
-    cert = build_certificate(demo_pack(), l_max=3)
+    cert, _ = build_certificate(demo_pack(), l_max=3)
     tampered = Certificate(pack=cert.pack, rel=cert.rel, d=cert.d,
                            clearing=cert.clearing,
                            entries=[cert.entries[0], cert.entries[2]])
@@ -732,7 +739,7 @@ def test_verify_certificate_flags_missing_entry():
 
 
 def test_verify_certificate_flags_inconsistent_tails():
-    cert = build_certificate(demo_pack(), l_max=3)
+    cert, _ = build_certificate(demo_pack(), l_max=3)
     for edit in (
         lambda tails: tails.__setitem__(0, fg(1, 0, 0)),   # breaks the shared prefix
         lambda tails: tails.pop(),                         # the last entry one tail short
@@ -747,7 +754,7 @@ def test_verify_certificate_flags_inconsistent_tails():
 
 
 def test_verify_certificate_requires_resolved_pack():
-    cert = build_certificate(demo_pack(), l_max=1)
+    cert, _ = build_certificate(demo_pack(), l_max=1)
     stripped = Certificate(pack=replace(cert.pack, h=None), rel=cert.rel,
                            d=cert.d, clearing=cert.clearing, entries=cert.entries)
     rep = verify_certificate(stripped)

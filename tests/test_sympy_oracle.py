@@ -127,7 +127,7 @@ def test_annihilator_matches_sympy(generators, n):
 def test_certificate_pi_matches_sympy(pack):
     """The certificate's pi, built at l_max 3, is sympy's monic
     res_x1(T - eps(f), G - eps(g)) evaluated at T = f, G = g."""
-    cert = build_certificate(pack, l_max=3)
+    cert, _ = build_certificate(pack, l_max=3)
     _, ann = sympy_annihilator(axis_map(pack.f), axis_map(pack.g))
     G = sympy.Symbol("G")
     expected = ann.subs({T: to_sympy(pack.f), G: to_sympy(pack.g)}, simultaneous=True)
