@@ -69,7 +69,7 @@ def _build_and_write(pack, args, show=None) -> int:
     if show is not None:
         show(cert)
     print(format_report(report))
-    print(f"members: {len(cert.entries)} (l = 0..{args.lmax})")
+    print(f"members: {len(cert.entries)}")
     write_json_file(args.out, certificate_to_json(cert))
     print(f"certificate written to {args.out}")
     return 0

@@ -331,10 +331,11 @@ def verify_certificate(cert: Certificate) -> Report:
     recomputed line.
     """
     pack = cert.pack
+    resolved_fields = all(x is not None for x in (pack.h, pack.ann, pack.weights, pack.clearing))
     rep = Report()
-    if not rep.add("resolved-fields",
-                   all(x is not None for x in (pack.h, pack.ann, pack.weights, pack.clearing)),
-                   "pack carries h, annihilator, weights, clearing exponent"):
+    rep.add("resolved-fields", resolved_fields,
+            "pack carries h, annihilator, weights, clearing exponent")
+    if not resolved_fields:
         return rep
     resolved, pack_rep = validate_pack(pack)
     rep.checks.extend(pack_rep.checks)

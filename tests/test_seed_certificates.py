@@ -28,10 +28,6 @@ def table_rows() -> dict:
     return rows
 
 
-def test_the_table_has_every_workload():
-    assert set(table_rows()) == set(workloads.WORKLOADS)
-
-
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_seed1_certificates_match_the_table(tmp_path, capsys, name):
     workload = workloads.WORKLOADS[name]
