@@ -70,7 +70,11 @@ def _build_and_write(pack, args, show=None) -> int:
         show(cert)
     print(format_report(report))
     print(f"members: {len(cert.entries)}")
-    write_json_file(args.out, certificate_to_json(cert))
+    try:
+        write_json_file(args.out, certificate_to_json(cert))
+    except ValueError:          # str(int) past sys.get_int_max_str_digits()
+        raise FormatError(f"cannot write {args.out}: a number has more than "
+                          f"{sys.get_int_max_str_digits():,} digits") from None
     print(f"certificate written to {args.out}")
     return 0
 

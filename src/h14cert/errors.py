@@ -35,10 +35,10 @@ class WitnessInvalid(Exception):
 
 
 class ConstructionFailure(Exception):
-    """A derived object (a witness polynomial, or a freshly built
-    certificate) does not satisfy the property the construction is supposed
-    to guarantee.  The tail coefficients never raise it: validation proves
-    their step condition once for every step."""
+    """A witness polynomial does not satisfy the property the construction
+    is supposed to guarantee; only `witness_poly` raises it.  The tail
+    coefficients never raise it: validation proves their step condition
+    once for every step."""
 
 
 class UnsupportedCase(Exception):

@@ -101,9 +101,11 @@ def realize_annihilator(ann: LaurentPoly, f: LaurentPoly, g: LaurentPoly) -> Lau
 
 
 def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The polynomial Ann over ANN_VARS, monic in T of degree deg(eps(g)),
-    with Ann(eps(f), eps(g)) = 0; computed as the resultant of T - eps(f)
-    and G - eps(g) that eliminates x1.  Requires eps(g) to be nonconstant."""
+    """Res_x1(T - eps(f), G - eps(g)) over its T^m coefficient, m = deg(eps(g)):
+    a constant times the product of T - eps(f)(b) over the roots b of
+    eps(g) = G, so monic of degree m in T over ANN_VARS and zero at
+    (eps(f), eps(g)); `validate_pack` checks it as it checks a stored one.
+    Requires eps(g) to be nonconstant."""
     ef, eg = axis_map(f), axis_map(g)
     m = eg.degree_in("x1") if eg else 0
     if m < 1:
@@ -112,16 +114,7 @@ def build_annihilator(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     res = resultant(LaurentPoly.variable(xtg, "T") - ef.with_vars(xtg),
                     LaurentPoly.variable(xtg, "G") - eg.with_vars(xtg), "x1")
     res = res.with_vars(ANN_VARS)
-    if res.degree_in("T") != m:
-        raise WitnessInvalid("annihilator degree mismatch (unexpected collapse)")
-    lead = [e for e in res.terms if e[0] == m]
-    if lead != [(m, 0)]:
-        raise WitnessInvalid("annihilator leading coefficient is not constant")
-    ann = res / res.terms[(m, 0)]
-    # sanity: the defining property, checked in k[x1]
-    if not realize_annihilator(ann, ef, eg).is_zero():
-        raise WitnessInvalid("annihilator fails to annihilate the axis image")
-    return ann
+    return res / res.terms[(m, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +299,12 @@ def _offending_term(p: LaurentPoly, need_x1: int) -> str:
     return ""
 
 
-def check_twist(twist: RingMap, f: LaurentPoly, g: LaurentPoly,
-                h: LaurentPoly, rel: LaurentPoly) -> str:
+def check_twist(twist: RingMap, fgh: LaurentPoly, rel: LaurentPoly) -> str:
     """The two polynomiality conditions on the twisted data: the image of
-    f - g*h must be a polynomial, and the image of the relation element must
-    be a polynomial divisible by x1.  Returns "" when both hold, else the
-    first failing condition with its offending term."""
-    a = twist.apply(f - g * h)
+    fgh = f - g*h must be a polynomial, and the image of the relation
+    element must be a polynomial divisible by x1.  Returns "" when both
+    hold, else the first failing condition with its offending term."""
+    a = twist.apply(fgh)
     if not a.is_polynomial():
         return f"twist(f - g*h) term {_offending_term(a, 0)}"
     b = twist.apply(rel)
@@ -321,22 +313,21 @@ def check_twist(twist: RingMap, f: LaurentPoly, g: LaurentPoly,
     return ""
 
 
-def choose_weights(f: LaurentPoly, g: LaurentPoly, h: LaurentPoly,
-                   rel: LaurentPoly) -> tuple[int, ...]:
-    """The uniform weight vector t_i = 1 + max(deg_x1(f - g*h), deg_x1(rel), 0).
+def choose_weights(fgh: LaurentPoly, rel: LaurentPoly) -> tuple[int, ...]:
+    """The uniform weight vector t_i = 1 + max(deg_x1(fgh), deg_x1(rel), 0)
+    for fgh = f - g*h.
 
-    Both f - g*h and rel must vanish under the axis substitution; then every
+    Both fgh and rel must vanish under the axis substitution; then every
     term of either contains some xi (i >= 2), so the chosen weight pushes
     every twisted term into x1 * k[x].  `validate_pack` checks the twist
     conditions on these weights.
     """
-    fgh = f - g * h
     if not axis_map(fgh).is_zero():
         raise WitnessInvalid("f - g*h does not vanish on the axis")
     if rel.is_zero() or not axis_map(rel).is_zero():
         raise WitnessInvalid("relation element must be nonzero and vanish on the axis")
     t = 1 + max(rel.degree_in("x1"), fgh.degree_in("x1") if fgh else 0, 0)
-    return (t,) * (len(f.vars) - 1)
+    return (t,) * (len(fgh.vars) - 1)
 
 
 def clearing_exponent(twist: RingMap, rel: LaurentPoly, f: LaurentPoly, d: int) -> int:
@@ -436,16 +427,13 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
             line.detail = f"h = {h}"
 
         with _Line(rep, "annihilator") as line:
-            if pack.ann is None:
-                ann = build_annihilator(pack.f, pack.g)
-                d = ann.degree_in("T")
-            else:
-                ann, d = pack.ann, monic_degree(pack.ann)
-                _require(d is not None, "stored annihilator is not monic over k[G]")
-                _require(d == eg.degree_in("x1"),
-                         "stored annihilator degree differs from deg eps(g)")
-                _require(realize_annihilator(ann, axis_map(pack.f), eg).is_zero(),
-                         "stored annihilator does not annihilate eps(f)")
+            ann = build_annihilator(pack.f, pack.g) if pack.ann is None else pack.ann
+            d = monic_degree(ann)
+            _require(d is not None, "stored annihilator is not monic over k[G]")
+            _require(d == eg.degree_in("x1"),
+                     "stored annihilator degree differs from deg eps(g)")
+            _require(realize_annihilator(ann, axis_map(pack.f), eg).is_zero(),
+                     "stored annihilator does not annihilate eps(f)")
             line.detail = f"degree {d}"
 
         with _Line(rep, "relation-nonzero"):
@@ -453,12 +441,13 @@ def validate_pack(pack: WitnessPack) -> tuple[Resolved | None, Report]:
             _require(not rel.is_zero(), "Ann(f) vanishes identically; pair rejected")
 
         with _Line(rep, "weights-twist") as line:
-            weights = (choose_weights(pack.f, pack.g, h, rel) if pack.weights is None
+            fgh = pack.f - pack.g * h
+            weights = (choose_weights(fgh, rel) if pack.weights is None
                        else tuple(int(w) for w in pack.weights))
             _require(len(weights) == pack.n - 1,
                      f"weight vector must have length {pack.n - 1}")
             twist = RingMap(vars, "x1", (0, *weights))
-            failing = check_twist(twist, pack.f, pack.g, h, rel)
+            failing = check_twist(twist, fgh, rel)
             _require(not failing, failing)
             line.detail = f"t = {list(weights)}"
 

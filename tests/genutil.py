@@ -419,11 +419,11 @@ def reference_validate_pack(pack):
         if pack.weights is not None:
             weights = tuple(int(w) for w in pack.weights)
         else:
-            weights = choose_weights(pack.f, pack.g, h, rel)
+            weights = choose_weights(pack.f - pack.g * h, rel)
         if len(weights) != pack.n - 1:
             raise WitnessInvalid(f"weight vector must have length {pack.n - 1}")
         twist = RingMap(x_vars(pack.n), "x1", (0, *weights))
-        failing = check_twist(twist, pack.f, pack.g, h, rel)
+        failing = check_twist(twist, pack.f - pack.g * h, rel)
         w_ok = not failing
         w_note = failing or f"t = {list(weights)}"
     except WitnessInvalid as exc:
@@ -539,7 +539,7 @@ def random_pipeline_data(rng, n=2, max_gdeg=2, max_hdeg=2):
             rel = realize_annihilator(ann, f, g)
             if rel.is_zero():
                 continue
-            weights = choose_weights(f, g, h, rel)
+            weights = choose_weights(f - g * h, rel)
             twist = RingMap(vars, "x1", (0, *weights))
             e = clearing_exponent(twist, rel, f, ann.degree_in("T"))
         except WitnessInvalid:

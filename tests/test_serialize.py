@@ -37,6 +37,7 @@ from h14cert import (
     xz_vars,
 )
 from h14cert import serialize
+from h14cert.cli import main
 from h14cert.family import FG_VARS
 from h14cert.witness import ANN_VARS, resolve_pack_fields
 from genutil import random_poly
@@ -78,6 +79,35 @@ def test_fraction_digit_limit():
     finally:
         if set_limit:
             set_limit(old)
+
+
+def _past_the_digit_limit(tree, field):
+    """The demo pack with a 4,300-digit stored weight, or, without its
+    generator expressions, a 4,300-digit coefficient of f."""
+    if field == "exponent":
+        return dict(tree, t=[9 * 10 ** 4299])
+    del tree["f_expr"], tree["g_expr"]
+    tree["f"]["terms"][1]["c"] = "9" * 4300
+    return tree
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int-string conversion")
+@pytest.mark.parametrize("field", ["exponent", "coefficient"])
+def test_cert_build_with_a_number_past_the_digit_limit_exits_3(tmp_path, capsys, field):
+    """The pack loads and validates, but a certificate exponent or
+    coefficient outgrows the interpreter's limit on int-string conversion:
+    `cert build` exits 3 with one input-error line, no traceback and no
+    file."""
+    pack = invariant_witness_pack(PermGroupSpec(n=2, generators=((2, 1),)))
+    path, out = tmp_path / "pack.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(_past_the_digit_limit(pack_to_json(pack), field)))
+    assert main(["cert", "build", str(path), "--lmax", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "result: PASS (" in captured.out
+    assert captured.err == (f"input error: cannot write {out}: a number has more "
+                            f"than {sys.get_int_max_str_digits():,} digits\n")
+    assert not out.exists()
 
 
 def test_poly_roundtrip_random():

@@ -18,6 +18,7 @@ from h14cert import (
     axis_map,
     axis_quotient,
     build_annihilator,
+    build_certificate,
     check_twist,
     choose_weights,
     clearing_exponent,
@@ -29,10 +30,12 @@ from h14cert import (
     semigroup_orders,
     subalgebra_member,
     validate_pack,
+    verify_certificate,
     x_vars,
 )
 from h14cert.witness import ANN_VARS, SCAN_BOUND, monic_degree, scan_bound
-from genutil import random_pipeline_data, random_poly, random_univar, univar
+from genutil import (random_pipeline_data, random_poly, random_univar,
+                     reference_validate_pack, univar)
 
 V2 = x_vars(2)
 X1 = LaurentPoly.variable(V2, "x1")
@@ -291,30 +294,30 @@ def twist(t):
 
 def test_check_twist_demo_weights():
     h = X1
-    assert check_twist(twist(5), DEMO_F, DEMO_G, h, DEMO_REL) == ""
+    assert check_twist(twist(5), DEMO_F - DEMO_G * h, DEMO_REL) == ""
 
 
 def test_check_twist_insufficient_weight():
     h = X1
-    failing = check_twist(twist(4), DEMO_F, DEMO_G, h, DEMO_REL)
+    failing = check_twist(twist(4), DEMO_F - DEMO_G * h, DEMO_REL)
     assert failing == "twist(relation) term -1*x2"
 
 
 def test_check_twist_wrong_quotient():
     zero = LaurentPoly.zero(V2)
-    failing = check_twist(twist(5), DEMO_F, DEMO_G, zero, DEMO_REL)
+    failing = check_twist(twist(5), DEMO_F - DEMO_G * zero, DEMO_REL)
     assert failing.startswith("twist(f - g*h) term ")
 
 
 def test_choose_weights_demo():
-    assert choose_weights(DEMO_F, DEMO_G, X1, DEMO_REL) == (5,)
+    assert choose_weights(DEMO_F - DEMO_G * X1, DEMO_REL) == (5,)
 
 
 def test_choose_weights_guards():
     with pytest.raises(WitnessInvalid):
-        choose_weights(DEMO_F, DEMO_G, LaurentPoly.zero(V2), DEMO_REL)
+        choose_weights(DEMO_F, DEMO_REL)  # h = 0
     with pytest.raises(WitnessInvalid):
-        choose_weights(DEMO_F, DEMO_G, X1, LaurentPoly.zero(V2))
+        choose_weights(DEMO_F - DEMO_G * X1, LaurentPoly.zero(V2))
 
 
 def test_choose_weights_random_pipeline():
@@ -323,7 +326,7 @@ def test_choose_weights_random_pipeline():
         rw = random_pipeline_data(rng)
         assert len(rw.weights) == rw.n - 1
         assert all(w >= 1 for w in rw.weights)
-        assert check_twist(rw.twist, rw.f, rw.g, rw.h, rw.rel) == ""
+        assert check_twist(rw.twist, rw.f - rw.g * rw.h, rw.rel) == ""
 
 
 def test_clearing_exponent_demo():
@@ -408,6 +411,29 @@ def test_validate_pack_stored_fields_checked():
     bad, rep = validate_pack(demo_pack(clearing=2))
     assert bad is None
     assert not rep["clearing-exponent"].ok
+
+
+def test_stored_annihilator_is_checked_not_compared():
+    """A stored Pi is any monic annihilator of eps(f) over k[eps(g)] of
+    degree deg eps(g), not only the resultant's: with eps(f) = x1^4 and
+    eps(g) = x1^2 the built Pi is (T - G^2)^2, and the stored
+    (T - G^2)(T - G^2 - G) passes every line too and gives another rel."""
+    gens = [X1 ** 3 + X2, X1 ** 5 + X1 * X2, X2]
+    pack = WitnessPack(n=2, gens=gens, f=X1 ** 4 + X1 * X2, g=X1 ** 2 + X2)
+    other = (ANN_T - ANN_G ** 2) * (ANN_T - ANN_G ** 2 - ANN_G)
+    built, rep = validate_pack(pack)
+    assert rep.ok, format_report(rep)
+    assert built.ann == (ANN_T - ANN_G ** 2) ** 2
+    stored_pack = WitnessPack(n=2, gens=gens, f=pack.f, g=pack.g, ann=other)
+    stored, rep = validate_pack(stored_pack)
+    assert rep.ok, format_report(rep)
+    assert rep["annihilator"].detail == "degree 2"
+    assert rep["clearing-exponent"].detail == "e = 4 (minimum 4)"
+    assert stored.ann == other and stored.rel != built.rel
+    assert format_report(reference_validate_pack(stored_pack)[1]) == format_report(rep)
+    for p in (pack, stored_pack):
+        cert, _ = build_certificate(p, l_max=3)
+        assert verify_certificate(cert).ok
 
 
 def test_validate_pack_weight_override_fails_cleanly():
